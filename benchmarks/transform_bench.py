@@ -1,10 +1,15 @@
-"""Timing comparison of the two transform routes and two stepping layouts.
+"""Timing of the two transform routes and of two stepping layouts.
 
 Run:  python benchmarks/transform_bench.py [M ...]
 
-Compares the DST-backed transforms against the O(M^2) direct-summation
-oracle (the correctness fallback), and batched ensemble stepping against a
-per-trajectory Python loop at equal trajectory counts.
+For each mode count M (default 16 64 128 256 512 1024) on the 2x
+de-aliasing grid K = 2M, and for batches of 1 and 64 fields, times one
+synthesis plus one analysis through the dense sine-matrix route and through
+the DST-I route, and prints the route `spectral.DENSE_MAX_POINTS` selects
+for that K.  This is the measurement behind that constant.  The stepping
+part compares batched ensemble stepping against a per-trajectory Python
+loop at equal trajectory counts.  All times are process CPU time, so BLAS
+or FFT worker threads count against the route that starts them.
 """
 
 import sys
@@ -14,27 +19,36 @@ import numpy as np
 
 from glnls import models as md
 from glnls import noise as nz
-from glnls.spectral import to_physical, to_physical_direct
+from glnls import spectral as sp
 
 
-def timeit(f, repeat=5):
-    best = np.inf
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        f()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def cpu_time(f, min_total=0.2):
+    """CPU seconds per call of f, repeated until min_total seconds have passed."""
+    f()  # builds the cached matrices
+    reps = 1
+    while True:
+        t0 = time.process_time()
+        for _ in range(reps):
+            f()
+        total = time.process_time() - t0
+        if total >= min_total:
+            return total / reps
+        reps *= 2
 
 
-def bench_transforms(M: int, batch: int = 256):
+def bench_transforms(M: int, batch: int):
+    K = 2 * M
     rng = np.random.default_rng(0)
     a = rng.standard_normal((batch, M)) + 1j * rng.standard_normal((batch, M))
-    t_fast = timeit(lambda: to_physical(a))
-    t_direct = timeit(lambda: to_physical_direct(a))
-    err = np.max(np.abs(to_physical(a) - to_physical_direct(a)))
-    print(f"M={M:4d} batch={batch}: dst {t_fast * 1e3:8.2f} ms   "
-          f"direct {t_direct * 1e3:8.2f} ms   speedup {t_direct / t_fast:6.1f}x   "
-          f"max|diff| {err:.2e}")
+    v = sp.to_physical_direct(a, sp.PhysicalGrid(K))
+    dense = cpu_time(lambda: sp._analysis_dense(sp._synthesis_dense(a, K), M))
+    fft = cpu_time(lambda: sp._analysis_dst(sp._synthesis_dst(a, K), M))
+    err = max(np.max(np.abs(sp._synthesis_dense(a, K) - v)),
+              np.max(np.abs(sp._synthesis_dst(a, K) - v)))
+    route = "dense" if K <= sp.DENSE_MAX_POINTS else "dst"
+    print(f"M={M:5d} K={K:5d} B={batch:3d}: dense {dense * 1e6:9.1f} us   "
+          f"dst {fft * 1e6:9.1f} us   dst/dense {fft / dense:6.2f}   "
+          f"selected {route:5s}   max|diff vs direct| {err:.1e}")
 
 
 def bench_stepping(M: int = 64, n_traj: int = 256, n_steps: int = 200):
@@ -52,15 +66,17 @@ def bench_stepping(M: int = 64, n_traj: int = 256, n_steps: int = 200):
             md.simulate_ensemble(u0, params, integ, spec, n_steps * integ.dt,
                                  seed=1, traj_ids=np.array([i]))
 
-    t_b = timeit(batched, repeat=2)
-    t_l = timeit(looped, repeat=1)
+    t_b = cpu_time(batched)
+    t_l = cpu_time(looped)
     print(f"stepping M={M} x {n_traj} trajectories x {n_steps} steps: "
           f"batched {t_b:6.2f} s   per-trajectory loop {t_l:6.2f} s   "
           f"speedup {t_l / t_b:4.1f}x")
 
 
 if __name__ == "__main__":
-    sizes = [int(x) for x in sys.argv[1:]] or [16, 64, 256, 1024]
+    sizes = [int(x) for x in sys.argv[1:]] or [16, 64, 128, 256, 512, 1024]
+    print(f"DENSE_MAX_POINTS = {sp.DENSE_MAX_POINTS}")
     for M in sizes:
-        bench_transforms(M)
+        for batch in (1, 64):
+            bench_transforms(M, batch)
     bench_stepping()

@@ -34,7 +34,6 @@ from .spectral import (
     PhysicalGrid,
     basis_mode,
     eigenvalues,
-    pad_modes,
     to_physical,
 )
 
@@ -123,14 +122,14 @@ def norm_lp(a: np.ndarray, p: float, grid: PhysicalGrid | None = None) -> np.nda
     a = np.asarray(a, dtype=np.complex128)
     M = a.shape[-1]
     K = grid.M if grid is not None else quad_points_for(p, M)
-    v = to_physical(pad_modes(a, max(K, M)))
+    v = to_physical(a, PhysicalGrid(max(K, M)))
     return _quad_mean(np.abs(v) ** p) ** (1.0 / p)
 
 
 def l4_norm4(a: np.ndarray) -> np.ndarray:
     """||u||_{L^4}^4, exact for band-limited fields (2x refined quadrature)."""
     a = np.asarray(a, dtype=np.complex128)
-    v = to_physical(pad_modes(a, 2 * a.shape[-1] + 1))
+    v = to_physical(a, PhysicalGrid(2 * a.shape[-1] + 1))
     return _quad_mean(np.abs(v) ** 4)
 
 
@@ -300,7 +299,7 @@ def measure_embedding_constant(M: int, rng: np.random.Generator, samples: int = 
     fields = np.concatenate(
         [z / np.arange(1, M + 1) ** 1.0, np.eye(M, dtype=complex)]
     )
-    vals = to_physical(pad_modes(fields, 4 * M))
+    vals = to_physical(fields, PhysicalGrid(4 * M))
     sup = np.max(np.abs(vals), axis=-1)
     h1 = norm_hr(fields, 1.0)
     return float(np.max(sup / h1))
@@ -345,10 +344,10 @@ def _re_cross_term(u1: np.ndarray, u2: np.ndarray, v: np.ndarray) -> np.ndarray:
     The H pairing here is the bilinear one, <f,g>_H = int f g dx.
     """
     M = u1.shape[-1]
-    K = 2 * M
-    p1 = to_physical(pad_modes(u1, K))
-    p2 = to_physical(pad_modes(u2, K))
-    pv = to_physical(pad_modes(v, K))
+    grid = PhysicalGrid(2 * M)
+    p1 = to_physical(u1, grid)
+    p2 = to_physical(u2, grid)
+    pv = to_physical(v, grid)
     return np.real(_quad_mean_complex(p1 * p2 * np.conj(pv) ** 2))
 
 

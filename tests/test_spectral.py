@@ -8,6 +8,11 @@ def random_field(rng, M):
     return rng.standard_normal(M) + 1j * rng.standard_normal(M)
 
 
+# (modes, grid points) on both sides of sp.DENSE_MAX_POINTS: the 2x
+# de-aliasing grid, the odd 2M+1 grid of l4_norm4, and the M = 512 grid
+CROSSOVER_GRIDS = [(64, 128), (64, 129), (512, 1024)]
+
+
 class TestTransforms:
     def test_e1_at_half(self):
         # sqrt(2) sin(pi/2) evaluated through the transform, M = 1 puts the
@@ -64,6 +69,39 @@ class TestTransforms:
         for i in range(5):
             assert np.allclose(v[i], sp.to_physical(a[i]))
 
+    @pytest.mark.parametrize("M,K", CROSSOVER_GRIDS)
+    def test_routes_match_direct_oracle(self, M, K):
+        rng = np.random.default_rng(K)
+        a = rng.standard_normal((3, M)) + 1j * rng.standard_normal((3, M))
+        grid = sp.PhysicalGrid(K)
+        v = sp.to_physical(a, grid)
+        assert np.allclose(v, sp.to_physical_direct(a, grid), atol=1e-11)
+        assert np.allclose(sp.to_spectral(v, M), sp.to_spectral_direct(v, M), atol=1e-11)
+
+    @pytest.mark.parametrize("M,K", CROSSOVER_GRIDS)
+    def test_rows_bit_identical_across_batches(self, M, K):
+        rng = np.random.default_rng(K + 1)
+        a = rng.standard_normal((64, M)) + 1j * rng.standard_normal((64, M))
+        grid = sp.PhysicalGrid(K)
+        v = sp.to_physical(a, grid)
+        back = sp.to_spectral(v, M)
+        for rows in (slice(5, 6), slice(5, 7)):
+            assert np.array_equal(sp.to_physical(a[rows], grid), v[rows])
+            assert np.array_equal(sp.to_spectral(v[rows], M), back[rows])
+        assert np.array_equal(sp.to_physical(a[5], grid), v[5])
+        assert np.array_equal(sp.to_spectral(v[5], M), back[5])
+
+    def test_crossover_covered(self):
+        Ks = [K for _, K in CROSSOVER_GRIDS]
+        assert min(Ks) <= sp.DENSE_MAX_POINTS < max(Ks)
+
+    def test_cached_matrices_read_only(self):
+        mats = sp._sine_matrices(4, 9)
+        assert sp._sine_matrices(4, 9) is mats
+        for S in mats:
+            with pytest.raises(ValueError):
+                S[0, 0] = 0.0
+
     def test_dimension_mismatch(self):
         with pytest.raises(sp.DimensionMismatchError):
             sp.to_physical(np.ones(8, complex), sp.PhysicalGrid(4))
@@ -76,8 +114,6 @@ class TestEigtable:
         al = sp.eigenvalues(5)
         assert al[0] == pytest.approx(np.pi**2)
         assert np.all(np.diff(al) > 0)
-        for pair in sp.eigenpairs(5):
-            assert pair.alpha_k == (pair.k * np.pi) ** 2
 
 
 class TestProjections:
