@@ -299,7 +299,8 @@ def drive_inviscid(cfg, run_dir, seed, workers, args) -> int:
     )
     man.add_file(p)
     man.wall_time_s = sw.elapsed
-    man.trajectory_count = 2 * pairs * len(gammas)
+    # one shared gamma = 0 reference per pair index, one path per distinct nonzero gamma
+    man.trajectory_count = pairs * (1 + len(set(gammas) - {0.0}))
     man.excluded_count = int(curve.excluded.sum())
     if curve.fit:
         man.results = {

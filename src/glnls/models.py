@@ -166,7 +166,10 @@ def _kick(a: np.ndarray, tau: float, params: ModelParams) -> np.ndarray:
     dens = np.abs(v) ** 2
     if params.truncation is not None:
         dens = dens * cutoff_smoothstep(dens, params.truncation)
-    return to_spectral(v * np.exp(1j * tau * dens), M)
+    # Not v * np.exp(...): from 256 KiB numpy reuses the temporary exp array
+    # for the product, and that in-place complex multiply rounds differently,
+    # which would make a trajectory depend on the size of its batch.
+    return to_spectral(np.multiply(v, np.exp(1j * tau * dens)), M)
 
 
 # ---------------------------------------------------------------------------

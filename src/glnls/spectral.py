@@ -25,8 +25,9 @@ for K+1 with a large prime factor the dense route is far ahead); from
 K = 1024 it is 6x or more slower, for one field as for 64.  Both routes
 give every field bit-identical results whatever batch it arrives in, which
 the ensemble reproducibility guarantee relies on.  to_physical_direct and
-to_spectral_direct are independent O(MK) summations kept as the tests'
-correctness oracles.
+to_spectral_direct are O(MK) complex summations, independent of both routes
+except for the integer-reduced sine table, kept as the tests' correctness
+oracles.
 
 The physical grid is uniform with K interior nodes x_j = j/(K+1); the
 Dirichlet endpoints carry implied zeros, which is what makes DST-I the
@@ -100,6 +101,15 @@ def basis_mode(M: int, k: int, amplitude: complex = 1.0) -> np.ndarray:
 DENSE_MAX_POINTS = 512
 
 
+def _sin_pi_ratio(j: np.ndarray, k: np.ndarray, K: int) -> np.ndarray:
+    """sin(pi j k / (K+1)) with j*k reduced modulo the period 2(K+1) in integers.
+
+    Rounding pi j k / (K+1) unreduced errs in proportion to the angle, up to
+    pi M: at M = 1024, K = 2048 that put 2.3e-11 into the direct oracles.
+    """
+    return np.sin(np.pi * (np.outer(j, k) % (2 * (K + 1))) / (K + 1))
+
+
 @lru_cache(maxsize=16)
 def _sine_matrices(M: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only synthesis (K, M) and analysis (M, K) matrices of the sine basis.
@@ -107,9 +117,7 @@ def _sine_matrices(M: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     synthesis[j, k] = sqrt(2) sin(k pi x_j) with x_j = j/(K+1), and
     analysis = synthesis.T / (K+1), for k = 1..M and j = 1..K.
     """
-    # reduce j*k modulo the period 2(K+1) in integers, so every angle is in [0, 2 pi)
-    jk = np.outer(np.arange(1, K + 1), np.arange(1, M + 1)) % (2 * (K + 1))
-    synthesis = np.sqrt(2.0) * np.sin(np.pi * jk / (K + 1))
+    synthesis = np.sqrt(2.0) * _sin_pi_ratio(np.arange(1, K + 1), np.arange(1, M + 1), K)
     analysis = np.ascontiguousarray(synthesis.T) / (K + 1)
     synthesis.flags.writeable = False
     analysis.flags.writeable = False
@@ -190,11 +198,10 @@ def to_physical_direct(a: np.ndarray, grid: PhysicalGrid | None = None) -> np.nd
     """O(M^2) summation oracle for to_physical."""
     a = np.asarray(a, dtype=np.complex128)
     M = a.shape[-1]
-    g = grid or PhysicalGrid(M)
-    if g.M < M:
-        raise DimensionMismatchError(f"grid with {g.M} nodes cannot hold {M} modes")
-    k = np.arange(1, M + 1)
-    S = np.sqrt(2.0) * np.sin(np.pi * np.outer(g.nodes, k))
+    K = M if grid is None else grid.M
+    if K < M:
+        raise DimensionMismatchError(f"grid with {K} nodes cannot hold {M} modes")
+    S = np.sqrt(2.0) * _sin_pi_ratio(np.arange(1, K + 1), np.arange(1, M + 1), K)
     return a @ S.T
 
 
@@ -202,11 +209,9 @@ def to_spectral_direct(values: np.ndarray, M: int | None = None) -> np.ndarray:
     """O(M^2) summation oracle for to_spectral."""
     values = np.asarray(values, dtype=np.complex128)
     K = values.shape[-1]
-    nodes = np.arange(1, K + 1) / (K + 1)
-    k = np.arange(1, K + 1)
-    S = np.sqrt(2.0) * np.sin(np.pi * np.outer(k, nodes))
-    a = (values @ S.T) / (K + 1)
-    return a[..., :M] if M is not None else a
+    M = K if M is None else M
+    S = np.sqrt(2.0) * _sin_pi_ratio(np.arange(1, M + 1), np.arange(1, K + 1), K)
+    return (values @ S.T) / (K + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,14 @@ reference points and clipped spectral coordinates, all 1-Lipschitz for d_k
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
 from . import functionals as fn
 from .functionals import FunctionalConstants
-from .models import IntegratorConfig, ModelParams, Stepper, simulate_ensemble
+from .models import IntegratorConfig, ModelParams, Stepper, decay_factors, simulate_ensemble
 from .noise import EnsembleNoise, NoiseSpec, traces
 from .spectral import eigenvalues
 
@@ -356,11 +356,13 @@ def mixing_curve(
     rec_steps = np.unique(np.round(t_grid / integ.dt).astype(int))
     stepper = Stepper(params, integ, spec)
     source = EnsembleNoise(seed, np.arange(ensemble_size), spec.N)
-    s1 = np.broadcast_to(np.asarray(u1, complex), (ensemble_size, params.M)).copy()
-    s2 = np.broadcast_to(np.asarray(u2, complex), (ensemble_size, params.M)).copy()
+    # both members in one (2, E, M) batch; row i of each takes trajectory i's normals
+    pair = np.stack([
+        np.broadcast_to(np.asarray(u, complex), (ensemble_size, params.M)) for u in (u1, u2)
+    ])
 
-    up1 = [float(np.mean(fn.dist_d1(s1, s2)))]
-    up0 = [float(np.mean(fn.dist_d0(s1, s2)))]
+    up1 = [float(np.mean(fn.dist_d1(*pair)))]
+    up0 = [float(np.mean(fn.dist_d0(*pair)))]
     times = [0.0]
     dual_ix = set(
         np.linspace(1, len(rec_steps) - 1, min(dual_checkpoints, len(rec_steps) - 1))
@@ -377,14 +379,13 @@ def mixing_curve(
             m = min(256, target - done)
             zs = source.next_block(m)
             for s in range(m):
-                s1 = stepper.step(s1, zs[:, s])
-                s2 = stepper.step(s2, zs[:, s])
+                pair = stepper.step(pair, zs[:, s])
             done += m
         times.append(done * integ.dt)
-        up1.append(float(np.mean(fn.dist_d1(s1, s2))))
-        up0.append(float(np.mean(fn.dist_d0(s1, s2))))
+        up1.append(float(np.mean(fn.dist_d1(*pair))))
+        up0.append(float(np.mean(fn.dist_d0(*pair))))
         if i_rec in dual_ix:
-            ea, eb = EmpiricalMeasure(s1.copy()), EmpiricalMeasure(s2.copy())
+            ea, eb = EmpiricalMeasure(pair[0].copy()), EmpiricalMeasure(pair[1].copy())
             dual_t.append(done * integ.dt)
             dual_v.append(dual_lower_bound(ea, eb, "d1"))
 
@@ -429,48 +430,71 @@ def inviscid_curve(
 ) -> InviscidCurve:
     """Shared-noise comparison of u^gamma with the gamma = 0 dynamics.
 
-    Both members of each pair are driven by the identical Wiener increments
-    ("em" noise mode), so for gamma = 0 in the list the error is exactly 0.
-    Fits log E[sup ||v||_H^2] against log gamma over the positive gammas.
+    Every u^gamma and the reference u^0 are driven by the identical Wiener
+    increments ("em" noise mode), one Strang run for the whole curve.  With
+    em noise only the per-mode decay depends on gamma, so the batch has shape
+    (1 + G, E, M): block 0 is the gamma = 0 reference, block 1 + g the
+    g-th distinct positive gamma, each row i of every block driven by
+    trajectory i's normals, and the gamma = 0 stepper advances it with a
+    decay array of shape (1 + G, 1, M).  A gamma = 0 entry of the list reads
+    the reference block, so its error is exactly 0; repeated gammas share a
+    block.
+
+    Pair (gamma, i) is excluded once row i of its block or of the reference
+    block has an H^1 norm above the guard or not finite; its rows are no
+    longer updated and it is left out of the means (``excluded`` counts
+    them).  Fits log E[sup ||v||_H^2] against log gamma over the positive
+    gammas.
     """
     gamma_list = np.asarray(sorted(gamma_list), dtype=float)
     trunc = R if truncated else None
     integ = IntegratorConfig(dt=dt, scheme="strang", noise_mode="em")
     p0 = ModelParams(gamma=0.0, alpha=alpha, M=M, truncation=trunc)
-    mean_err = np.zeros(len(gamma_list))
-    mean_sq = np.zeros(len(gamma_list))
-    se_sq = np.zeros(len(gamma_list))
-    excluded = np.zeros(len(gamma_list), dtype=int)
+    # every nonzero gamma, negative or not, passes ModelParams' range check here
+    viscous = np.unique(gamma_list[gamma_list != 0])
+    stepper = Stepper(p0, integ, spec)
+    stepper.decay = np.stack(
+        [stepper.decay]
+        + [decay_factors(replace(p0, gamma=g), dt) for g in viscous]
+    )[:, None, :]
     n_steps = int(round(T / dt))
     guard = integ.blowup_guard**2
 
-    for gi, g in enumerate(gamma_list):
-        pg = ModelParams(gamma=g, alpha=alpha, M=M, truncation=trunc)
-        st_g = Stepper(pg, integ, spec)
-        st_0 = Stepper(p0, integ, spec)
-        source = EnsembleNoise(seed, np.arange(ensemble_size), spec.N)
-        a = np.broadcast_to(np.asarray(u0, complex), (ensemble_size, M)).copy()
-        b = a.copy()
-        sup = np.zeros(ensemble_size)
-        bad = np.zeros(ensemble_size, dtype=bool)
-        done = 0
-        while done < n_steps:
-            m = min(256, n_steps - done)
-            zs = source.next_block(m)
-            for s in range(m):
-                a = st_g.step(a, zs[:, s])
-                b = st_0.step(b, zs[:, s])
-                sup = np.maximum(sup, fn.norm_h_sq(a - b))
-                bad |= (fn.norm_hr_sq(a, 1.0) > guard) | (fn.norm_hr_sq(b, 1.0) > guard)
-            done += m
-        live = ~bad
-        excluded[gi] = int(bad.sum())
-        mean_err[gi] = float(np.mean(np.sqrt(sup[live])))
-        mean_sq[gi] = float(np.mean(sup[live]))
-        se_sq[gi] = float(np.std(sup[live]) / np.sqrt(max(live.sum(), 1)))
+    E = ensemble_size
+    source = EnsembleNoise(seed, np.arange(E), spec.N)
+    a = np.broadcast_to(np.asarray(u0, complex), (1 + len(viscous), E, M)).copy()
+    sup = np.zeros((1 + len(viscous), E))  # block 0 compares the reference with itself
+    bad = np.zeros((1 + len(viscous), E), dtype=bool)
+    done = 0
+    while done < n_steps:
+        m = min(256, n_steps - done)
+        zs = source.next_block(m)
+        for s in range(m):
+            a_new = stepper.step(a, zs[:, s])
+            bad |= ~(fn.norm_hr_sq(a_new, 1.0) <= guard)
+            bad[1:] |= bad[0]
+            if np.any(bad):
+                a[~bad] = a_new[~bad]
+            else:
+                a = a_new
+            sup = np.maximum(sup, fn.norm_h_sq(a - a[0]))
+        done += m
+
+    block = np.searchsorted(viscous, gamma_list) + (gamma_list != 0)
+    excluded = bad[block].sum(axis=1)
+    # a gamma whose pairs were all excluded has no estimate
+    mean_err = np.full(len(gamma_list), np.nan)
+    mean_sq = np.full(len(gamma_list), np.nan)
+    se_sq = np.full(len(gamma_list), np.nan)
+    for gi, b in enumerate(block):
+        v = sup[b, ~bad[b]]
+        if v.size:
+            mean_err[gi] = float(np.mean(np.sqrt(v)))
+            mean_sq[gi] = float(np.mean(v))
+            se_sq[gi] = float(np.std(v) / np.sqrt(v.size))
 
     fit = None
-    pos = gamma_list > 0
+    pos = (gamma_list > 0) & (excluded < E)
     if pos.sum() >= 3:
         fit = fit_power_law(gamma_list[pos], mean_sq[pos], "power-gamma")
     return InviscidCurve(

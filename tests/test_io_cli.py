@@ -146,7 +146,9 @@ class TestCLI:
         assert man["seed"] == 21 and man["code_version"]
 
     def test_ensemble_workers_equivalence(self, tmp_path):
-        text = BASE.format(time="0.05") + "\n[experiment]\ndriver = ensemble\nsize = 6\n"
+        # 600 trajectories on the 32-point kick grid pass numpy's 256 KiB
+        # temporary-reuse size in one batch and stay below it in two halves
+        text = BASE.format(time="0.05") + "\n[experiment]\ndriver = ensemble\nsize = 600\n"
         cfgp = write(tmp_path, text)
         out = str(tmp_path / "o")
         assert cli.main(["ensemble", "--config", cfgp, "--out", out,

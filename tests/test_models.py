@@ -160,6 +160,14 @@ class TestSimulate:
             np.zeros(16, complex), p, ic, spec, 0.3, seed=9, traj_ids=np.array([3])
         )
         assert np.array_equal(batch.final[3], solo.final[0])
+        # 200 rows on the 128-point kick grid pass numpy's 256 KiB
+        # temporary-reuse size, 100 rows stay below it
+        p = md.ModelParams(gamma=0.05, alpha=1.0, M=64)
+        ic = md.IntegratorConfig(dt=5e-3)
+        u0 = 0.5 * basis_mode(64, 1) + 0.3 * basis_mode(64, 3)
+        batch = md.simulate_ensemble(u0, p, ic, spec, 0.1, seed=7, traj_ids=np.arange(200))
+        sub = md.simulate_ensemble(u0, p, ic, spec, 0.1, seed=7, traj_ids=np.arange(100))
+        assert np.array_equal(batch.final[:100], sub.final)
 
     def test_pathwise_mass_law(self):
         p = md.ModelParams(gamma=0.0, alpha=0.5, M=64)

@@ -153,8 +153,97 @@ class TestMixing:
         upper_at_dual = np.interp(c.dual_t, c.t, c.upper_d1)
         assert np.all(c.dual_lower <= upper_at_dual + 1e-9)
 
+    def test_stacked_pair_matches_member_loop(self):
+        # 64 pairs at M = 64: the stacked kick product reaches 256 KiB
+        M, E, dt = 64, 64, 5e-3
+        params = md.ModelParams(gamma=0.01, alpha=1.0, M=M)
+        spec = nz.NoiseSpec.power_profile(8, 0.3, 2.0)
+        integ = md.IntegratorConfig(dt=dt)
+        u1 = 0.3 * basis_mode(M, 1)
+        u2 = u1 + 0.01 * basis_mode(M, 2)
+        c = st.mixing_curve(u1, u2, params, spec, [0.0, 0.05, 0.1], E, seed=9,
+                            integ=integ, dual_checkpoints=0)
+        stepper = md.Stepper(params, integ, spec)
+        zs = nz.EnsembleNoise(9, np.arange(E), spec.N).next_block(20)
+        s1 = np.tile(u1, (E, 1))
+        s2 = np.tile(u2, (E, 1))
+        up1 = [np.mean(fn.dist_d1(s1, s2))]
+        up0 = [np.mean(fn.dist_d0(s1, s2))]
+        for s in range(20):
+            s1 = stepper.step(s1, zs[:, s])
+            s2 = stepper.step(s2, zs[:, s])
+            if s in (9, 19):
+                up1.append(np.mean(fn.dist_d1(s1, s2)))
+                up0.append(np.mean(fn.dist_d0(s1, s2)))
+        assert np.array_equal(c.upper_d1, up1)
+        assert np.array_equal(c.upper_d0, up0)
+
+
+def inviscid_reference(u0, gammas, T, E, seed, M, spec, R, dt):
+    """The per-gamma loop: each gamma re-steps its own gamma = 0 reference."""
+    integ = md.IntegratorConfig(dt=dt, scheme="strang", noise_mode="em")
+    n_steps = int(round(T / dt))
+    out = []
+    for g in sorted(gammas):
+        st_g = md.Stepper(md.ModelParams(gamma=g, alpha=1.0, M=M, truncation=R), integ, spec)
+        st_0 = md.Stepper(md.ModelParams(gamma=0.0, alpha=1.0, M=M, truncation=R), integ, spec)
+        zs = nz.EnsembleNoise(seed, np.arange(E), spec.N).next_block(n_steps)
+        a = np.tile(np.asarray(u0, complex), (E, 1))
+        b = a.copy()
+        sup = np.zeros(E)
+        for s in range(n_steps):
+            a = st_g.step(a, zs[:, s])
+            b = st_0.step(b, zs[:, s])
+            sup = np.maximum(sup, fn.norm_h_sq(a - b))
+        out.append((np.mean(np.sqrt(sup)), np.mean(sup), np.std(sup) / np.sqrt(E)))
+    return np.array(out).T
+
 
 class TestInviscid:
+    @pytest.mark.parametrize("gammas", [
+        [0.0, 1e-3, 1e-2, 1e-1],
+        [1e-2, 1e-3, 1e-1],
+        [1e-2, 0.0, 1e-3, 1e-2, 1e-1],
+    ], ids=["with-zero", "without-zero", "duplicate"])
+    def test_stacked_matches_per_gamma_loop(self, gammas):
+        M, E, T, dt, R = 32, 12, 0.1, 1e-3, 2.0
+        spec = nz.NoiseSpec(0.3 * np.arange(1, M + 1, dtype=float) ** -1.5)
+        u0 = 0.5 * np.exp(0.4j) * basis_mode(M, 1)
+        curve = st.inviscid_curve(u0, gammas, T, E, seed=15, alpha=1.0, M=M, spec=spec,
+                                  truncated=True, R=R, dt=dt)
+        err, err_sq, se = inviscid_reference(u0, gammas, T, E, 15, M, spec, R, dt)
+        assert np.array_equal(curve.gammas, sorted(gammas))
+        assert np.array_equal(curve.mean_sup_err, err)
+        assert np.array_equal(curve.mean_sup_err_sq, err_sq)
+        assert np.array_equal(curve.se_sup_err_sq, se)
+        assert np.all(curve.excluded == 0)
+        assert np.all(curve.mean_sup_err[curve.gammas == 0.0] == 0.0)
+
+    def test_one_noise_block_per_256_steps(self, monkeypatch):
+        calls = []
+        next_block = nz.EnsembleNoise.next_block
+
+        def counted(self, n_steps):
+            calls.append(n_steps)
+            return next_block(self, n_steps)
+
+        monkeypatch.setattr(nz.EnsembleNoise, "next_block", counted)
+        spec = nz.NoiseSpec.power_profile(4, 0.2, 2.0)
+        st.inviscid_curve(0.3 * basis_mode(8, 1), [0.0, 1e-3, 1e-2, 1e-1, 0.2], T=0.3,
+                          ensemble_size=2, seed=16, alpha=1.0, M=8, spec=spec, dt=1e-3)
+        assert calls == [256, 44]
+
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    def test_nonfinite_pairs_excluded(self):
+        # |u|^2 overflows to inf, so the first kick turns every state into NaN
+        spec = nz.NoiseSpec.power_profile(4, 0.2, 2.0)
+        curve = st.inviscid_curve(1e200 * basis_mode(16, 1), [0.0, 1e-3, 1e-2, 1e-1],
+                                  T=0.01, ensemble_size=4, seed=17, alpha=1.0, M=16,
+                                  spec=spec, dt=2e-3)
+        assert np.all(curve.excluded == 4)
+        assert np.all(np.isnan(curve.mean_sup_err_sq))
+        assert curve.fit is None
+
     def test_gamma_zero_is_exact_zero(self):
         spec = nz.NoiseSpec.power_profile(4, 0.2, 2.0)
         curve = st.inviscid_curve(0.3 * basis_mode(16, 1), [0.0, 0.05], T=0.2,
