@@ -3,10 +3,11 @@
     glnls SUBCOMMAND --config PATH [--seed N] [--workers N] [--out DIR]
 
 Subcommands: validate, simulate, ensemble, couple, mixing, inviscid,
-measures, tails.  --workers falls back to the GLNLS_WORKERS environment
-variable; the worker pool chunks trajectory ensembles across processes, and
-because every trajectory owns a counter-based stream keyed by (seed, id),
-the merged output is identical for any worker count.
+measures, tails.  Only ensemble accepts --workers, falling back to the
+GLNLS_WORKERS environment variable and then to [run] workers; its pool
+chunks the trajectory ensemble across processes, and because every
+trajectory owns a counter-based stream keyed by (seed, id), the merged
+output is identical for any worker count.
 
 Every run allocates a fresh directory (never overwriting an earlier one),
 writes CSV curves with 17-significant-digit floats, and one manifest.json
@@ -87,7 +88,7 @@ def _exp(cfg: RunConfig, key: str, default: str) -> str:
     return cfg.experiment.get(key, default)
 
 
-def drive_validate(cfg, run_dir, seed, workers, args) -> int:
+def drive_validate(cfg, run_dir, seed, args) -> int:
     only = None
     if args.only:
         only = {int(x) for x in args.only.split(",")}
@@ -95,7 +96,7 @@ def drive_validate(cfg, run_dir, seed, workers, args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def drive_simulate(cfg, run_dir, seed, workers, args) -> int:
+def drive_simulate(cfg, run_dir, seed, args) -> int:
     params, spec = cfg.model_params(), cfg.noise_spec()
     integ, consts = cfg.integrator_config(), cfg.constants()
     save_states = cfg.run["save_states"].strip().lower() in ("1", "true", "yes")
@@ -126,7 +127,10 @@ def drive_simulate(cfg, run_dir, seed, workers, args) -> int:
     return 0
 
 
-def drive_ensemble(cfg, run_dir, seed, workers, args) -> int:
+def drive_ensemble(cfg, run_dir, seed, args) -> int:
+    workers = args.workers
+    if workers is None:
+        workers = int(os.environ.get("GLNLS_WORKERS", cfg.run["workers"]))
     n_traj = int(_exp(cfg, "size", "100"))
     man = _manifest(cfg, "ensemble", seed)
     with Stopwatch() as sw:
@@ -153,7 +157,7 @@ def drive_ensemble(cfg, run_dir, seed, workers, args) -> int:
     return 0
 
 
-def drive_couple(cfg, run_dir, seed, workers, args) -> int:
+def drive_couple(cfg, run_dir, seed, args) -> int:
     params, spec = cfg.model_params(), cfg.noise_spec()
     consts = cfg.constants()
     n_pairs = int(_exp(cfg, "pairs", "64"))
@@ -205,6 +209,7 @@ def drive_couple(cfg, run_dir, seed, workers, args) -> int:
     man.add_file(p)
     man.wall_time_s = sw.elapsed
     man.trajectory_count = 2 * n_pairs
+    man.excluded_count = int(state.excluded.sum())
     man.derived_constants = {
         "c4_hat": pilot.c4_hat, "k41_hat": pilot.k41_hat,
         "theta": theta, "t1": ccfg.t1, "r1": ccfg.r1,
@@ -219,9 +224,9 @@ def drive_couple(cfg, run_dir, seed, workers, args) -> int:
     return 0
 
 
-def drive_mixing(cfg, run_dir, seed, workers, args) -> int:
+def drive_mixing(cfg, run_dir, seed, args) -> int:
     params0 = cfg.model_params()
-    spec, consts = cfg.noise_spec(), cfg.constants()
+    spec = cfg.noise_spec()
     gammas = [float(x) for x in _exp(cfg, "gammas", cfg.model["gamma"]).split(",")]
     t_max = float(_exp(cfg, "t_max", "50"))
     n_points = int(_exp(cfg, "t_points", "51"))
@@ -239,7 +244,7 @@ def drive_mixing(cfg, run_dir, seed, workers, args) -> int:
             curve = st.mixing_curve(
                 cfg.u0(), _second_state(cfg), params, spec, t_grid, ensemble,
                 derive_seed(seed, f"mixing-{g}"),
-                integ=cfg.integrator_config(), consts=consts,
+                integ=cfg.integrator_config(),
             )
             p = write_csv(
                 run_dir / f"mixing_gamma{g:g}.csv",
@@ -276,7 +281,7 @@ def _second_state(cfg: RunConfig) -> np.ndarray:
     return out
 
 
-def drive_inviscid(cfg, run_dir, seed, workers, args) -> int:
+def drive_inviscid(cfg, run_dir, seed, args) -> int:
     params0 = cfg.model_params()
     spec = cfg.noise_spec()
     gammas = [float(x) for x in _exp(cfg, "gammas", "1e-4,1e-3,1e-2,1e-1").split(",")]
@@ -289,7 +294,7 @@ def drive_inviscid(cfg, run_dir, seed, workers, args) -> int:
         curve = st.inviscid_curve(
             cfg.u0(), gammas, T, pairs, seed, alpha=params0.alpha, M=params0.M,
             spec=spec, truncated=truncated, R=R,
-            dt=float(cfg.integrator["dt"]), consts=cfg.constants(),
+            dt=float(cfg.integrator["dt"]),
         )
     p = write_csv(
         run_dir / "inviscid.csv",
@@ -311,7 +316,7 @@ def drive_inviscid(cfg, run_dir, seed, workers, args) -> int:
     return 0
 
 
-def drive_measures(cfg, run_dir, seed, workers, args) -> int:
+def drive_measures(cfg, run_dir, seed, args) -> int:
     params0 = cfg.model_params()
     spec, consts = cfg.noise_spec(), cfg.constants()
     gammas = [float(x) for x in _exp(cfg, "gammas", "0.2,0.1,0.05").split(",")]
@@ -352,7 +357,7 @@ def drive_measures(cfg, run_dir, seed, workers, args) -> int:
     return 0
 
 
-def drive_tails(cfg, run_dir, seed, workers, args) -> int:
+def drive_tails(cfg, run_dir, seed, args) -> int:
     params, spec = cfg.model_params(), cfg.noise_spec()
     n = int(_exp(cfg, "n", "4"))
     p_ = float(_exp(cfg, "p", "1.0"))
@@ -404,8 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="config file path")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
-        sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory override")
+        if name == "ensemble":
+            sp.add_argument("--workers", type=int, default=None)
         if name == "validate":
             sp.add_argument("--only", default=None,
                             help="comma-separated criterion indices to run")
@@ -420,14 +426,11 @@ def main(argv=None) -> int:
             cfg.run["seed"] = str(args.seed)
         if args.out is not None:
             cfg.run["out_dir"] = args.out
-        workers = args.workers
-        if workers is None:
-            workers = int(os.environ.get("GLNLS_WORKERS", cfg.run["workers"]))
         seed = cfg.seed
         if args.subcommand == "validate":
-            return drive_validate(cfg, None, seed, workers, args)
+            return drive_validate(cfg, None, seed, args)
         run_dir = allocate_run_dir(cfg.run["out_dir"], args.subcommand)
-        code = DRIVERS[args.subcommand](cfg, run_dir, seed, workers, args)
+        code = DRIVERS[args.subcommand](cfg, run_dir, seed, args)
         print(f"wrote {run_dir}")
         return code
     except ConfigError as exc:

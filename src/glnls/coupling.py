@@ -28,6 +28,13 @@ A coupled pair decouples when either member's running
 budget E_4 leaves theta + beta^4 + C4*(t - lT), or when the accumulated
 Girsanov budget integral int (1 + Phi_1^4 + Phi_2^4)||u1-u2||_{H^1}^2 passes
 rho2 e^{-alpha k T / 4}.
+
+Exclusion.  A pair whose u1 crosses the blow-up guard (see ``models``) is
+excluded from the step that crossed on: its members, log weight, Girsanov
+cost, E_4 budgets and budget integral all keep their values from before
+that step.  Its frozen weight is therefore the likelihood ratio of a path
+that stopped, not of the continued dynamics, so weighted means are taken
+over the live pairs; an excluded bridge attempt is never a success.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ import numpy as np
 
 from . import functionals as fn
 from .functionals import FunctionalConstants
-from .models import IntegratorConfig, ModelParams, Stepper, decay_factors, nl_coeffs
+from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, record_schedule,
+                     simulate_ensemble, steps)
 from .noise import EnsembleNoise, NoiseSpec, increments_from_normals
 from .spectral import project_high, project_low
 
@@ -87,14 +95,6 @@ class CouplingConfig:
         return self.theta + self.beta**4 + self.c4_hat * elapsed
 
 
-def _require_invertible(cfg_n: int, spec: NoiseSpec):
-    if spec.N < cfg_n:
-        raise ValueError(
-            f"Q is not invertible on the first {cfg_n} modes: only {spec.N} "
-            "are forced; coupling requires lambda_k > 0 for every pinned mode"
-        )
-
-
 UNCOUPLED = -1  # sentinel for ell = infinity (never / no longer coupled)
 
 
@@ -105,7 +105,8 @@ class CoupledState:
     ``ell`` is the coupling epoch index of the decoupling bookkeeping
     (UNCOUPLED when the pair has decoupled), ``log_weight`` the running
     Girsanov log density, ``girsanov_cost`` the accumulated
-    int ||Q^{-1}F||^2 dt.
+    int ||Q^{-1}F||^2 dt, ``excluded`` the pairs frozen by the blow-up
+    guard.
     """
 
     u1: np.ndarray
@@ -114,13 +115,13 @@ class CoupledState:
     k: int = 0
     log_weight: np.ndarray | None = None
     girsanov_cost: np.ndarray | None = None
-    phi_sum_at_coupling: np.ndarray | None = None
     e4_1: fn.EnAccumulator | None = None
     e4_2: fn.EnAccumulator | None = None
     coupling_time: float = 0.0
     e4_crossed: np.ndarray | None = None
     budget_crossed: np.ndarray | None = None
     budget_integral: np.ndarray | None = None
+    excluded: np.ndarray | None = None
 
     def u2_composite(self, N: int) -> np.ndarray:
         """Reconstruct u2 = P_N u1 + stored high modes."""
@@ -135,23 +136,22 @@ def make_coupled_state(
     u2 = np.atleast_2d(np.asarray(u2, dtype=np.complex128))
     B = u1.shape[0]
     high = project_high(u2, cfg.N)
-    phi1 = fn.phi(u1, consts)
-    w2 = project_low(u1, cfg.N) + high
-    phi2 = fn.phi(w2, consts)
     e4_1 = fn.EnAccumulator(4, alpha=np.nan)  # alpha set by the evolver
     e4_2 = fn.EnAccumulator(4, alpha=np.nan)
+    e4_1.reset(fn.phi(u1, consts))
+    e4_2.reset(fn.phi(project_low(u1, cfg.N) + high, consts))
     return CoupledState(
         u1=u1.copy(),
         u2_high=high,
         ell=np.zeros(B, dtype=int),
         log_weight=np.zeros(B),
         girsanov_cost=np.zeros(B),
-        phi_sum_at_coupling=phi1 + phi2,
         e4_1=e4_1,
         e4_2=e4_2,
         e4_crossed=np.zeros(B, dtype=bool),
         budget_crossed=np.zeros(B, dtype=bool),
         budget_integral=np.zeros(B),
+        excluded=np.zeros(B, dtype=bool),
     )
 
 
@@ -169,9 +169,6 @@ class PinnedPair:
         spec: NoiseSpec,
         N: int,
     ):
-        self.params = params
-        self.integ = integ
-        self.spec = spec
         self.N = N
         self.stepper = Stepper(params, integ, spec)
 
@@ -180,29 +177,6 @@ class PinnedPair:
         u1n = self.stepper.step(u1, z)
         w2n = self.stepper.step(w2, z)
         return u1n, project_high(w2n, self.N)
-
-
-def pinned_step(
-    state: CoupledState,
-    params: ModelParams,
-    integ: IntegratorConfig,
-    spec: NoiseSpec,
-    rng: np.random.Generator,
-    N: int | None = None,
-    consts: FunctionalConstants | None = None,
-) -> tuple[CoupledState, np.ndarray]:
-    """One pinned step; returns the new state and J(u1, u2)."""
-    consts = consts or FunctionalConstants()
-    N = N or spec.N
-    pair = PinnedPair(params, integ, spec, N)
-    z = rng.standard_normal(state.u1.shape[:-1] + (2, spec.N))
-    u1n, highn = pair.step(state.u1, state.u2_high, z)
-    h1 = fn.norm_hr(u1n, 1.0)
-    if np.any(h1 > integ.blowup_guard):
-        raise RuntimeError("pinned pair exceeded the blow-up guard")
-    new = replace(state, u1=u1n, u2_high=highn)
-    j = fn.j_functional(u1n, project_low(u1n, N) + highn, consts)
-    return new, j
 
 
 def pinned_contraction_run(
@@ -218,38 +192,32 @@ def pinned_contraction_run(
     consts: FunctionalConstants | None = None,
     record_every: int | None = None,
 ):
-    """Ensemble of pinned pairs; returns (times, J values (n_rec, n_pairs)).
+    """Ensemble of pinned pairs; returns (times, J values (n_rec, n_pairs),
+    excluded (n_pairs,)).
 
-    u2_0's low modes are snapped to u1_0's on entry (exact pinning).
+    u2_0's low modes are snapped to u1_0's on entry (exact pinning).  A pair
+    whose u1 crosses the blow-up guard is frozen, so its J stays at the
+    value of its last admitted state.
     """
     consts = consts or FunctionalConstants()
     pair = PinnedPair(params, integ, spec, N)
-    stride = record_every or integ.record_every
-    n_steps = int(round(T / integ.dt))
-    rec_idx = list(range(0, n_steps + 1, stride))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
+    rec_idx = record_schedule(int(round(T / integ.dt)), record_every or integ.record_every)
     u1 = np.broadcast_to(np.asarray(u1_0, complex), (n_pairs, params.M)).copy()
     high = np.broadcast_to(
         project_high(np.asarray(u2_0, complex), N), (n_pairs, params.M)
     ).copy()
     source = EnsembleNoise(seed, np.arange(n_pairs), spec.N)
+    guard = BlowUpGuard(integ, u1)
     times = np.array(rec_idx, dtype=float) * integ.dt
     J = np.empty((len(rec_idx), n_pairs))
     J[0] = fn.j_functional(u1, project_low(u1, N) + high, consts)
-    nxt, done = 1, 0
-    while done < n_steps:
-        m = min(256, n_steps - done)
-        zs = source.next_block(m)
-        for s in range(m):
-            u1, high = pair.step(u1, high, zs[:, s])
-            done += 1
-            if nxt < len(rec_idx) and done == rec_idx[nxt]:
-                if np.any(fn.norm_hr_sq(u1, 1.0) > integ.blowup_guard**2):
-                    raise RuntimeError("pinned pair exceeded the blow-up guard")
-                J[nxt] = fn.j_functional(u1, project_low(u1, N) + high, consts)
-                nxt += 1
-    return times, J
+    nxt = 1
+    for z, recorded in steps(source, rec_idx[-1], rec_idx):
+        u1, high = guard.admit((u1, high), pair.step(u1, high, z))
+        if recorded:
+            J[nxt] = fn.j_functional(u1, project_low(u1, N) + high, consts)
+            nxt += 1
+    return times, J, guard.excluded
 
 
 # ---------------------------------------------------------------------------
@@ -268,36 +236,47 @@ def _shift_logweight(delta: np.ndarray, dw: np.ndarray, lam: np.ndarray, dt: flo
     return -inner / dt - quad / (2.0 * dt), quad / dt
 
 
-class _EulerPieces:
-    """Shared per-step algebra for the weighted couplings (expeuler + em)."""
+def _weighted_stepper(
+    params: ModelParams, integ: IntegratorConfig, spec: NoiseSpec, N: int
+) -> Stepper:
+    """The exponential-Euler, em-noise Stepper the weighted couplings need."""
+    if integ.scheme != "expeuler" or integ.noise_mode != "em":
+        raise ValueError(
+            "weighted coupling runs require scheme='expeuler', noise_mode='em'"
+        )
+    if spec.N < N:
+        raise ValueError(
+            f"Q is not invertible on the first {N} modes: only {spec.N} "
+            "are forced; coupling requires lambda_k > 0 for every pinned mode"
+        )
+    if spec.N != N:
+        raise ValueError(
+            "the pinned mode count must equal the number of forced modes "
+            f"(got N={N}, forced={spec.N}); the coupling bookkeeping "
+            "pins exactly the noise-carrying modes"
+        )
+    return Stepper(params, integ, spec)
 
-    def __init__(self, params: ModelParams, integ: IntegratorConfig, spec: NoiseSpec, N: int):
-        if integ.scheme != "expeuler" or integ.noise_mode != "em":
-            raise ValueError(
-                "weighted coupling runs require scheme='expeuler', noise_mode='em'"
-            )
-        _require_invertible(N, spec)
-        if spec.N != N:
-            raise ValueError(
-                "the pinned mode count must equal the number of forced modes "
-                f"(got N={N}, forced={spec.N}); the coupling bookkeeping "
-                "pins exactly the noise-carrying modes"
-            )
-        self.params = params
-        self.integ = integ
-        self.spec = spec
-        self.N = N
-        self.decay = decay_factors(params, integ.dt)
-        self.lam_low = spec.lambdas[:N]
-        self.lam_full = spec.lambdas_padded(params.M)
 
-    def drift(self, u: np.ndarray) -> np.ndarray:
-        return self.decay * (u + self.integ.dt * nl_coeffs(u, self.params))
+def _weighted_step(stepper: Stepper, u1, w, logw, cost, z, offset):
+    """One step of a weighted pair; returns the new (u1, w, logw, cost).
 
-    def noise(self, z: np.ndarray) -> np.ndarray:
-        zpair = np.zeros(z.shape[:-2] + (2, self.params.M))
-        zpair[..., : self.spec.N] = z
-        return self.lam_full * increments_from_normals(zpair, self.integ.dt)
+    u1 takes the exponential-Euler step; w takes it with the same noise,
+    except that its low modes land exactly on u1's plus ``offset`` (the
+    bridge's interpolation term, 0 on a coupled segment).  The Gaussian
+    shift of w's low-mode increments that does this is charged to the log
+    weight and the cost.
+    """
+    N, dt = stepper.spec.N, stepper.integ.dt
+    lin1, linw = stepper.drift(u1), stepper.drift(w)
+    noise = stepper.noise(z)
+    u1n, wn = lin1 + noise, linw + noise
+    wn[..., :N] = u1n[..., :N] + offset
+    delta = lin1[..., :N] - linw[..., :N] + offset
+    dlw, dcost = _shift_logweight(
+        delta, increments_from_normals(z, dt), stepper.spec.lambdas, dt
+    )
+    return u1n, wn, logw + dlw, cost + dcost
 
 
 @dataclass
@@ -307,8 +286,7 @@ class GirsanovReport:
     log_weight: np.ndarray
     cost: np.ndarray
     cost_bracket: float
-    e4_final_1: np.ndarray
-    e4_final_2: np.ndarray
+    excluded: np.ndarray
 
 
 def girsanov_attempt(
@@ -331,7 +309,7 @@ def girsanov_attempt(
     Phi(u_i(0))^4 + rho1 sqrt(t1); the low modes agree at t1 by construction.
     """
     consts = cfg.consts
-    pieces = _EulerPieces(params, integ, spec, cfg.N)
+    stepper = _weighted_stepper(params, integ, spec, cfg.N)
     dt = integ.dt
     n_steps = max(1, int(round(cfg.t1 / dt)))
     if abs(n_steps * dt - cfg.t1) > 1e-12 * max(1.0, cfg.t1):
@@ -339,7 +317,7 @@ def girsanov_attempt(
 
     u1 = np.broadcast_to(np.asarray(u1, complex), (n_attempts, params.M)).copy()
     u2 = np.broadcast_to(np.asarray(u2, complex), (n_attempts, params.M)).copy()
-    delta0 = project_low(u2 - u1, cfg.N)
+    delta0 = (u2 - u1)[..., : cfg.N]
     w = u2.copy()  # candidate composite path, starts at u2 exactly
     ids = traj_ids if traj_ids is not None else np.arange(n_attempts)
     source = EnsembleNoise(seed, ids, spec.N)
@@ -353,36 +331,26 @@ def girsanov_attempt(
 
     logw = np.zeros(n_attempts)
     cost = np.zeros(n_attempts)
-    zs = source.next_block(n_steps)
-    for s in range(n_steps):
+    guard = BlowUpGuard(integ, u1)
+    for s, (z, _) in enumerate(steps(source, n_steps)):
+        # exact bridge: X_hat(next) = P_N u1(next) + zeta_next * delta0
         zeta_next = (cfg.t1 - (s + 1) * dt) / cfg.t1
-        dw = increments_from_normals(zs[:, s], dt)  # (B, N) complex
-        lin1 = pieces.drift(u1)
-        linw = pieces.drift(w)
-        noise = pieces.noise(zs[:, s])
-        u1n = lin1 + noise
-        # exact-bridge shift: X_hat(next) = P_N u1(next) + zeta_next * delta0
-        delta = project_low(lin1 - linw, cfg.N)[..., : cfg.N] + zeta_next * delta0[
-            ..., : cfg.N
-        ]
-        dlw, dcost = _shift_logweight(delta, dw, pieces.lam_low, dt)
-        logw += dlw
-        cost += dcost
-        wn = linw + noise
-        wn[..., : cfg.N] = u1n[..., : cfg.N] + zeta_next * delta0[..., : cfg.N]
-        u1, w = u1n, wn
-        e4_1.push(fn.phi(u1, consts), dt)
-        e4_2.push(fn.phi(w, consts), dt)
+        u1, w, logw, cost = guard.admit(
+            (u1, w, logw, cost),
+            _weighted_step(stepper, u1, w, logw, cost, z, zeta_next * delta0),
+        )
+        dt_live = guard.hold(0.0, dt)  # an excluded pair's E_4 stops integrating
+        e4_1.push(fn.phi(u1, consts), dt_live)
+        e4_2.push(fn.phi(w, consts), dt_live)
 
-    e4f_1 = np.asarray(e4_1.value())
-    e4f_2 = np.asarray(e4_2.value())
     allow_1 = phi1_0**4 + cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
     allow_2 = phi2_0**4 + cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
-    success = (e4f_1 <= allow_1) & (e4f_2 <= allow_2)
+    success = (e4_1.value() <= allow_1) & (e4_2.value() <= allow_2) & ~guard.excluded
 
     state = make_coupled_state(u1, w, cfg, consts)
     state.log_weight = logw
     state.girsanov_cost = cost
+    state.excluded = guard.excluded
     bracket = (cfg.t1 + 1.0 / cfg.t1 + 1.0) * cfg.r1**4 + cfg.c4_hat * cfg.t1 + (
         cfg.rho1 * np.sqrt(cfg.t1)
     )
@@ -392,8 +360,7 @@ def girsanov_attempt(
         log_weight=logw,
         cost=cost,
         cost_bracket=float(bracket),
-        e4_final_1=e4f_1,
-        e4_final_2=e4f_2,
+        excluded=guard.excluded,
     )
 
 
@@ -427,30 +394,23 @@ def coupled_segment(
     the epoch conditions are evaluated: pairs whose E_4 left
     theta + beta^4 + C4(t - lT), or whose Girsanov budget integral passed
     rho2 e^{-alpha k T/4}, decouple (ell -> UNCOUPLED); the rest keep ell.
+    Pairs excluded by the blow-up guard, in this segment or an earlier one,
+    stay frozen and are marked in the returned state's ``excluded``.
     """
     consts = cfg.consts
-    pieces = _EulerPieces(params, integ, spec, cfg.N)
+    stepper = _weighted_stepper(params, integ, spec, cfg.N)
     dt = integ.dt
     n_steps = int(round(cfg.T / dt))
     B = state.u1.shape[0]
     ids = traj_ids if traj_ids is not None else np.arange(B)
     source = EnsembleNoise(seed, ids, spec.N)
-    stride = record_every or max(1, n_steps // 64)
-    rec_idx = list(range(0, n_steps + 1, stride))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
+    rec_idx = record_schedule(n_steps, record_every or max(1, n_steps // 64))
 
     u1 = state.u1.copy()
-    high = state.u2_high.copy()
-    logw = state.log_weight.copy()
-    cost = state.girsanov_cost.copy()
+    w = state.u2_composite(cfg.N)
+    logw, cost = state.log_weight, state.girsanov_cost
     budget_int = state.budget_integral.copy()
     e4_1, e4_2 = state.e4_1, state.e4_2
-    if e4_1._prev_phin is None:
-        e4_1 = fn.EnAccumulator(4, params.alpha)
-        e4_2 = fn.EnAccumulator(4, params.alpha)
-        e4_1.reset(fn.phi(u1, consts))
-        e4_2.reset(fn.phi(project_low(u1, cfg.N) + high, consts))
     e4_1.alpha = params.alpha
     e4_2.alpha = params.alpha
 
@@ -458,6 +418,8 @@ def coupled_segment(
     budget_cap = cfg.rho2 * np.exp(-0.25 * params.alpha * state.k * cfg.T)
     e4_crossed = state.e4_crossed.copy()
     budget_crossed = state.budget_crossed.copy()
+    guard = BlowUpGuard(integ, u1)
+    guard.excluded |= state.excluded
 
     n_rec = len(rec_idx)
     rec = SegmentRecord(
@@ -471,51 +433,31 @@ def coupled_segment(
     )
 
     def snap(i):
-        w2 = project_low(u1, cfg.N) + high
-        rec.phi_sum[i] = fn.phi(u1, consts) + fn.phi(w2, consts)
+        rec.phi_sum[i] = fn.phi(u1, consts) + fn.phi(w, consts)
         rec.e4_1[i] = e4_1.value()
         rec.e4_2[i] = e4_2.value()
         rec.budget_integral[i] = budget_int
         rec.log_weight[i] = logw
-        rec.j[i] = fn.j_functional(u1, w2, consts)
+        rec.j[i] = fn.j_functional(u1, w, consts)
 
     snap(0)
-    nxt, done = 1, 0
-    while done < n_steps:
-        m = min(256, n_steps - done)
-        zs = source.next_block(m)
-        for s in range(m):
-            w2 = project_low(u1, cfg.N) + high
-            dw = increments_from_normals(zs[:, s], dt)
-            lin1 = pieces.drift(u1)
-            linw = pieces.drift(w2)
-            noise = pieces.noise(zs[:, s])
-            delta = project_low(lin1 - linw, cfg.N)[..., : cfg.N]
-            dlw, dcost = _shift_logweight(delta, dw, pieces.lam_low, dt)
-            logw += dlw
-            cost += dcost
-            u1 = lin1 + noise
-            high = project_high(linw, cfg.N)
-            done += 1
-            if np.any(fn.norm_hr_sq(u1, 1.0) > integ.blowup_guard**2):
-                raise RuntimeError("coupled pair exceeded the blow-up guard")
-            t_abs = state.k * cfg.T + done * dt
-            ph1 = fn.phi(u1, consts)
-            w2 = project_low(u1, cfg.N) + high
-            ph2 = fn.phi(w2, consts)
-            e4_1.push(ph1, dt)
-            e4_2.push(ph2, dt)
-            budget_int += (
-                (1.0 + ph1**4 + ph2**4) * fn.norm_hr_sq(u1 - w2, 1.0) * dt
-            )
-            cap = cfg.e4_budget(elapsed0 + done * dt)
-            e4_crossed |= (np.asarray(e4_1.value()) > cap) | (
-                np.asarray(e4_2.value()) > cap
-            )
-            budget_crossed |= budget_int > budget_cap
-            if nxt < n_rec and done == rec_idx[nxt]:
-                snap(nxt)
-                nxt += 1
+    nxt = 1
+    for done, (z, recorded) in enumerate(steps(source, n_steps, rec_idx), start=1):
+        u1, w, logw, cost = guard.admit(
+            (u1, w, logw, cost), _weighted_step(stepper, u1, w, logw, cost, z, 0.0)
+        )
+        dt_live = guard.hold(0.0, dt)  # an excluded pair's budgets stop integrating
+        ph1 = fn.phi(u1, consts)
+        ph2 = fn.phi(w, consts)
+        e4_1.push(ph1, dt_live)
+        e4_2.push(ph2, dt_live)
+        budget_int += (1.0 + ph1**4 + ph2**4) * fn.norm_hr_sq(u1 - w, 1.0) * dt_live
+        cap = cfg.e4_budget(elapsed0 + done * dt)
+        e4_crossed |= (e4_1.value() > cap) | (e4_2.value() > cap)
+        budget_crossed |= budget_int > budget_cap
+        if recorded:
+            snap(nxt)
+            nxt += 1
 
     new_ell = state.ell.copy()
     decoupled = e4_crossed | budget_crossed
@@ -529,7 +471,7 @@ def coupled_segment(
     out = replace(
         state,
         u1=u1,
-        u2_high=high,
+        u2_high=project_high(w, cfg.N),
         ell=new_ell,
         k=state.k + 1,
         log_weight=logw,
@@ -539,6 +481,7 @@ def coupled_segment(
         e4_crossed=e4_crossed,
         budget_crossed=budget_crossed,
         budget_integral=budget_int,
+        excluded=guard.excluded,
     )
     return out, rec
 
@@ -645,8 +588,6 @@ def estimate_pilot_constants(
     P(sup (E_4 - (C4-1)t) >= Phi(u0)^4 + rho sqrt(T)) <= K (Phi(u0)^4+1)/rho
     hold on a rho grid.
     """
-    from .models import simulate_ensemble  # local to avoid cycle at import
-
     u0 = np.zeros(params.M, complex) if u0 is None else np.asarray(u0, complex)
     integ = IntegratorConfig(dt=dt, scheme="expeuler", noise_mode="em",
                              record_every=record_every)

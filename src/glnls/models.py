@@ -38,10 +38,23 @@ uses exactly ``pad_points`` nodes.  At M = 64, for order-one fields
 (a_k ~ 1/k) and tau = 2.5e-3, a kick on 134 nodes (the next FFT-friendly
 size) differs from one on 128 nodes by 3.0e-9 relative, far above the 1e-10
 agreement with the direct-sum one-step oracle that the benchmark checks.
+
+Every stepping loop of the package leaves three decisions to this module.
+Noise blocks: ``steps`` alone calls ``EnsembleNoise.next_block``, for
+``BLOCK_STEPS`` steps at a time (a Philox stream continues across blocks,
+so the block size never changes a result).  The record schedule:
+``record_schedule`` gives step 0, the multiples of the stride and the last
+step, always.  The blow-up guard: ``BlowUpGuard`` alone reads
+``blowup_guard``.  A row whose H^1 norm after a step is above the guard or
+not finite is excluded for the rest of the run: it stays at its last
+admitted state, is left out of means and is reported in an ``excluded``
+output, never dropped.  A caller may link rows (the members of a pair, a
+pair and its reference) so that they are excluded together.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +69,8 @@ from .noise import (
     increments_from_normals,
 )
 from .spectral import PhysicalGrid, eigenvalues, to_physical, to_spectral, validate_field
+
+BLOCK_STEPS = 256  # steps of normals per EnsembleNoise.next_block call
 
 SCHEMES = ("strang", "expeuler")
 NOISE_MODES = ("exact", "em")
@@ -187,7 +202,8 @@ class Stepper:
 
     step(a, z) advances states of shape (..., M) using standard normals z of
     shape (..., 2, N); every call consumes the same normal count, which is
-    what keeps trajectories bit-reproducible across batching choices.
+    what keeps trajectories bit-reproducible across batching choices.  The
+    exponential-Euler step is drift(a) + noise(z).
     """
 
     def __init__(self, params: ModelParams, integ: IntegratorConfig, spec: NoiseSpec):
@@ -202,7 +218,8 @@ class Stepper:
         else:
             self.noise_scale = spec.lambdas_padded(params.M)  # times dW
 
-    def _noise_term(self, z: np.ndarray) -> np.ndarray:
+    def noise(self, z: np.ndarray) -> np.ndarray:
+        """The step's additive noise, shape (..., M), from normals (..., 2, N)."""
         n = min(self.spec.N, self.params.M)
         zpair = np.zeros(z.shape[:-2] + (2, self.params.M))
         zpair[..., :n] = z[..., :n]
@@ -211,14 +228,71 @@ class Stepper:
         dw = increments_from_normals(zpair, self.integ.dt)
         return self.noise_scale * dw
 
+    def drift(self, a: np.ndarray) -> np.ndarray:
+        """Deterministic part of the exponential-Euler step, e^{-L dt} (a + dt NL(a))."""
+        return self.decay * (a + self.integ.dt * nl_coeffs(a, self.params))
+
     def step(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
         if self.integ.scheme == "strang":
             h = 0.5 * self.integ.dt
             a = _kick(a, h, self.params)
-            a = self.decay * a + self._noise_term(z)
+            a = self.decay * a + self.noise(z)
             return _kick(a, h, self.params)
-        nl = nl_coeffs(a, self.params)
-        return self.decay * (a + self.integ.dt * nl) + self._noise_term(z)
+        return self.drift(a) + self.noise(z)
+
+
+# ---------------------------------------------------------------------------
+# the stepping engine: noise blocks, record schedule, blow-up guard
+# ---------------------------------------------------------------------------
+
+def record_schedule(n_steps: int, stride: int) -> list[int]:
+    """Record steps 0, stride, 2 stride, ... and n_steps, always."""
+    rec = list(range(0, n_steps + 1, stride))
+    if rec[-1] != n_steps:
+        rec.append(n_steps)
+    return rec
+
+
+def steps(source: EnsembleNoise, n_steps: int, record_steps=()) -> Iterator[tuple]:
+    """For steps 1..n_steps, yield the step's normals (batch, 2, N) and
+    whether the step is in record_steps."""
+    recorded = set(record_steps)
+    done = 0
+    while done < n_steps:
+        zs = source.next_block(min(BLOCK_STEPS, n_steps - done))
+        for s in range(zs.shape[1]):
+            done += 1
+            yield zs[:, s], done in recorded
+
+
+class BlowUpGuard:
+    """The exclusion rule for the rows (fields) of a stepped batch.
+
+    check(a) excludes every row of a past the guard and returns the squared
+    H^1 norms; hold(old, new) keeps the excluded rows of new at old.  Rows
+    are linked by or-ing into ``excluded`` between the two calls.
+    """
+
+    def __init__(self, integ: IntegratorConfig, a: np.ndarray):
+        self.limit = integ.blowup_guard**2
+        self.excluded = np.zeros(np.shape(a)[:-1], dtype=bool)
+
+    def check(self, a: np.ndarray) -> np.ndarray:
+        h1sq = fn.norm_hr_sq(a, 1.0)
+        self.excluded |= ~(h1sq <= self.limit)
+        return h1sq
+
+    def hold(self, old, new):
+        """new, with every excluded row kept at old (per-row arrays or scalars)."""
+        if not self.excluded.any():
+            return new
+        extra = (1,) * (np.ndim(new) - self.excluded.ndim)
+        return np.where(self.excluded.reshape(self.excluded.shape + extra), old, new)
+
+    def admit(self, old: tuple, new: tuple) -> tuple:
+        """check(new[0]), then hold every array of the tuple new at old."""
+        self.check(new[0])
+        return tuple(self.hold(o, n) for o, n in zip(old, new))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +305,6 @@ class TrajectoryRecord:
     energy: EnergySeries
     states: np.ndarray | None = None  # (n_rec, M) at the record stride
     excluded: bool = False
-    rng_normals: int = 0
 
 
 @dataclass
@@ -247,7 +320,6 @@ class EnsembleRecord:
     energy: EnergySeries
     final: np.ndarray
     excluded: np.ndarray
-    rng_normals: int = 0
     states: np.ndarray | None = None          # (n_rec, B, M) if requested
     mass_int_h: np.ndarray | None = None      # (n_rec, B) int ||u||_H^2 ds
     mass_int_h1: np.ndarray | None = None     # (n_rec, B) int ||u||_H1^2 ds
@@ -265,7 +337,6 @@ class EnsembleRecord:
             energy=es,
             states=None if self.states is None else self.states[:, 0],
             excluded=bool(self.excluded[0]),
-            rng_normals=self.rng_normals,
         )
 
 
@@ -281,7 +352,6 @@ def simulate_ensemble(
     record_states: bool = False,
     track_mass_integrals: bool = False,
     track_phi_every_step: bool = False,
-    chunk_steps: int = 256,
 ) -> EnsembleRecord:
     """Advance a batch of trajectories to time T with per-trajectory streams.
 
@@ -301,15 +371,11 @@ def simulate_ensemble(
     B = u0.shape[0]
 
     n_steps = int(round(T / integ.dt)) if T > 0 else 0
-    stride = integ.record_every
-    rec_idx = list(range(0, n_steps + 1, stride))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
+    rec_idx = record_schedule(n_steps, integ.record_every)
     n_rec = len(rec_idx)
 
     stepper = Stepper(params, integ, spec)
     source = EnsembleNoise(seed, traj_ids, spec.N)
-    guard_sq = integ.blowup_guard**2
 
     e1 = fn.EnAccumulator(1, params.alpha)
     e4 = fn.EnAccumulator(4, params.alpha)
@@ -328,8 +394,8 @@ def simulate_ensemble(
     int_h = np.zeros(B)
     int_h1 = np.zeros(B)
 
-    excluded = np.zeros(B, dtype=bool)
     a = u0.copy()
+    guard = BlowUpGuard(integ, a)
     prev_h = fn.norm_h_sq(a)
     prev_h1 = fn.norm_hr_sq(a, 1.0)
 
@@ -349,54 +415,40 @@ def simulate_ensemble(
             mass_h1[i_rec] = int_h1
 
     record(0)
-    next_rec = 1
-    step_count = 0
-    while step_count < n_steps:
-        m = min(chunk_steps, n_steps - step_count)
-        zs = source.next_block(m)
-        for s in range(m):
-            a_new = stepper.step(a, zs[:, s])
-            h1sq = fn.norm_hr_sq(a_new, 1.0)
-            bad = (h1sq > guard_sq) | ~np.isfinite(h1sq)
-            newly = bad & ~excluded
-            if np.any(newly):
-                excluded |= newly
-            if np.any(excluded):
-                live = ~excluded
-                a[live] = a_new[live]
-                # frozen rows keep the H^1 norm of their frozen state
-                h1sq = np.where(excluded, prev_h1, h1sq)
-            else:
-                a = a_new
-            step_count += 1
-            # left-endpoint E_n pushes and trapezoid mass integrals
-            if track_phi_every_step:
+    i_rec = 0
+    for z, recorded in steps(source, n_steps, rec_idx):
+        a_new = stepper.step(a, z)
+        h1sq = guard.check(a_new)
+        a = guard.hold(a, a_new)
+        # frozen rows keep the H^1 norm of their frozen state
+        h1sq = guard.hold(prev_h1, h1sq)
+        # left-endpoint E_n pushes and trapezoid mass integrals
+        if track_phi_every_step:
+            ph = fn.phi(a, consts)
+            e1.push(ph, integ.dt)
+            e4.push(ph, integ.dt)
+        if track_mass_integrals:
+            cur_h = fn.norm_h_sq(a)
+            int_h += 0.5 * (prev_h + cur_h) * integ.dt
+            int_h1 += 0.5 * (prev_h1 + h1sq) * integ.dt
+            prev_h = cur_h
+        prev_h1 = h1sq
+        if recorded:
+            i_rec += 1
+            if not track_phi_every_step:
                 ph = fn.phi(a, consts)
-                e1.push(ph, integ.dt)
-                e4.push(ph, integ.dt)
-            if track_mass_integrals:
-                cur_h = fn.norm_h_sq(a)
-                int_h += 0.5 * (prev_h + cur_h) * integ.dt
-                int_h1 += 0.5 * (prev_h1 + h1sq) * integ.dt
-                prev_h = cur_h
-            prev_h1 = h1sq
-            if next_rec < n_rec and step_count == rec_idx[next_rec]:
-                if not track_phi_every_step:
-                    ph = fn.phi(a, consts)
-                    # stride-resolution E_n when per-step Phi is off
-                    gap = integ.dt * (rec_idx[next_rec] - rec_idx[next_rec - 1])
-                    e1.push(ph, gap)
-                    e4.push(ph, gap)
-                record(next_rec)
-                next_rec += 1
+                # stride-resolution E_n when per-step Phi is off
+                gap = integ.dt * (rec_idx[i_rec] - rec_idx[i_rec - 1])
+                e1.push(ph, gap)
+                e4.push(ph, gap)
+            record(i_rec)
 
     energy = EnergySeries(t=times, **cols)
     return EnsembleRecord(
         times=times,
         energy=energy,
         final=a,
-        excluded=excluded,
-        rng_normals=source.draws,
+        excluded=guard.excluded,
         states=states,
         mass_int_h=mass_h,
         mass_int_h1=mass_h1,
@@ -423,31 +475,8 @@ def simulate(
         record_states=record_states,
     )
     if rec.excluded[0]:
-        raise BlowUpError(
-            f"||u||_H1 exceeded the guard {integ.blowup_guard:g}; trajectory rejected"
-        )
+        raise BlowUpError("||u||_H1 exceeded the blow-up guard; trajectory rejected")
     return rec.single()
-
-
-def step(
-    u: np.ndarray,
-    params: ModelParams,
-    integ: IntegratorConfig,
-    spec: NoiseSpec,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One public step of the configured scheme, drawing noise from rng."""
-    u = validate_field(np.asarray(u, dtype=np.complex128), params.M)
-    stepper = Stepper(params, integ, spec)
-    z = rng.standard_normal(u.shape[:-1] + (2, spec.N))
-    out = stepper.step(u, z)
-    h1 = fn.norm_hr(out, 1.0)
-    if np.any(h1 > integ.blowup_guard) or not np.all(np.isfinite(h1)):
-        raise BlowUpError(
-            f"||u||_H1 = {float(np.max(h1)):g} exceeded the guard "
-            f"{integ.blowup_guard:g}"
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,32 +494,18 @@ def simulate_eta(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact-in-law trajectories of the linear process (gamma = 0, zero data).
 
-    Returns (times, states) with states of shape (n_rec, n_traj, N): each
-    step applies the exact per-mode decay e^{-(alpha + i alpha_k) dt} and
-    adds the exact stochastic convolution sample.
+    Returns (times, states) with states of shape (n_rec, n_traj, N): the
+    linear exact-noise step applies the exact per-mode decay
+    e^{-(alpha + i alpha_k) dt} and adds the exact stochastic convolution
+    sample.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    N = spec.N
-    n_steps = int(round(T / dt)) if T > 0 else 0
-    rec_idx = list(range(0, n_steps + 1, record_every))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
-    times = np.array(rec_idx, dtype=float) * dt
-    decay = np.exp(-(alpha + 1j * eigenvalues(N)) * dt) if N else np.zeros(0)
-    std = convolution_std(spec, 0.0, alpha, dt) if N else np.zeros(0)
-    source = EnsembleNoise(seed, np.arange(n_traj), N)
-
-    eta = np.zeros((n_traj, N), dtype=np.complex128)
-    out = np.zeros((len(rec_idx), n_traj, N), dtype=np.complex128)
-    next_rec, done = 1, 0
-    while done < n_steps:
-        m = min(512, n_steps - done)
-        zs = source.next_block(m)
-        for s in range(m):
-            eta = decay * eta + convolution_from_normals(zs[:, s], std)
-            done += 1
-            if next_rec < len(rec_idx) and done == rec_idx[next_rec]:
-                out[next_rec] = eta
-                next_rec += 1
-    return times, out
+    # with N = 0 one unforced mode stands in; it stays exactly zero
+    params = ModelParams(gamma=0.0, alpha=alpha, M=max(spec.N, 1), nonlinear=False)
+    rec = simulate_ensemble(
+        np.zeros(params.M, complex), params,
+        IntegratorConfig(dt=dt, record_every=record_every), spec, T, seed,
+        traj_ids=np.arange(n_traj), record_states=True,
+    )
+    return rec.times, rec.states[..., : spec.N]

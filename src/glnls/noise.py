@@ -130,7 +130,6 @@ class EnsembleNoise:
     traj_ids: np.ndarray
     n_forced: int
     _rngs: list = field(init=False, repr=False)
-    draws: int = 0
 
     def __post_init__(self):
         self.traj_ids = np.asarray(self.traj_ids, dtype=np.int64)
@@ -141,7 +140,6 @@ class EnsembleNoise:
         out = np.empty((len(self._rngs), n_steps, 2, self.n_forced))
         for i, rng in enumerate(self._rngs):
             out[i] = rng.standard_normal((n_steps, 2, self.n_forced))
-        self.draws += out.size
         return out
 
 
@@ -153,14 +151,6 @@ def increments_from_normals(z: np.ndarray, dt: float) -> np.ndarray:
     """
     s = np.sqrt(dt)
     return s * z[..., 0, :] + 1j * s * z[..., 1, :]
-
-
-def sample_increment(spec: NoiseSpec, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """One cylindrical-Wiener increment over the forced modes, shape (N,)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    z = rng.standard_normal((2, spec.N))
-    return increments_from_normals(z, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +181,6 @@ def convolution_std(
 def convolution_from_normals(z: np.ndarray, std: np.ndarray) -> np.ndarray:
     """Scale N(0,1) pairs (..., 2, N) into exact convolution samples (..., N)."""
     return std * z[..., 0, :] + 1j * std * z[..., 1, :]
-
-
-def exact_stochastic_convolution(
-    spec: NoiseSpec,
-    gamma: float,
-    alpha: float,
-    dt: float,
-    rng: np.random.Generator,
-    M: int | None = None,
-) -> np.ndarray:
-    """Sample xi_k = int_t^{t+dt} e^{-((gamma+i)alpha_k+alpha)(t+dt-r)} lambda_k dW_k(r)."""
-    M = spec.N if M is None else M
-    std = convolution_std(spec, gamma, alpha, dt, M)
-    z = rng.standard_normal((2, M))
-    return convolution_from_normals(z, std)
 
 
 def ou_mode_variance(spec: NoiseSpec, alpha: float, t: float) -> np.ndarray:

@@ -27,7 +27,8 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from . import functionals as fn
 from .functionals import FunctionalConstants
-from .models import IntegratorConfig, ModelParams, Stepper, decay_factors, simulate_ensemble
+from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, decay_factors,
+                     simulate_ensemble, steps)
 from .noise import EnsembleNoise, NoiseSpec, traces
 from .spectral import eigenvalues
 
@@ -334,6 +335,7 @@ class MixingCurve:
     fit: RateFit | None
     gamma: float
     ensemble: int
+    excluded: np.ndarray           # (ensemble,) pairs frozen by the blow-up guard
 
 
 def mixing_curve(
@@ -345,12 +347,15 @@ def mixing_curve(
     ensemble_size: int,
     seed: int,
     integ: IntegratorConfig | None = None,
-    consts: FunctionalConstants | None = None,
     dual_checkpoints: int = 4,
 ) -> MixingCurve:
     """Synchronous-coupling upper estimate of W_{d1}(P_t delta_u1, P_t delta_u2)
-    together with the dual lower bound on the same marginal ensembles."""
-    consts = consts or FunctionalConstants()
+    together with the dual lower bound on the same marginal ensembles.
+
+    A pair is excluded once either member crosses the blow-up guard; the
+    means and the dual bound are taken over the live pairs (NaN when none
+    is left).
+    """
     integ = integ or IntegratorConfig(dt=5e-3)
     t_grid = np.asarray(t_grid, dtype=float)
     rec_steps = np.unique(np.round(t_grid / integ.dt).astype(int))
@@ -360,34 +365,32 @@ def mixing_curve(
     pair = np.stack([
         np.broadcast_to(np.asarray(u, complex), (ensemble_size, params.M)) for u in (u1, u2)
     ])
-
-    up1 = [float(np.mean(fn.dist_d1(*pair)))]
-    up0 = [float(np.mean(fn.dist_d0(*pair)))]
-    times = [0.0]
-    dual_ix = set(
+    guard = BlowUpGuard(integ, pair)
+    dual_steps = set(rec_steps[
         np.linspace(1, len(rec_steps) - 1, min(dual_checkpoints, len(rec_steps) - 1))
         .astype(int)
-        .tolist()
-    ) if len(rec_steps) > 1 else set()
-    dual_t, dual_v = [], []
+    ].tolist()) if len(rec_steps) > 1 else set()
+    times, up1, up0, dual_t, dual_v = [], [], [], [], []
 
-    done = 0
-    for i_rec, target in enumerate(rec_steps):
-        if target == 0:
-            continue
-        while done < target:
-            m = min(256, target - done)
-            zs = source.next_block(m)
-            for s in range(m):
-                pair = stepper.step(pair, zs[:, s])
-            done += m
+    def observe(done):
+        live = ~guard.excluded[0]
         times.append(done * integ.dt)
-        up1.append(float(np.mean(fn.dist_d1(*pair))))
-        up0.append(float(np.mean(fn.dist_d0(*pair))))
-        if i_rec in dual_ix:
-            ea, eb = EmpiricalMeasure(pair[0].copy()), EmpiricalMeasure(pair[1].copy())
+        up1.append(float(np.mean(fn.dist_d1(*pair)[live])) if live.any() else np.nan)
+        up0.append(float(np.mean(fn.dist_d0(*pair)[live])) if live.any() else np.nan)
+        if done in dual_steps and live.any():
+            ea, eb = EmpiricalMeasure(pair[0][live]), EmpiricalMeasure(pair[1][live])
             dual_t.append(done * integ.dt)
             dual_v.append(dual_lower_bound(ea, eb, "d1"))
+
+    observe(0)
+    n_steps = int(rec_steps.max(initial=0))
+    for done, (z, recorded) in enumerate(steps(source, n_steps, rec_steps.tolist()), start=1):
+        new = stepper.step(pair, z)
+        guard.check(new)
+        guard.excluded[:] = guard.excluded.any(axis=0)  # a pair falls with either member
+        pair = guard.hold(pair, new)
+        if recorded:
+            observe(done)
 
     times = np.asarray(times)
     up1 = np.asarray(up1)
@@ -399,6 +402,7 @@ def mixing_curve(
         t=times, upper_d1=up1, upper_d0=np.asarray(up0),
         dual_t=np.asarray(dual_t), dual_lower=np.asarray(dual_v),
         fit=fit, gamma=params.gamma, ensemble=ensemble_size,
+        excluded=guard.excluded[0],
     )
 
 
@@ -426,7 +430,6 @@ def inviscid_curve(
     truncated: bool = False,
     R: float | None = None,
     dt: float = 5e-4,
-    consts: FunctionalConstants | None = None,
 ) -> InviscidCurve:
     """Shared-noise comparison of u^gamma with the gamma = 0 dynamics.
 
@@ -458,27 +461,19 @@ def inviscid_curve(
         + [decay_factors(replace(p0, gamma=g), dt) for g in viscous]
     )[:, None, :]
     n_steps = int(round(T / dt))
-    guard = integ.blowup_guard**2
 
     E = ensemble_size
     source = EnsembleNoise(seed, np.arange(E), spec.N)
     a = np.broadcast_to(np.asarray(u0, complex), (1 + len(viscous), E, M)).copy()
     sup = np.zeros((1 + len(viscous), E))  # block 0 compares the reference with itself
-    bad = np.zeros((1 + len(viscous), E), dtype=bool)
-    done = 0
-    while done < n_steps:
-        m = min(256, n_steps - done)
-        zs = source.next_block(m)
-        for s in range(m):
-            a_new = stepper.step(a, zs[:, s])
-            bad |= ~(fn.norm_hr_sq(a_new, 1.0) <= guard)
-            bad[1:] |= bad[0]
-            if np.any(bad):
-                a[~bad] = a_new[~bad]
-            else:
-                a = a_new
-            sup = np.maximum(sup, fn.norm_h_sq(a - a[0]))
-        done += m
+    guard = BlowUpGuard(integ, a)
+    for z, _ in steps(source, n_steps):
+        a_new = stepper.step(a, z)
+        guard.check(a_new)
+        guard.excluded[1:] |= guard.excluded[0]  # a pair falls with its reference row
+        a = guard.hold(a, a_new)
+        sup = np.maximum(sup, fn.norm_h_sq(a - a[0]))
+    bad = guard.excluded
 
     block = np.searchsorted(viscous, gamma_list) + (gamma_list != 0)
     excluded = bad[block].sum(axis=1)

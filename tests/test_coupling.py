@@ -42,8 +42,8 @@ class TestPinned:
         integ = md.IntegratorConfig(dt=1e-3)
         spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
         u0 = 0.3 * basis_mode(M, 1)
-        times, J = cp.pinned_contraction_run(u0, u0, params, integ, spec, N=N,
-                                             T=0.5, seed=0, n_pairs=4)
+        times, J, _ = cp.pinned_contraction_run(u0, u0, params, integ, spec, N=N,
+                                                T=0.5, seed=0, n_pairs=4)
         assert np.max(np.abs(J)) < 1e-20
 
     def test_low_modes_exactly_equal(self):
@@ -92,7 +92,7 @@ class TestPinned:
         params = md.ModelParams(gamma=0.0, alpha=alpha, M=M, nonlinear=False)
         integ = md.IntegratorConfig(dt=2e-3)
         spec = nz.NoiseSpec.power_profile(N, 0.05, 2.0)
-        times, J = cp.pinned_contraction_run(
+        times, J, _ = cp.pinned_contraction_run(
             0.1 * basis_mode(M, 1), 0.1 * basis_mode(M, 1) + 0.3 * basis_mode(M, 9),
             params, integ, spec, N=N, T=3.0, seed=20, n_pairs=16,
             record_every=100,
@@ -105,25 +105,12 @@ class TestPinned:
         params = md.ModelParams(gamma=0.02, alpha=1.0, M=M)
         integ = md.IntegratorConfig(dt=2e-3)
         spec = nz.NoiseSpec.power_profile(N, 0.05, 2.0)
-        times, J = cp.pinned_contraction_run(
+        times, J, _ = cp.pinned_contraction_run(
             np.zeros(M, complex), 0.1 * basis_mode(M, N + 3), params, integ, spec,
             N=N, T=2.0, seed=3, n_pairs=32, record_every=200,
         )
         EJ = J.mean(axis=1)
         assert EJ[-1] < 0.1 * EJ[0]
-
-    def test_pinned_step_api(self):
-        M, N = 12, 3
-        params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
-        integ = md.IntegratorConfig(dt=1e-3)
-        spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
-        state = cp.make_coupled_state(0.2 * basis_mode(M, 1),
-                                      0.2 * basis_mode(M, 1) + 0.05 * basis_mode(M, 5),
-                                      small_cfg(N=N), CONSTS)
-        rng = nz.trajectory_rng(4, 0)
-        new, j = cp.pinned_step(state, params, integ, spec, rng, N=N, consts=CONSTS)
-        assert j.shape == (1,)
-        assert np.all(new.u2_high[..., :N] == 0)
 
 
 class TestGirsanov:
@@ -278,6 +265,66 @@ class TestCoupledSegments:
         state = cp.make_coupled_state(u1, u2, cfg, CONSTS)
         with pytest.warns(RuntimeWarning, match="log-weight"):
             cp.coupled_segment(state, cfg, params, integ, spec, seed=12)
+
+
+class TestBlowUpGuard:
+    """8 pairs whose u1 straddles an H^1 guard of 1: rows 4..7 cross on the
+    first step and are frozen, rows 0..3 run exactly as under the default."""
+
+    M, N = 12, 3
+    amps = np.array([0.05, 0.1, 0.15, 0.2, 0.5, 0.6, 0.7, 0.8])
+    crossing = amps * np.pi > 1.0
+
+    def _setup(self):
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=self.M)
+        spec = nz.NoiseSpec.power_profile(self.N, 0.2, 2.0)
+        u1 = self.amps[:, None] * basis_mode(self.M, 1)
+        u2 = u1 + 0.05 * basis_mode(self.M, 5)
+        return params, spec, u1, u2
+
+    def _integ(self, guard=None, dt=2e-3):
+        kw = {} if guard is None else {"blowup_guard": guard}
+        return md.IntegratorConfig(dt=dt, scheme="expeuler", noise_mode="em", **kw)
+
+    def test_pinned_run(self):
+        params, spec, u1, u2 = self._setup()
+        runs = [cp.pinned_contraction_run(u1, u2, params, self._integ(g), spec, N=self.N,
+                                          T=0.1, seed=21, n_pairs=8, record_every=10)
+                for g in (1.0, None)]
+        (_, J, excluded), (_, J_ref, excluded_ref) = runs
+        assert np.array_equal(excluded, self.crossing) and not excluded_ref.any()
+        live = ~excluded
+        assert np.array_equal(J[:, live], J_ref[:, live])
+        assert np.all(J[:, excluded] == J[0, excluded])  # frozen at the initial state
+
+    def test_coupled_segment(self):
+        params, spec, u1, u2 = self._setup()
+        cfg = small_cfg(N=self.N, theta=1e6, c4=1e6, T=0.1)
+        out = [cp.coupled_segment(cp.make_coupled_state(u1, u2, cfg, CONSTS), cfg, params,
+                                  self._integ(g), spec, seed=22)[0]
+               for g in (1.0, None)]
+        state, ref = out
+        assert np.array_equal(state.excluded, self.crossing) and not ref.excluded.any()
+        live = ~state.excluded
+        for name in ("u1", "u2_high", "log_weight", "girsanov_cost", "budget_integral"):
+            assert np.array_equal(getattr(state, name)[live], getattr(ref, name)[live]), name
+        assert np.array_equal(state.u1[~live], u1[~live])
+        assert np.all(state.log_weight[~live] == 0.0)
+        assert np.all(state.budget_integral[~live] == 0.0)
+
+    def test_girsanov_attempt(self):
+        params, spec, u1, u2 = self._setup()
+        cfg = small_cfg(N=self.N, t1=0.02, r1=0.5)
+        rep, ref = [cp.girsanov_attempt(u1, u2, cfg, params, self._integ(g), spec, seed=23,
+                                        n_attempts=8) for g in (1.0, None)]
+        assert np.array_equal(rep.excluded, self.crossing) and not ref.excluded.any()
+        assert np.array_equal(rep.state.excluded, rep.excluded)
+        live = ~rep.excluded
+        assert np.array_equal(rep.log_weight[live], ref.log_weight[live])
+        assert np.array_equal(rep.state.u1[live], ref.state.u1[live])
+        assert np.array_equal(rep.success[live], ref.success[live])
+        assert not rep.success[~live].any()
+        assert np.all(rep.log_weight[~live] == 0.0)
 
 
 class TestStopping:

@@ -166,6 +166,13 @@ class TestCLI:
         out = str(tmp_path / "o")
         assert cli.main(["ensemble", "--config", cfgp, "--out", out]) == 0
 
+    def test_workers_rejected_outside_ensemble(self, tmp_path, capsys):
+        cfgp = write(tmp_path, BASE.format(time="0.1"))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["mixing", "--config", cfgp, "--workers", "2"])
+        assert exit_.value.code != 0
+        assert "--workers" in capsys.readouterr().err
+
     def test_invalid_config_exit_code_and_json(self, tmp_path, capsys):
         cfgp = write(tmp_path, "[model]\ngamma = 9\n")
         rc = cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")])

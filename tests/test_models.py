@@ -120,16 +120,6 @@ class TestStep:
         got = float(fn.norm_h(rec.final[0]))
         assert got == pytest.approx(np.exp(-1.0), abs=1e-6)
 
-    def test_public_step_and_blowup_guard(self):
-        p = md.ModelParams(gamma=0.0, alpha=1.0, M=8)
-        ic = md.IntegratorConfig(dt=0.01)
-        rng = nz.trajectory_rng(0, 0)
-        out = md.step(basis_mode(8, 1), p, ic, nz.NoiseSpec(np.array([0.5])), rng)
-        assert out.shape == (8,)
-        ic_tight = md.IntegratorConfig(dt=0.01, blowup_guard=1e-3)
-        with pytest.raises(md.BlowUpError):
-            md.step(basis_mode(8, 1), p, ic_tight, NO_NOISE, rng)
-
 
 class TestSimulate:
     def test_t_zero_single_record(self):

@@ -50,14 +50,6 @@ class TestIncrements:
             dw = nz.increments_from_normals(z, dt)
             assert np.mean(np.abs(dw) ** 2) == pytest.approx(2 * dt, rel=0.2)
 
-    def test_sample_increment_shape_and_dt_guard(self):
-        spec = nz.NoiseSpec.power_profile(3, 1.0, 2.0)
-        rng = nz.trajectory_rng(1, 2)
-        dw = nz.sample_increment(spec, 0.1, rng)
-        assert dw.shape == (3,)
-        with pytest.raises(ValueError):
-            nz.sample_increment(spec, 0.0, rng)
-
 
 class TestExactConvolution:
     def test_zero_amplitude(self):
@@ -85,11 +77,6 @@ class TestExactConvolution:
         spec = nz.NoiseSpec(np.array([1.0, 0.5]))
         rng = nz.trajectory_rng(3, 4)
         n = 100_000
-        xs = np.stack([
-            nz.exact_stochastic_convolution(spec, gamma, alpha, dt, rng)
-            for _ in range(200)
-        ])
-        # vectorized draw for the real sample size
         z = rng.standard_normal((n, 2, 2))
         std = nz.convolution_std(spec, gamma, alpha, dt)
         xi = nz.convolution_from_normals(z, std)
@@ -97,7 +84,6 @@ class TestExactConvolution:
             emp = np.var(xi[:, k].real)
             se = std[k] ** 2 * np.sqrt(2.0 / n)
             assert abs(emp - std[k] ** 2) < 3 * se
-        assert xs.shape == (200, 2)
 
     def test_c_to_zero_limit(self):
         spec = nz.NoiseSpec(np.array([2.0]))

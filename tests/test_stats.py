@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glnls import coupling as cp
 from glnls import functionals as fn
 from glnls import models as md
 from glnls import noise as nz
@@ -199,6 +200,45 @@ def inviscid_reference(u0, gammas, T, E, seed, M, spec, R, dt):
     return np.array(out).T
 
 
+N_STEPS, STRIDE, DT = 300, 7, 1e-3
+STEPPING_DRIVERS = ["simulate_ensemble", "simulate_eta", "pinned_contraction_run",
+                    "girsanov_attempt", "coupled_segment", "mixing_curve", "inviscid_curve"]
+
+
+def run_stepping_driver(name):
+    """Run one driver for N_STEPS steps at record stride STRIDE; return its
+    record times, or None for a driver without records."""
+    M, N, T = 8, 2, N_STEPS * DT
+    params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+    spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
+    u = 0.3 * basis_mode(M, 1)
+    integ = md.IntegratorConfig(dt=DT, record_every=STRIDE)
+    em = md.IntegratorConfig(dt=DT, scheme="expeuler", noise_mode="em")
+    cfg = cp.CouplingConfig(N=N, theta=1e6, beta=0.5, T=T, c4_hat=1e6, t1=T, r1=0.5)
+    if name == "simulate_ensemble":
+        return md.simulate_ensemble(u, params, integ, spec, T, seed=1,
+                                    traj_ids=np.arange(2)).times
+    if name == "simulate_eta":
+        return md.simulate_eta(spec, 1.0, T, DT, seed=1, n_traj=2, record_every=STRIDE)[0]
+    if name == "pinned_contraction_run":
+        return cp.pinned_contraction_run(u, u, params, integ, spec, N=N, T=T, seed=1,
+                                         n_pairs=2)[0]
+    if name == "girsanov_attempt":
+        cp.girsanov_attempt(u, 0.5 * u, cfg, params, em, spec, seed=1, n_attempts=2)
+        return None
+    if name == "coupled_segment":
+        state = cp.make_coupled_state(np.tile(u, (2, 1)), np.tile(u, (2, 1)), cfg, CONSTS)
+        return cp.coupled_segment(state, cfg, params, em, spec, seed=1,
+                                  record_every=STRIDE)[1].times
+    if name == "mixing_curve":
+        t_grid = DT * np.r_[0:N_STEPS:STRIDE, N_STEPS]
+        return st.mixing_curve(u, 0.5 * u, params, spec, t_grid, 2, seed=1,
+                               integ=integ, dual_checkpoints=0).t
+    st.inviscid_curve(u, [0.0, 1e-3, 1e-2, 1e-1, 0.2], T=T, ensemble_size=2, seed=16,
+                      alpha=1.0, M=M, spec=nz.NoiseSpec.power_profile(4, 0.2, 2.0), dt=DT)
+    return None
+
+
 class TestInviscid:
     @pytest.mark.parametrize("gammas", [
         [0.0, 1e-3, 1e-2, 1e-1],
@@ -219,7 +259,8 @@ class TestInviscid:
         assert np.all(curve.excluded == 0)
         assert np.all(curve.mean_sup_err[curve.gammas == 0.0] == 0.0)
 
-    def test_one_noise_block_per_256_steps(self, monkeypatch):
+    @pytest.mark.parametrize("driver", STEPPING_DRIVERS)
+    def test_one_noise_block_per_256_steps(self, monkeypatch, driver):
         calls = []
         next_block = nz.EnsembleNoise.next_block
 
@@ -228,10 +269,11 @@ class TestInviscid:
             return next_block(self, n_steps)
 
         monkeypatch.setattr(nz.EnsembleNoise, "next_block", counted)
-        spec = nz.NoiseSpec.power_profile(4, 0.2, 2.0)
-        st.inviscid_curve(0.3 * basis_mode(8, 1), [0.0, 1e-3, 1e-2, 1e-1, 0.2], T=0.3,
-                          ensemble_size=2, seed=16, alpha=1.0, M=8, spec=spec, dt=1e-3)
-        assert calls == [256, 44]
+        times = run_stepping_driver(driver)
+        assert calls == [256, N_STEPS - 256]  # ceil(N_STEPS / 256) blocks
+        if times is not None:
+            # the stride does not divide N_STEPS; the last step is recorded all the same
+            assert np.allclose(times, DT * np.r_[0:N_STEPS:STRIDE, N_STEPS])
 
     @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
     def test_nonfinite_pairs_excluded(self):
