@@ -6,7 +6,9 @@ For each mode count M (default 16 64 128 256 512 1024) on the 2x
 de-aliasing grid K = 2M, and for batches of 1 and 64 fields, times one
 synthesis plus one analysis through the dense sine-matrix route and through
 the DST-I route, and prints the route `spectral.DENSE_MAX_POINTS` selects
-for that K.  This is the measurement behind that constant.  The stepping
+for that K.  This is the measurement behind that constant.  The per-step
+part times one Strang `Stepper.step` against one FSAL `Stepper.advance` at
+(M=64, B=64), the dense side, and (M=512, B=1), the DST side.  The stepping
 part compares batched ensemble stepping against a per-trajectory Python
 loop at equal trajectory counts.  All times are process CPU time, so BLAS
 or FFT worker threads count against the route that starts them.
@@ -51,6 +53,21 @@ def bench_transforms(M: int, batch: int):
           f"selected {route:5s}   max|diff vs direct| {err:.1e}")
 
 
+def bench_step(M: int, batch: int):
+    params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+    spec = nz.NoiseSpec.power_profile(8, 0.05, 2.0)
+    st = md.Stepper(params, md.IntegratorConfig(dt=5e-3), spec)
+    rng = np.random.default_rng(0)
+    a = 0.05 * (rng.standard_normal((batch, M))
+                + 1j * rng.standard_normal((batch, M))) / np.arange(1, M + 1) ** 2
+    z = rng.standard_normal((batch, 2, spec.N))
+    c = st.open(a)
+    t_step = cpu_time(lambda: st.step(a, z))
+    t_adv = cpu_time(lambda: st.advance(c, z))
+    print(f"strang M={M:4d} B={batch:3d}: step {t_step * 1e6:8.1f} us   "
+          f"advance {t_adv * 1e6:8.1f} us   step/advance {t_step / t_adv:5.2f}")
+
+
 def bench_stepping(M: int = 64, n_traj: int = 256, n_steps: int = 200):
     params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
     integ = md.IntegratorConfig(dt=1e-3, record_every=n_steps)
@@ -79,4 +96,6 @@ if __name__ == "__main__":
     for M in sizes:
         for batch in (1, 64):
             bench_transforms(M, batch)
+    for M, batch in ((64, 64), (512, 1)):
+        bench_step(M, batch)
     bench_stepping()

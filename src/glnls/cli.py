@@ -195,9 +195,10 @@ def drive_couple(cfg, run_dir, seed, args) -> int:
                 derive_seed(seed, f"segment-{k}"),
             )
             flags = state.e4_crossed.astype(int) + 2 * state.budget_crossed.astype(int)
+            j = fn.j_functional(state.u1, state.u2_composite(ccfg.N), consts)
             for pair in range(n_pairs):
                 rows.append((
-                    pair, state.k, state.ell[pair], seg.j[-1, pair],
+                    pair, state.k, state.ell[pair], j[pair],
                     state.log_weight[pair], seg.e4_1[-1, pair],
                     seg.e4_2[-1, pair], flags[pair],
                 ))

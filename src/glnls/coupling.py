@@ -366,15 +366,13 @@ def girsanov_attempt(
 
 @dataclass
 class SegmentRecord:
-    """Strided series recorded over one coupled segment (per pair)."""
+    """Strided series recorded over one coupled segment (per pair): what
+    ``recompute_decoupling`` replays."""
 
     times: np.ndarray
-    phi_sum: np.ndarray
     e4_1: np.ndarray
     e4_2: np.ndarray
     budget_integral: np.ndarray
-    log_weight: np.ndarray
-    j: np.ndarray
 
 
 def coupled_segment(
@@ -424,21 +422,15 @@ def coupled_segment(
     n_rec = len(rec_idx)
     rec = SegmentRecord(
         times=state.k * cfg.T + np.array(rec_idx, dtype=float) * dt,
-        phi_sum=np.empty((n_rec, B)),
         e4_1=np.empty((n_rec, B)),
         e4_2=np.empty((n_rec, B)),
         budget_integral=np.empty((n_rec, B)),
-        log_weight=np.empty((n_rec, B)),
-        j=np.empty((n_rec, B)),
     )
 
     def snap(i):
-        rec.phi_sum[i] = fn.phi(u1, consts) + fn.phi(w, consts)
         rec.e4_1[i] = e4_1.value()
         rec.e4_2[i] = e4_2.value()
         rec.budget_integral[i] = budget_int
-        rec.log_weight[i] = logw
-        rec.j[i] = fn.j_functional(u1, w, consts)
 
     snap(0)
     nxt = 1

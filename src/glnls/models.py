@@ -19,6 +19,22 @@ Two one-step schemes are provided:
     order in dt deterministically, and mass-exact up to spectral truncation,
     which is what the conservation-law checks below rely on.
 
+    The stepping drivers run it first-same-as-last (FSAL; Strang 1968,
+    Hairer-Lubich-Wanner, Geometric Numerical Integration, II.5): step n's
+    closing half-kick and step n+1's opening one are merged into one full
+    kick, so a step makes one synthesis, two analyses and one complex
+    exponential instead of two of each.  Each driver carries the
+    half-kicked state c next to the Strang state a; records, the blow-up
+    guard, the mass integrals and the final state all read a, which is the
+    exact Strang state of the step from c.  The merged kick drops the
+    projection between the two half-kicks, so a trajectory differs from
+    repeated ``Stepper.step`` calls by that projection alone: 2e-14
+    relative after 200 steps at M = 64, dt = 5e-3 for fields of size 0.08,
+    2e-13 for fields of size 1.3.  Batch bit-identity is kept, since every
+    operation is elementwise or one product per field.
+    ``pinned_contraction_run`` stays on ``step``, because its pinning
+    rewrites the low modes after every step.
+
 ``expeuler``
     Exponential Euler-Maruyama, a_k <- e^{-((gamma+i)alpha_k+alpha) dt}
     (a_k + dt NL_k(u)) + xi_k.  First order; exact for linear dynamics.
@@ -142,6 +158,24 @@ def cutoff_smoothstep(x: np.ndarray, R: float) -> np.ndarray:
     return 1.0 - 3.0 * s**2 + 2.0 * s**3
 
 
+def _cutoff(dens: np.ndarray, R: float):
+    """phi_R(dens), or the scalar 1.0 when no density exceeds R.
+
+    phi_R is exactly 1 on [0, R] and multiplying by 1.0 is exact, so the
+    skip changes no result.  The test is per element, not dens.max(), so a
+    NaN row cannot hide another row's excess.
+    """
+    return cutoff_smoothstep(dens, R) if np.any(dens > R) else 1.0
+
+
+def _phase(v: np.ndarray, tau: float, params: ModelParams) -> np.ndarray:
+    """exp(i tau |v|^2 phi_R(|v|^2)) at the nodes: the kick's pointwise phase."""
+    dens = np.abs(v) ** 2
+    if params.truncation is not None:
+        dens = dens * _cutoff(dens, params.truncation)
+    return np.exp(1j * tau * dens)
+
+
 def nonlinearity(a: np.ndarray, params: ModelParams) -> np.ndarray:
     """Spectral coefficients of i|u|^2 u, dealiased by zero padding."""
     a = np.asarray(a, dtype=np.complex128)
@@ -159,7 +193,7 @@ def truncated_nonlinearity(a: np.ndarray, R: float, params: ModelParams) -> np.n
     M = a.shape[-1]
     v = to_physical(a, PhysicalGrid(params.pad_points))
     dens = np.abs(v) ** 2
-    w = 1j * dens * v * cutoff_smoothstep(dens, R)
+    w = 1j * dens * v * _cutoff(dens, R)
     return to_spectral(w, M)
 
 
@@ -176,15 +210,11 @@ def _kick(a: np.ndarray, tau: float, params: ModelParams) -> np.ndarray:
     """Exact flow of du/dt = i|u|^2 u (phi_R) over tau: a pointwise phase."""
     if not params.nonlinear or tau == 0.0:
         return a
-    M = a.shape[-1]
     v = to_physical(a, PhysicalGrid(params.pad_points))
-    dens = np.abs(v) ** 2
-    if params.truncation is not None:
-        dens = dens * cutoff_smoothstep(dens, params.truncation)
     # Not v * np.exp(...): from 256 KiB numpy reuses the temporary exp array
     # for the product, and that in-place complex multiply rounds differently,
     # which would make a trajectory depend on the size of its batch.
-    return to_spectral(np.multiply(v, np.exp(1j * tau * dens)), M)
+    return to_spectral(np.multiply(v, _phase(v, tau, params)), a.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +234,11 @@ class Stepper:
     shape (..., 2, N); every call consumes the same normal count, which is
     what keeps trajectories bit-reproducible across batching choices.  The
     exponential-Euler step is drift(a) + noise(z).
+
+    The stepping drivers run the FSAL form instead: c = open(a), then
+    a, c = advance(c, z) per step, where a is the Strang state and c the
+    carried, half-kicked one (see the module docstring).
+    advance(open(a), z)[0] equals step(a, z) bit for bit.
     """
 
     def __init__(self, params: ModelParams, integ: IntegratorConfig, spec: NoiseSpec):
@@ -233,12 +268,39 @@ class Stepper:
         return self.decay * (a + self.integ.dt * nl_coeffs(a, self.params))
 
     def step(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """One step from a; the single-step reference for advance."""
         if self.integ.scheme == "strang":
             h = 0.5 * self.integ.dt
             a = _kick(a, h, self.params)
             a = self.decay * a + self.noise(z)
             return _kick(a, h, self.params)
         return self.drift(a) + self.noise(z)
+
+    def _fsal(self) -> bool:
+        return self.integ.scheme == "strang" and self.params.nonlinear
+
+    def open(self, a: np.ndarray) -> np.ndarray:
+        """The carried state of a: its opening half-kick K(dt/2) under Strang
+        with a nonlinearity, a itself otherwise."""
+        return _kick(a, 0.5 * self.integ.dt, self.params) if self._fsal() else a
+
+    def advance(self, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step from the carried state c: (a, c_next).
+
+        a = P K(dt/2) (decay c + noise) is the Strang state after the step;
+        c_next = P K(dt) (decay c + noise) merges its closing half-kick with
+        the next step's opening one.  Both come from one synthesis v and one
+        phase e: a = analysis(v e), c_next = analysis(v e e).
+        """
+        if not self._fsal():
+            a = self.step(c, z)
+            return a, a
+        b = self.decay * c + self.noise(z)
+        v = to_physical(b, PhysicalGrid(self.params.pad_points))
+        e = _phase(v, 0.5 * self.integ.dt, self.params)
+        w = np.multiply(v, e)
+        M = self.params.M
+        return to_spectral(w, M), to_spectral(np.multiply(w, e), M)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +457,7 @@ def simulate_ensemble(
     int_h1 = np.zeros(B)
 
     a = u0.copy()
+    c = stepper.open(a)
     guard = BlowUpGuard(integ, a)
     prev_h = fn.norm_h_sq(a)
     prev_h1 = fn.norm_hr_sq(a, 1.0)
@@ -417,9 +480,9 @@ def simulate_ensemble(
     record(0)
     i_rec = 0
     for z, recorded in steps(source, n_steps, rec_idx):
-        a_new = stepper.step(a, z)
+        a_new, c_new = stepper.advance(c, z)
         h1sq = guard.check(a_new)
-        a = guard.hold(a, a_new)
+        a, c = guard.hold(a, a_new), guard.hold(c, c_new)
         # frozen rows keep the H^1 norm of their frozen state
         h1sq = guard.hold(prev_h1, h1sq)
         # left-endpoint E_n pushes and trapezoid mass integrals

@@ -365,6 +365,7 @@ def mixing_curve(
     pair = np.stack([
         np.broadcast_to(np.asarray(u, complex), (ensemble_size, params.M)) for u in (u1, u2)
     ])
+    c = stepper.open(pair)
     guard = BlowUpGuard(integ, pair)
     dual_steps = set(rec_steps[
         np.linspace(1, len(rec_steps) - 1, min(dual_checkpoints, len(rec_steps) - 1))
@@ -385,10 +386,10 @@ def mixing_curve(
     observe(0)
     n_steps = int(rec_steps.max(initial=0))
     for done, (z, recorded) in enumerate(steps(source, n_steps, rec_steps.tolist()), start=1):
-        new = stepper.step(pair, z)
+        new, c_new = stepper.advance(c, z)
         guard.check(new)
         guard.excluded[:] = guard.excluded.any(axis=0)  # a pair falls with either member
-        pair = guard.hold(pair, new)
+        pair, c = guard.hold(pair, new), guard.hold(c, c_new)
         if recorded:
             observe(done)
 
@@ -466,12 +467,13 @@ def inviscid_curve(
     source = EnsembleNoise(seed, np.arange(E), spec.N)
     a = np.broadcast_to(np.asarray(u0, complex), (1 + len(viscous), E, M)).copy()
     sup = np.zeros((1 + len(viscous), E))  # block 0 compares the reference with itself
+    c = stepper.open(a)
     guard = BlowUpGuard(integ, a)
     for z, _ in steps(source, n_steps):
-        a_new = stepper.step(a, z)
+        a_new, c_new = stepper.advance(c, z)
         guard.check(a_new)
         guard.excluded[1:] |= guard.excluded[0]  # a pair falls with its reference row
-        a = guard.hold(a, a_new)
+        a, c = guard.hold(a, a_new), guard.hold(c, c_new)
         sup = np.maximum(sup, fn.norm_h_sq(a - a[0]))
     bad = guard.excluded
 

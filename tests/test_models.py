@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from glnls import functionals as fn
 from glnls import models as md
 from glnls import noise as nz
-from glnls.spectral import basis_mode
+from glnls.spectral import PhysicalGrid, basis_mode, to_physical
 
 CONSTS = fn.FunctionalConstants()
 NO_NOISE = nz.NoiseSpec(np.zeros(0))
@@ -119,6 +121,69 @@ class TestStep:
         rec = md.simulate_ensemble(u0, p, ic, NO_NOISE, 2.0, seed=5)
         got = float(fn.norm_h(rec.final[0]))
         assert got == pytest.approx(np.exp(-1.0), abs=1e-6)
+
+
+    @pytest.mark.parametrize("model, integ", [
+        ({}, {}),
+        ({"truncation": 0.5}, {"noise_mode": "em"}),
+        ({}, {"scheme": "expeuler"}),
+        ({"nonlinear": False}, {}),
+    ], ids=["strang-exact", "truncated-em", "expeuler", "linear"])
+    def test_advance_from_open_is_step(self, model, integ):
+        M, B = 64, 64
+        rng = np.random.default_rng(0)
+        a = 0.4 * (rng.standard_normal((B, M)) + 1j * rng.standard_normal((B, M))) \
+            / np.arange(1, M + 1)
+        z = rng.standard_normal((B, 2, 8))
+        st = md.Stepper(md.ModelParams(gamma=0.05, alpha=1.0, M=M, **model),
+                        md.IntegratorConfig(dt=5e-3, **integ),
+                        nz.NoiseSpec.power_profile(8, 0.05, 2.0))
+        a_step, c_next = st.advance(st.open(a), z)
+        assert np.array_equal(a_step, st.step(a, z))
+        if st.integ.scheme == "expeuler" or not st.params.nonlinear:
+            assert st.open(a) is a and c_next is a_step
+
+    def test_fsal_tracks_repeated_step(self):
+        # ensemble settings with fields scaled x40 (|a| up to 1.3): the
+        # carried path differs from repeated step by the dropped projection
+        M, B = 64, 64
+        rng = np.random.default_rng([41, 1])
+        k = np.arange(1, M + 1)
+        a = 40 * 0.05 * (rng.standard_normal((B, M)) + 1j * rng.standard_normal((B, M))) / k**2
+        spec = nz.NoiseSpec.power_profile(8, 0.05, 2.0)
+        st = md.Stepper(md.ModelParams(gamma=0.05, alpha=1.0, M=M),
+                        md.IntegratorConfig(dt=5e-3), spec)
+        zs = nz.EnsembleNoise(41, np.arange(B), spec.N).next_block(200)
+        ref, c = a, st.open(a)
+        for s in range(200):
+            ref = st.step(ref, zs[:, s])
+            a, c = st.advance(c, zs[:, s])
+        assert np.linalg.norm(a - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_cutoff_skip_keeps_rows(self):
+        # one row reaches R, one is NaN, one stays below R: each row of the
+        # batch equals that row stepped alone, though only the batch (and the
+        # first row alone) evaluates the cut-off
+        M, R = 32, 1.0
+        rows = np.stack([1.5 * basis_mode(M, 1), 0.2 * basis_mode(M, 2),
+                         np.full(M, np.nan + 0j)])
+        dens = np.abs(to_physical(rows[:2], PhysicalGrid(2 * M))) ** 2
+        assert dens[0].max() > R > dens[1].max()
+        z = np.random.default_rng(1).standard_normal((3, 2, 4))
+        p = md.ModelParams(gamma=0.05, alpha=1.0, M=M, truncation=R)
+        spec = nz.NoiseSpec.power_profile(4, 0.05, 2.0)
+        with np.errstate(invalid="ignore"):
+            for ic in (md.IntegratorConfig(dt=5e-3),
+                       md.IntegratorConfig(dt=5e-3, scheme="expeuler")):
+                st = md.Stepper(p, ic, spec)
+                batch = st.advance(st.open(rows), z)
+                for i in range(3):
+                    alone = st.advance(st.open(rows[i]), z[i])
+                    for b, s in zip(batch, alone):
+                        assert np.array_equal(b[i], s, equal_nan=True)
+                # the cut-off still acts on the row that reaches R
+                full = md.Stepper(replace(p, truncation=None), ic, spec)
+                assert not np.allclose(batch[0][0], full.advance(full.open(rows[0]), z[0])[0])
 
 
 class TestSimulate:
