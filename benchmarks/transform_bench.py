@@ -1,4 +1,5 @@
-"""Timing of the two transform routes and of two stepping layouts.
+"""Timing of the two transform routes, of the stepping layouts and of the
+weighted coupling step.
 
 Run:  python benchmarks/transform_bench.py [M ...]
 
@@ -10,8 +11,15 @@ for that K.  This is the measurement behind that constant.  The per-step
 part times one Strang `Stepper.step` against one FSAL `Stepper.advance` at
 (M=64, B=64), the dense side, and (M=512, B=1), the DST side.  The stepping
 part compares batched ensemble stepping against a per-trajectory Python
-loop at equal trajectory counts.  All times are process CPU time, so BLAS
-or FFT worker threads count against the route that starts them.
+loop at equal trajectory counts.  The coupling part times, per
+trajectory-step, one weighted exponential-Euler step plus Phi of both
+members at (M=32, 256 pairs), the inner loop of `coupled_segment`, once
+with each admitted member synthesised once (the field shared by Phi and
+the next drift, as the package runs it) and once with the drift and
+`functionals.phi` synthesising on their own; and the kick's phase at
+(64, 128) as `models._phase` writes it (cos + i sin) against
+np.exp(1j theta).  All times are process CPU time, so BLAS or FFT worker
+threads count against the route that starts them.
 """
 
 import sys
@@ -19,6 +27,8 @@ import time
 
 import numpy as np
 
+from glnls import coupling as cp
+from glnls import functionals as fn
 from glnls import models as md
 from glnls import noise as nz
 from glnls import spectral as sp
@@ -90,6 +100,48 @@ def bench_stepping(M: int = 64, n_traj: int = 256, n_steps: int = 200):
           f"speedup {t_l / t_b:4.1f}x")
 
 
+def bench_weighted_step(M: int = 32, pairs: int = 256):
+    params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+    spec = nz.NoiseSpec.power_profile(8, 1.0, 2.0)
+    st = md.Stepper(params, md.IntegratorConfig(dt=1e-3, scheme="expeuler",
+                                                noise_mode="em"), spec)
+    consts = fn.FunctionalConstants()
+    rng = np.random.default_rng(0)
+    k = np.arange(1, M + 1)
+    u1 = 0.02 * (rng.standard_normal((pairs, M)) + 1j * rng.standard_normal((pairs, M))) / k**2
+    w = u1.copy()
+    w[:, 8:] += 0.01 * (rng.standard_normal((pairs, M - 8))) / k[8:]
+    z = rng.standard_normal((pairs, 2, spec.N))
+    zero = np.zeros(pairs)
+    h1 = fn.norm_hr_sq(u1, 1.0)  # the guard's, which both loops compute
+
+    def shared():
+        lin = [cp._admit_member(st, x, h, consts)[1]
+               for x, h in ((u1, h1), (w, fn.norm_hr_sq(w, 1.0)))]
+        cp._weighted_step(st, *lin, zero, zero, z, 0.0)
+
+    def unshared():
+        cp._weighted_step(st, st.drift(u1), st.drift(w), zero, zero, z, 0.0)
+        fn.phi(u1, consts)
+        fn.phi(w, consts)
+
+    per = 1e6 / (2 * pairs)
+    t_s, t_u = cpu_time(shared), cpu_time(unshared)
+    print(f"weighted step + Phi M={M} x {pairs} pairs, per trajectory-step: shared field "
+          f"{t_s * per:6.2f} us   separate syntheses {t_u * per:6.2f} us   "
+          f"ratio {t_u / t_s:4.2f}")
+
+
+def bench_phase(B: int = 64, K: int = 128):
+    params = md.ModelParams(gamma=0.05, alpha=1.0, M=K // 2)
+    dens = np.random.default_rng(0).uniform(0.0, 2.0, (B, K))
+    tau = 2.5e-3
+    t_new = cpu_time(lambda: md._phase(dens, tau, params))
+    t_exp = cpu_time(lambda: np.exp(1j * (tau * dens)))
+    print(f"kick phase ({B}, {K}): cos + i sin {t_new * 1e6:7.1f} us   "
+          f"exp(1j theta) {t_exp * 1e6:7.1f} us   ratio {t_exp / t_new:4.2f}")
+
+
 if __name__ == "__main__":
     sizes = [int(x) for x in sys.argv[1:]] or [16, 64, 128, 256, 512, 1024]
     print(f"DENSE_MAX_POINTS = {sp.DENSE_MAX_POINTS}")
@@ -99,3 +151,5 @@ if __name__ == "__main__":
     for M, batch in ((64, 64), (512, 1)):
         bench_step(M, batch)
     bench_stepping()
+    bench_weighted_step()
+    bench_phase()

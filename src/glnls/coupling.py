@@ -29,6 +29,13 @@ budget E_4 leaves theta + beta^4 + C4*(t - lT), or when the accumulated
 Girsanov budget integral int (1 + Phi_1^4 + Phi_2^4)||u1-u2||_{H^1}^2 passes
 rho2 e^{-alpha k T / 4}.
 
+Cost.  The budgets need Phi of both members at every step.  Each admitted
+member is synthesised once per step (``models.physical_field``): the field
+gives its ||u||_{L^4}^4 for Phi and, at once, its drift for the next step,
+and u1's H^1 norm comes from the blow-up guard.  A pair-step thus makes two
+syntheses and two analyses, and the loop carries the drifts, not the
+larger fields.
+
 Exclusion.  A pair whose u1 crosses the blow-up guard (see ``models``) is
 excluded from the step that crossed on: its members, log weight, Girsanov
 cost, E_4 budgets and budget integral all keep their values from before
@@ -46,8 +53,8 @@ import numpy as np
 
 from . import functionals as fn
 from .functionals import FunctionalConstants
-from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, record_schedule,
-                     simulate_ensemble, steps)
+from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, field_energy,
+                     physical_field, record_schedule, simulate_ensemble, steps)
 from .noise import EnsembleNoise, NoiseSpec, increments_from_normals
 from .spectral import project_high, project_low
 
@@ -258,17 +265,16 @@ def _weighted_stepper(
     return Stepper(params, integ, spec)
 
 
-def _weighted_step(stepper: Stepper, u1, w, logw, cost, z, offset):
-    """One step of a weighted pair; returns the new (u1, w, logw, cost).
+def _weighted_step(stepper: Stepper, lin1, linw, logw, cost, z, offset):
+    """One step of a weighted pair from its drifts; returns the new (u1, w, logw, cost).
 
-    u1 takes the exponential-Euler step; w takes it with the same noise,
-    except that its low modes land exactly on u1's plus ``offset`` (the
-    bridge's interpolation term, 0 on a coupled segment).  The Gaussian
-    shift of w's low-mode increments that does this is charged to the log
-    weight and the cost.
+    u1 takes the exponential-Euler step, its drift lin1 plus the noise; w
+    takes it with the same noise, except that its low modes land exactly on
+    u1's plus ``offset`` (the bridge's interpolation term, 0 on a coupled
+    segment).  The Gaussian shift of w's low-mode increments that does this
+    is charged to the log weight and the cost.
     """
     N, dt = stepper.spec.N, stepper.integ.dt
-    lin1, linw = stepper.drift(u1), stepper.drift(w)
     noise = stepper.noise(z)
     u1n, wn = lin1 + noise, linw + noise
     wn[..., :N] = u1n[..., :N] + offset
@@ -277,6 +283,17 @@ def _weighted_step(stepper: Stepper, u1, w, logw, cost, z, offset):
         delta, increments_from_normals(z, dt), stepper.spec.lambdas, dt
     )
     return u1n, wn, logw + dlw, cost + dcost
+
+
+def _admit_member(stepper: Stepper, a, h1sq, consts: FunctionalConstants, more=True):
+    """(Phi, drift) of an admitted pair member from one synthesis of it.
+
+    h1sq is ||a||_{H^1}^2; the drift is the next step's Stepper.drift(a),
+    None when no step follows (more=False).
+    """
+    field = physical_field(a, stepper.params)
+    return (field_energy(a, field, h1sq, stepper.params, consts)[-1],
+            stepper.drift(a, field) if more else None)
 
 
 @dataclass
@@ -322,8 +339,9 @@ def girsanov_attempt(
     ids = traj_ids if traj_ids is not None else np.arange(n_attempts)
     source = EnsembleNoise(seed, ids, spec.N)
 
-    phi1_0 = fn.phi(u1, consts)
-    phi2_0 = fn.phi(u2, consts)
+    guard = BlowUpGuard(integ, u1)
+    phi1_0, lin1 = _admit_member(stepper, u1, guard.h1sq, consts)
+    phi2_0, linw = _admit_member(stepper, w, fn.norm_hr_sq(w, 1.0), consts)
     e4_1 = fn.EnAccumulator(4, params.alpha)
     e4_2 = fn.EnAccumulator(4, params.alpha)
     e4_1.reset(phi1_0)
@@ -331,17 +349,20 @@ def girsanov_attempt(
 
     logw = np.zeros(n_attempts)
     cost = np.zeros(n_attempts)
-    guard = BlowUpGuard(integ, u1)
     for s, (z, _) in enumerate(steps(source, n_steps)):
         # exact bridge: X_hat(next) = P_N u1(next) + zeta_next * delta0
         zeta_next = (cfg.t1 - (s + 1) * dt) / cfg.t1
         u1, w, logw, cost = guard.admit(
             (u1, w, logw, cost),
-            _weighted_step(stepper, u1, w, logw, cost, z, zeta_next * delta0),
+            _weighted_step(stepper, lin1, linw, logw, cost, z, zeta_next * delta0),
         )
+        del lin1, linw  # spent; freed before the next drifts are built
+        more = s + 1 < n_steps
+        ph1, lin1 = _admit_member(stepper, u1, guard.h1sq, consts, more)
+        ph2, linw = _admit_member(stepper, w, fn.norm_hr_sq(w, 1.0), consts, more)
         dt_live = guard.hold(0.0, dt)  # an excluded pair's E_4 stops integrating
-        e4_1.push(fn.phi(u1, consts), dt_live)
-        e4_2.push(fn.phi(w, consts), dt_live)
+        e4_1.push(ph1, dt_live)
+        e4_2.push(ph2, dt_live)
 
     allow_1 = phi1_0**4 + cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
     allow_2 = phi2_0**4 + cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
@@ -418,6 +439,7 @@ def coupled_segment(
     budget_crossed = state.budget_crossed.copy()
     guard = BlowUpGuard(integ, u1)
     guard.excluded |= state.excluded
+    lin1, linw = stepper.drift(u1), stepper.drift(w)
 
     n_rec = len(rec_idx)
     rec = SegmentRecord(
@@ -436,11 +458,13 @@ def coupled_segment(
     nxt = 1
     for done, (z, recorded) in enumerate(steps(source, n_steps, rec_idx), start=1):
         u1, w, logw, cost = guard.admit(
-            (u1, w, logw, cost), _weighted_step(stepper, u1, w, logw, cost, z, 0.0)
+            (u1, w, logw, cost), _weighted_step(stepper, lin1, linw, logw, cost, z, 0.0)
         )
+        del lin1, linw  # spent; freed before the next drifts are built
+        more = done < n_steps
+        ph1, lin1 = _admit_member(stepper, u1, guard.h1sq, consts, more)
+        ph2, linw = _admit_member(stepper, w, fn.norm_hr_sq(w, 1.0), consts, more)
         dt_live = guard.hold(0.0, dt)  # an excluded pair's budgets stop integrating
-        ph1 = fn.phi(u1, consts)
-        ph2 = fn.phi(w, consts)
         e4_1.push(ph1, dt_live)
         e4_2.push(ph2, dt_live)
         budget_int += (1.0 + ph1**4 + ph2**4) * fn.norm_hr_sq(u1 - w, 1.0) * dt_live

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,17 +88,22 @@ def norm_h_sq(a: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(a) ** 2, axis=-1)
 
 
+@lru_cache(maxsize=16)
+def _hr_weights(M: int, r: float) -> np.ndarray:
+    """Read-only alpha_k^r for k = 1..M."""
+    w = eigenvalues(M) ** r
+    w.flags.writeable = False
+    return w
+
+
 def norm_hr(a: np.ndarray, r: float) -> np.ndarray:
     """||u||_{H^r} = (sum_k alpha_k^r |a_k|^2)^(1/2)."""
-    a = np.asarray(a)
-    w = eigenvalues(a.shape[-1]) ** r
-    return np.sqrt(np.sum(w * np.abs(a) ** 2, axis=-1))
+    return np.sqrt(norm_hr_sq(a, r))
 
 
 def norm_hr_sq(a: np.ndarray, r: float) -> np.ndarray:
     a = np.asarray(a)
-    w = eigenvalues(a.shape[-1]) ** r
-    return np.sum(w * np.abs(a) ** 2, axis=-1)
+    return np.sum(_hr_weights(a.shape[-1], r) * np.abs(a) ** 2, axis=-1)
 
 
 def _quad_mean(values_p: np.ndarray) -> np.ndarray:
@@ -133,20 +139,36 @@ def l4_norm4(a: np.ndarray) -> np.ndarray:
     return _quad_mean(np.abs(v) ** 4)
 
 
+def l4_norm4_from_density(dens: np.ndarray) -> np.ndarray:
+    """||u||_{L^4}^4 from dens = |u|^2 at the K interior nodes of a grid.
+
+    Exact for an M-mode field once K >= 2M, for the reason given in the
+    module docstring; on a coarser grid the quadrature aliases.
+    """
+    return _quad_mean(dens * dens)
+
+
 # ---------------------------------------------------------------------------
 # Psi, Phi and their inequality structure
 # ---------------------------------------------------------------------------
 
+def psi_phi(h2, h1sq, l4, consts: FunctionalConstants) -> tuple:
+    """(Psi, Phi) from ||u||_H^2, ||u||_{H^1}^2 and ||u||_{L^4}^4.
+
+    For callers that hold the three norms already; psi and phi compute them.
+    """
+    ps = h1sq - 0.5 * l4 + consts.kappa * h2**3
+    return ps, ps + consts.kappa * h2**9
+
+
 def psi(a: np.ndarray, consts: FunctionalConstants) -> np.ndarray:
     """Psi(u) = ||u||_{H^1}^2 - 1/2 ||u||_{L^4}^4 + kappa ||u||_H^6."""
-    h2 = norm_h_sq(a)
-    return norm_hr_sq(a, 1.0) - 0.5 * l4_norm4(a) + consts.kappa * h2**3
+    return psi_phi(norm_h_sq(a), norm_hr_sq(a, 1.0), l4_norm4(a), consts)[0]
 
 
 def phi(a: np.ndarray, consts: FunctionalConstants) -> np.ndarray:
     """Phi(u) = Psi(u) + kappa ||u||_H^18."""
-    h2 = norm_h_sq(a)
-    return psi(a, consts) + consts.kappa * h2**9
+    return psi_phi(norm_h_sq(a), norm_hr_sq(a, 1.0), l4_norm4(a), consts)[1]
 
 
 def phi_lower_bound(a: np.ndarray, consts: FunctionalConstants) -> np.ndarray:

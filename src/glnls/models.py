@@ -22,8 +22,9 @@ Two one-step schemes are provided:
     The stepping drivers run it first-same-as-last (FSAL; Strang 1968,
     Hairer-Lubich-Wanner, Geometric Numerical Integration, II.5): step n's
     closing half-kick and step n+1's opening one are merged into one full
-    kick, so a step makes one synthesis, two analyses and one complex
-    exponential instead of two of each.  Each driver carries the
+    kick, so a step makes one synthesis, two analyses and one phase
+    (a cosine and a sine of |v|^2 written into one complex array) instead
+    of two of each.  Each driver carries the
     half-kicked state c next to the Strang state a; records, the blow-up
     guard, the mass integrals and the final state all read a, which is the
     exact Strang state of the step from c.  The merged kick drops the
@@ -40,6 +41,15 @@ Two one-step schemes are provided:
     (a_k + dt NL_k(u)) + xi_k.  First order; exact for linear dynamics.
     Used by the coupling machinery, whose drift-shift bookkeeping wants the
     noise to enter linearly.
+
+    Its drivers synthesise each admitted state once per step.
+    ``physical_field`` gives (v, |v|^2) on the ``pad_points`` grid; that
+    one field feeds the state's Phi, through ||u||_{L^4}^4 =
+    sum |v|^4/(K+1) (``field_energy``), and the next step's drift
+    (``Stepper.drift(a, field)``).  The guard's H^1 norms of the admitted
+    state (``BlowUpGuard.h1sq``) are Phi's H^1 term.  Under FSAL Strang
+    the kick synthesises decay c + noise, not the Strang state a, so Phi
+    and records there make a synthesis of their own.
 
 The cubic term is evaluated pseudo-spectrally on a refined grid.  In the
 sine basis a cubic of an M-mode field has modes up to 3M, and a padded grid
@@ -168,21 +178,42 @@ def _cutoff(dens: np.ndarray, R: float):
     return cutoff_smoothstep(dens, R) if np.any(dens > R) else 1.0
 
 
-def _phase(v: np.ndarray, tau: float, params: ModelParams) -> np.ndarray:
-    """exp(i tau |v|^2 phi_R(|v|^2)) at the nodes: the kick's pointwise phase."""
-    dens = np.abs(v) ** 2
+def physical_field(a: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(v, |v|^2): the states a synthesised on the pad_points grid, and their
+    density; what the cubic term, the kick and ``field_energy`` read."""
+    v = to_physical(a, PhysicalGrid(params.pad_points))
+    return v, np.abs(v) ** 2
+
+
+def _phase(dens: np.ndarray, tau: float, params: ModelParams) -> np.ndarray:
+    """exp(i tau dens phi_R(dens)) at the nodes: the kick's pointwise phase.
+
+    cos and sin written into one complex array, the angle staged in its
+    imaginary part: the values of np.exp(1j ...) at half its cost, and no
+    array besides the result.
+    """
     if params.truncation is not None:
         dens = dens * _cutoff(dens, params.truncation)
-    return np.exp(1j * tau * dens)
+    e = np.empty(dens.shape, dtype=np.complex128)
+    theta = np.multiply(dens, tau, out=e.imag)
+    np.cos(theta, out=e.real)
+    np.sin(theta, out=theta)
+    return e
+
+
+def _cubic(field: tuple, R: float | None, M: int) -> np.ndarray:
+    """Coefficients of i|u|^2 u (times phi_R(|u|^2) when R is set) from the field."""
+    v, dens = field
+    w = 1j * dens * v
+    if R is not None:
+        w = w * _cutoff(dens, R)
+    return to_spectral(w, M)
 
 
 def nonlinearity(a: np.ndarray, params: ModelParams) -> np.ndarray:
     """Spectral coefficients of i|u|^2 u, dealiased by zero padding."""
     a = np.asarray(a, dtype=np.complex128)
-    M = a.shape[-1]
-    v = to_physical(a, PhysicalGrid(params.pad_points))
-    w = 1j * np.abs(v) ** 2 * v
-    return to_spectral(w, M)
+    return _cubic(physical_field(a, params), None, a.shape[-1])
 
 
 def truncated_nonlinearity(a: np.ndarray, R: float, params: ModelParams) -> np.ndarray:
@@ -190,31 +221,59 @@ def truncated_nonlinearity(a: np.ndarray, R: float, params: ModelParams) -> np.n
     if R <= 0:
         raise ValueError("truncation radius R must be positive")
     a = np.asarray(a, dtype=np.complex128)
-    M = a.shape[-1]
-    v = to_physical(a, PhysicalGrid(params.pad_points))
-    dens = np.abs(v) ** 2
-    w = 1j * dens * v * _cutoff(dens, R)
-    return to_spectral(w, M)
+    return _cubic(physical_field(a, params), R, a.shape[-1])
 
 
-def nl_coeffs(a: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The active nonlinearity for these params (cubic, truncated or none)."""
+def nl_coeffs(a: np.ndarray, params: ModelParams, field: tuple | None = None) -> np.ndarray:
+    """The active nonlinearity for these params (cubic, truncated or none).
+
+    field, when given, is physical_field(a, params) and spares the synthesis.
+    """
+    a = np.asarray(a, dtype=np.complex128)
     if not params.nonlinear:
-        return np.zeros_like(np.asarray(a, dtype=np.complex128))
-    if params.truncation is not None:
-        return truncated_nonlinearity(a, params.truncation, params)
-    return nonlinearity(a, params)
+        return np.zeros_like(a)
+    if field is None:
+        field = physical_field(a, params)
+    return _cubic(field, params.truncation, a.shape[-1])
+
+
+def _kick_field(a: np.ndarray, tau: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(v, e): the field of a and the phase of a kick over tau at its nodes.
+
+    The density is dropped here, before the caller's products are formed.
+    """
+    v, dens = physical_field(a, params)
+    return v, _phase(dens, tau, params)
 
 
 def _kick(a: np.ndarray, tau: float, params: ModelParams) -> np.ndarray:
     """Exact flow of du/dt = i|u|^2 u (phi_R) over tau: a pointwise phase."""
     if not params.nonlinear or tau == 0.0:
         return a
-    v = to_physical(a, PhysicalGrid(params.pad_points))
-    # Not v * np.exp(...): from 256 KiB numpy reuses the temporary exp array
-    # for the product, and that in-place complex multiply rounds differently,
-    # which would make a trajectory depend on the size of its batch.
-    return to_spectral(np.multiply(v, _phase(v, tau, params)), a.shape[-1])
+    v, e = _kick_field(a, tau, params)
+    # Never v * (a temporary phase): from 256 KiB numpy reuses a temporary
+    # operand for the product, and that in-place complex multiply rounds
+    # differently, which would make a trajectory depend on the size of its
+    # batch.
+    return to_spectral(np.multiply(v, e), a.shape[-1])
+
+
+def field_energy(a: np.ndarray, field: tuple, h1sq, params: ModelParams,
+                 consts: FunctionalConstants) -> tuple:
+    """(||u||_H^2, ||u||_{L^4}^4, Psi, Phi) of the states a, from
+    field = physical_field(a, params) and h1sq = ||a||_{H^1}^2.
+
+    The values of fn.psi and fn.phi, without a synthesis of their own.
+    |u|^4 has cosine modes up to 4M, so the L^4 quadrature on the pad_points
+    grid is exact once that grid has 2M points.  With dealias=False it has
+    M, and l4_norm4's own 2M+1-point grid is used instead.
+    """
+    h2 = fn.norm_h_sq(a)
+    if params.pad_points >= 2 * params.M:
+        l4 = fn.l4_norm4_from_density(field[1])
+    else:
+        l4 = fn.l4_norm4(a)
+    return (h2, l4, *fn.psi_phi(h2, h1sq, l4, consts))
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +322,12 @@ class Stepper:
         dw = increments_from_normals(zpair, self.integ.dt)
         return self.noise_scale * dw
 
-    def drift(self, a: np.ndarray) -> np.ndarray:
-        """Deterministic part of the exponential-Euler step, e^{-L dt} (a + dt NL(a))."""
-        return self.decay * (a + self.integ.dt * nl_coeffs(a, self.params))
+    def drift(self, a: np.ndarray, field: tuple | None = None) -> np.ndarray:
+        """Deterministic part of the exponential-Euler step, e^{-L dt} (a + dt NL(a)).
+
+        field, when given, is physical_field(a, params) (see nl_coeffs).
+        """
+        return self.decay * (a + self.integ.dt * nl_coeffs(a, self.params, field))
 
     def step(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
         """One step from a; the single-step reference for advance."""
@@ -284,20 +346,28 @@ class Stepper:
         with a nonlinearity, a itself otherwise."""
         return _kick(a, 0.5 * self.integ.dt, self.params) if self._fsal() else a
 
-    def advance(self, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def advance(self, c: np.ndarray, z: np.ndarray,
+                field: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
         """One step from the carried state c: (a, c_next).
 
         a = P K(dt/2) (decay c + noise) is the Strang state after the step;
         c_next = P K(dt) (decay c + noise) merges its closing half-kick with
         the next step's opening one.  Both come from one synthesis v and one
         phase e: a = analysis(v e), c_next = analysis(v e e).
+
+        Under exponential Euler c is the state itself, and field, when
+        given, is physical_field(c, params): the drift then makes no
+        synthesis of its own.  The FSAL step synthesises decay c + noise,
+        not c, and does not read it.
         """
         if not self._fsal():
-            a = self.step(c, z)
+            if self.integ.scheme == "expeuler":
+                a = self.drift(c, field) + self.noise(z)
+            else:
+                a = self.step(c, z)
             return a, a
         b = self.decay * c + self.noise(z)
-        v = to_physical(b, PhysicalGrid(self.params.pad_points))
-        e = _phase(v, 0.5 * self.integ.dt, self.params)
+        v, e = _kick_field(b, 0.5 * self.integ.dt, self.params)
         w = np.multiply(v, e)
         M = self.params.M
         return to_spectral(w, M), to_spectral(np.multiply(w, e), M)
@@ -332,12 +402,15 @@ class BlowUpGuard:
 
     check(a) excludes every row of a past the guard and returns the squared
     H^1 norms; hold(old, new) keeps the excluded rows of new at old.  Rows
-    are linked by or-ing into ``excluded`` between the two calls.
+    are linked by or-ing into ``excluded`` between the two calls.  admit
+    does both and keeps ``h1sq``, the squared H^1 norms of the admitted
+    rows, which a frozen row holds at its frozen state's.
     """
 
     def __init__(self, integ: IntegratorConfig, a: np.ndarray):
         self.limit = integ.blowup_guard**2
         self.excluded = np.zeros(np.shape(a)[:-1], dtype=bool)
+        self.h1sq = fn.norm_hr_sq(a, 1.0)
 
     def check(self, a: np.ndarray) -> np.ndarray:
         h1sq = fn.norm_hr_sq(a, 1.0)
@@ -352,8 +425,9 @@ class BlowUpGuard:
         return np.where(self.excluded.reshape(self.excluded.shape + extra), old, new)
 
     def admit(self, old: tuple, new: tuple) -> tuple:
-        """check(new[0]), then hold every array of the tuple new at old."""
-        self.check(new[0])
+        """check(new[0]), then hold every array of the tuple new, and h1sq, at old."""
+        h1sq = self.check(new[0])
+        self.h1sq = self.hold(self.h1sq, h1sq)
         return tuple(self.hold(o, n) for o, n in zip(old, new))
 
 
@@ -439,12 +513,6 @@ def simulate_ensemble(
     stepper = Stepper(params, integ, spec)
     source = EnsembleNoise(seed, traj_ids, spec.N)
 
-    e1 = fn.EnAccumulator(1, params.alpha)
-    e4 = fn.EnAccumulator(4, params.alpha)
-    phi0 = fn.phi(u0, consts)
-    e1.reset(phi0)
-    e4.reset(phi0)
-
     cols = {
         name: np.empty((n_rec, B))
         for name in ("H", "H1", "L4", "psi", "phi", "E1", "E4")
@@ -459,16 +527,30 @@ def simulate_ensemble(
     a = u0.copy()
     c = stepper.open(a)
     guard = BlowUpGuard(integ, a)
-    prev_h = fn.norm_h_sq(a)
-    prev_h1 = fn.norm_hr_sq(a, 1.0)
+
+    def measure(a):
+        """(field, ||u||_H^2, ||u||_{L^4}^4, Psi, Phi) of the admitted states a.
+
+        The next exponential-Euler drift reads the field, so that scheme
+        keeps it and synthesises a once per step; under Strang it is None.
+        """
+        field = physical_field(a, params)
+        return (field if integ.scheme == "expeuler" else None,
+                *field_energy(a, field, guard.h1sq, params, consts))
+
+    field, h2, l4, ps, ph = measure(a)
+    e1 = fn.EnAccumulator(1, params.alpha)
+    e4 = fn.EnAccumulator(4, params.alpha)
+    e1.reset(ph)
+    e4.reset(ph)
+    prev_h = h2
 
     def record(i_rec: int):
-        cols["H"][i_rec] = fn.norm_h_sq(a)
-        cols["H1"][i_rec] = prev_h1  # the guard's norm of the current state
-        cols["L4"][i_rec] = fn.l4_norm4(a)
-        ps = fn.psi(a, consts)
+        cols["H"][i_rec] = h2
+        cols["H1"][i_rec] = guard.h1sq
+        cols["L4"][i_rec] = l4
         cols["psi"][i_rec] = ps
-        cols["phi"][i_rec] = ps + consts.kappa * cols["H"][i_rec] ** 9
+        cols["phi"][i_rec] = ph
         cols["E1"][i_rec] = e1.value()
         cols["E4"][i_rec] = e4.value()
         if states is not None:
@@ -480,26 +562,24 @@ def simulate_ensemble(
     record(0)
     i_rec = 0
     for z, recorded in steps(source, n_steps, rec_idx):
-        a_new, c_new = stepper.advance(c, z)
-        h1sq = guard.check(a_new)
-        a, c = guard.hold(a, a_new), guard.hold(c, c_new)
-        # frozen rows keep the H^1 norm of their frozen state
-        h1sq = guard.hold(prev_h1, h1sq)
+        prev_h1 = guard.h1sq
+        a, c = guard.admit((a, c), stepper.advance(c, z, field))
+        field = None
+        if track_phi_every_step or recorded:
+            field, h2, l4, ps, ph = measure(a)
+        elif track_mass_integrals:
+            h2 = fn.norm_h_sq(a)
         # left-endpoint E_n pushes and trapezoid mass integrals
         if track_phi_every_step:
-            ph = fn.phi(a, consts)
             e1.push(ph, integ.dt)
             e4.push(ph, integ.dt)
         if track_mass_integrals:
-            cur_h = fn.norm_h_sq(a)
-            int_h += 0.5 * (prev_h + cur_h) * integ.dt
-            int_h1 += 0.5 * (prev_h1 + h1sq) * integ.dt
-            prev_h = cur_h
-        prev_h1 = h1sq
+            int_h += 0.5 * (prev_h + h2) * integ.dt
+            int_h1 += 0.5 * (prev_h1 + guard.h1sq) * integ.dt
+            prev_h = h2
         if recorded:
             i_rec += 1
             if not track_phi_every_step:
-                ph = fn.phi(a, consts)
                 # stride-resolution E_n when per-step Phi is off
                 gap = integ.dt * (rec_idx[i_rec] - rec_idx[i_rec - 1])
                 e1.push(ph, gap)

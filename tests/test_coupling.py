@@ -359,3 +359,181 @@ class TestStopping:
                              segment_k=0)
         # rho2 = 0.5; the ramp crosses at t = 1.0
         assert rep.girsanov_budget_exceedance == pytest.approx(1.0, abs=0.1)
+
+
+class TestSharedFieldReference:
+    """The coupling loops share one synthesis per admitted state between the
+    next drift and Phi; here they are replayed by reference loops in which
+    every drift and every Phi synthesises on its own (Stepper.drift, fn.phi)."""
+
+    M, N = 32, 8
+
+    def _setup(self, n=8):
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=self.M)
+        spec = nz.NoiseSpec.power_profile(self.N, 1.0, 2.0)
+        rng = np.random.default_rng(31)
+        k = np.arange(1, self.M + 1)
+        u1 = 0.3 * (rng.standard_normal((n, self.M))
+                    + 1j * rng.standard_normal((n, self.M))) / k**2
+        u2 = u1 + 0.05 * (rng.standard_normal((n, self.M))
+                          + 1j * rng.standard_normal((n, self.M))) / k
+        return params, spec, u1, u2
+
+    @staticmethod
+    def _ref_step(st, u1, w, z, offset):
+        """_weighted_step with each member's drift synthesising it afresh."""
+        N, dt = st.spec.N, st.integ.dt
+        lin1, linw = st.drift(u1), st.drift(w)
+        noise = st.noise(z)
+        u1n, wn = lin1 + noise, linw + noise
+        wn[:, :N] = u1n[:, :N] + offset
+        dlw, dcost = cp._shift_logweight(lin1[:, :N] - linw[:, :N] + offset,
+                                         nz.increments_from_normals(z, dt),
+                                         st.spec.lambdas, dt)
+        return u1n, wn, dlw, dcost
+
+    @staticmethod
+    def _close(x, y, rel=1e-12):
+        assert np.max(np.abs(x - y) / np.maximum(np.abs(y), 1e-300)) <= rel
+
+    def test_girsanov_attempt(self):
+        params, spec, u1, u2 = self._setup()
+        n = len(u1)
+        cfg = cp.CouplingConfig(N=self.N, theta=1.0, beta=1e-3**0.1, T=0.025,
+                                c4_hat=3.0, k41_hat=1.0, consts=CONSTS)
+        integ = md.IntegratorConfig(dt=cfg.t1 / 50, scheme="expeuler", noise_mode="em")
+        rep = cp.girsanov_attempt(u1, u2, cfg, params, integ, spec, seed=32, n_attempts=n)
+
+        st = md.Stepper(params, integ, spec)
+        zs = nz.EnsembleNoise(32, np.arange(n), spec.N).next_block(50)
+        a, w = u1.copy(), u2.copy()
+        delta0 = (u2 - u1)[:, :self.N]
+        logw, cost = np.zeros(n), np.zeros(n)
+        phi1_0, phi2_0 = fn.phi(a, CONSTS), fn.phi(w, CONSTS)
+        e1, e2 = fn.EnAccumulator(4, params.alpha), fn.EnAccumulator(4, params.alpha)
+        e1.reset(phi1_0)
+        e2.reset(phi2_0)
+        for s in range(50):
+            zeta = (cfg.t1 - (s + 1) * integ.dt) / cfg.t1
+            a, w, dlw, dcost = self._ref_step(st, a, w, zs[:, s], zeta * delta0)
+            logw, cost = logw + dlw, cost + dcost
+            e1.push(fn.phi(a, CONSTS), integ.dt)
+            e2.push(fn.phi(w, CONSTS), integ.dt)
+        slack = cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
+        success = (e1.value() <= phi1_0**4 + slack) & (e2.value() <= phi2_0**4 + slack)
+
+        assert not rep.excluded.any()
+        assert 0 < success.sum() < n  # the budgets bind on some pairs, not all
+        assert np.array_equal(rep.state.u1, a)
+        assert np.array_equal(rep.state.u2_high, project_high(w, self.N))
+        assert np.array_equal(rep.log_weight, logw)
+        assert np.array_equal(rep.cost, cost)
+        assert np.array_equal(rep.success, success)
+
+    def test_chained_segments(self):
+        params, spec, u1, u2 = self._setup()
+        cfg = cp.CouplingConfig(N=self.N, theta=100.0, beta=0.5, T=0.025, c4_hat=1.0,
+                                k41_hat=1.0, consts=CONSTS, rho2=0.1)
+        integ = md.IntegratorConfig(dt=1e-3, scheme="expeuler", noise_mode="em")
+        st = md.Stepper(params, integ, spec)
+        state = cp.make_coupled_state(u1, u2, cfg, CONSTS)
+        a, w = state.u1.copy(), state.u2_composite(self.N)
+        logw, cost, budget = np.zeros(len(a)), np.zeros(len(a)), np.zeros(len(a))
+        e1, e2 = fn.EnAccumulator(4, params.alpha), fn.EnAccumulator(4, params.alpha)
+        e1.reset(fn.phi(a, CONSTS))
+        e2.reset(fn.phi(w, CONSTS))
+        e4_bad = np.zeros(len(a), bool)
+        bud_bad = np.zeros(len(a), bool)
+        for k in range(3):
+            seed = nz.derive_seed(33, f"segment-{k}")
+            state, _ = cp.coupled_segment(state, cfg, params, integ, spec, seed)
+            zs = nz.EnsembleNoise(seed, np.arange(len(a)), spec.N).next_block(25)
+            cap_k = cfg.rho2 * np.exp(-0.25 * params.alpha * k * cfg.T)
+            for s in range(25):
+                a, w, dlw, dcost = self._ref_step(st, a, w, zs[:, s], 0.0)
+                logw, cost = logw + dlw, cost + dcost
+                ph1, ph2 = fn.phi(a, CONSTS), fn.phi(w, CONSTS)
+                e1.push(ph1, integ.dt)
+                e2.push(ph2, integ.dt)
+                budget += (1.0 + ph1**4 + ph2**4) * fn.norm_hr_sq(a - w, 1.0) * integ.dt
+                cap = cfg.e4_budget(k * cfg.T + (s + 1) * integ.dt)
+                e4_bad |= (e1.value() > cap) | (e2.value() > cap)
+                bud_bad |= budget > cap_k
+            assert not state.excluded.any()
+            assert np.array_equal(state.u1, a)
+            assert np.array_equal(state.u2_high, project_high(w, self.N))
+            assert np.array_equal(state.log_weight, logw)
+            assert np.array_equal(state.girsanov_cost, cost)
+            assert np.array_equal(state.e4_crossed, e4_bad)
+            assert np.array_equal(state.budget_crossed, bud_bad)
+            assert np.array_equal(state.ell == cp.UNCOUPLED, e4_bad | bud_bad)
+            self._close(state.e4_1.value(), e1.value())
+            self._close(state.e4_2.value(), e2.value())
+            self._close(state.budget_integral, budget)
+        # both decoupling rules fire on some pairs and spare others
+        assert 0 < e4_bad.sum() < len(a) and 0 < bud_bad.sum() < len(a)
+
+    def test_pilot(self, monkeypatch):
+        params, spec, _, _ = self._setup()
+        n, T, dt, every = 8, 1.2, 2e-3, 25
+        seen = {}
+
+        def capture(*args, **kwargs):
+            seen["rec"] = md.simulate_ensemble(*args, **kwargs)
+            return seen["rec"]
+
+        monkeypatch.setattr(cp, "simulate_ensemble", capture)
+        pilot = cp.estimate_pilot_constants(params, spec, CONSTS, seed=34, n_traj=n,
+                                            T=T, dt=dt, record_every=every)
+        rec = seen["rec"]
+
+        st = md.Stepper(params, md.IntegratorConfig(dt=dt, scheme="expeuler",
+                                                    noise_mode="em"), spec)
+        n_steps = int(round(T / dt))
+        zs = nz.EnsembleNoise(34, np.arange(n), spec.N).next_block(n_steps)
+        a = np.zeros((n, self.M), complex)
+        e4 = fn.EnAccumulator(4, params.alpha)
+        e4.reset(fn.phi(a, CONSTS))
+        E4 = [e4.value()]
+        for s in range(n_steps):
+            a = st.step(a, zs[:, s])
+            e4.push(fn.phi(a, CONSTS), dt)
+            if (s + 1) % every == 0:
+                E4.append(e4.value())
+        E4 = np.array(E4)
+        t = np.arange(len(E4)) * every * dt
+        late = t >= 1.0
+        c4 = float(np.quantile(E4[late] / t[late][:, None], 0.99))
+
+        assert np.array_equal(rec.final, a)
+        self._close(rec.energy.E4, E4)
+        self._close(pilot.c4_hat, c4)
+
+    def test_rebatched_pairs_alone(self):
+        params, spec, u1, u2 = self._setup(n=4)
+        u2 = u1 + 0.01 * (u2 - u1)  # keeps the log weights far from collapse
+        cfg = cp.CouplingConfig(N=self.N, theta=1.0, beta=1e-3**0.1, T=0.01,
+                                c4_hat=3.0, k41_hat=1.0, consts=CONSTS)
+        bridge = md.IntegratorConfig(dt=cfg.t1 / 20, scheme="expeuler", noise_mode="em")
+        integ = md.IntegratorConfig(dt=1e-3, scheme="expeuler", noise_mode="em")
+
+        def run(rows):
+            ids = np.asarray(rows)
+            rep = cp.girsanov_attempt(u1[rows], u2[rows], cfg, params, bridge, spec,
+                                      seed=35, n_attempts=len(ids), traj_ids=ids)
+            state = rep.state
+            for k in range(2):
+                state, _ = cp.coupled_segment(state, cfg, params, integ, spec, 36 + k,
+                                              traj_ids=ids)
+            return rep, state
+
+        rep, state = run([0, 1, 2, 3])
+        for i in range(4):
+            rep_i, state_i = run([i])
+            for name in ("log_weight", "cost", "success"):
+                assert np.array_equal(getattr(rep_i, name)[0], getattr(rep, name)[i])
+            for name in ("u1", "u2_high", "log_weight", "girsanov_cost", "budget_integral",
+                         "e4_crossed", "budget_crossed", "ell"):
+                assert np.array_equal(getattr(state_i, name)[0], getattr(state, name)[i]), name
+            assert state_i.e4_1.value()[0] == state.e4_1.value()[i]
+            assert state_i.e4_2.value()[0] == state.e4_2.value()[i]

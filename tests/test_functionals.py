@@ -4,7 +4,7 @@ import pytest
 from glnls import functionals as fn
 from glnls import models as md
 from glnls import noise as nz
-from glnls.spectral import basis_mode
+from glnls.spectral import basis_mode, eigenvalues
 
 CONSTS = fn.FunctionalConstants(kappa=1.0, kappa2=1.0, xi=0.1)
 
@@ -42,6 +42,12 @@ class TestNorms:
         a = random_field(rng, 12)
         for p in (2.0, 4.0, 6.0):
             assert fn.norm_lp(a, p) == pytest.approx(dense_lp_oracle(a, p), rel=1e-6)
+
+    def test_hr_weights_cached_read_only(self):
+        w = fn._hr_weights(8, 1.5)
+        assert w is fn._hr_weights(8, 1.5) and not w.flags.writeable
+        a = random_field(np.random.default_rng(7), 8)
+        assert fn.norm_hr_sq(a, 1.5) == np.sum(eigenvalues(8) ** 1.5 * np.abs(a) ** 2)
 
     def test_scaling(self):
         rng = np.random.default_rng(1)
@@ -101,6 +107,56 @@ class TestPsiPhi:
         assert np.all(
             fn.phi(fields, consts) >= fn.phi_lower_bound(fields, consts) - 1e-9
         )
+
+
+class TestSharedFieldPhi:
+    """Phi from the pad_points field the steppers synthesise, against fn.phi."""
+
+    @pytest.mark.parametrize("M", [8, 32, 64])
+    @pytest.mark.parametrize("pad_factor", [2, 3])
+    def test_matches_phi(self, M, pad_factor):
+        rng = np.random.default_rng([M, pad_factor])
+        a = np.stack([random_field(rng, M, d) for d in (0.5, 1.0, 2.0) for _ in range(4)])
+        p = md.ModelParams(gamma=0.05, alpha=1.0, M=M, pad_factor=pad_factor)
+        h2, l4, ps, ph = md.field_energy(a, md.physical_field(a, p), fn.norm_hr_sq(a, 1.0),
+                                         p, CONSTS)
+        assert np.array_equal(h2, fn.norm_h_sq(a))
+        for got, ref in ((l4, fn.l4_norm4(a)), (ps, fn.psi(a, CONSTS)), (ph, fn.phi(a, CONSTS))):
+            assert np.max(np.abs(got / ref - 1.0)) < 1e-13
+
+    def test_dealias_off_keeps_l4_grid(self):
+        # the M-point field aliases |u|^4, so the 2M+1-point grid of l4_norm4
+        # must give the L4 term, bit for bit
+        M = 16
+        a = random_field(np.random.default_rng(6), M, 0.5)[None]
+        p = md.ModelParams(gamma=0.05, alpha=1.0, M=M, dealias=False)
+        field = md.physical_field(a, p)
+        assert field[0].shape[-1] == M
+        assert abs(fn.l4_norm4_from_density(field[1]) / fn.l4_norm4(a) - 1.0) > 1e-6
+        got = md.field_energy(a, field, fn.norm_hr_sq(a, 1.0), p, CONSTS)
+        assert np.array_equal(got[1], fn.l4_norm4(a))
+        assert np.array_equal(got[3], fn.phi(a, CONSTS))
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_ensemble_records(self, dealias):
+        # the record columns against the reference functionals of the recorded states
+        M = 16
+        p = md.ModelParams(gamma=0.05, alpha=1.0, M=M, dealias=dealias)
+        spec = nz.NoiseSpec.power_profile(4, 0.5, 2.0)
+        for scheme in ("strang", "expeuler"):
+            integ = md.IntegratorConfig(dt=1e-3, record_every=7, scheme=scheme)
+            rec = md.simulate_ensemble(0.3 * basis_mode(M, 1), p, integ, spec, 0.05, seed=4,
+                                       traj_ids=np.arange(3), consts=CONSTS,
+                                       record_states=True)
+            e, u = rec.energy, rec.states
+            assert np.array_equal(e.H, fn.norm_h_sq(u))
+            assert np.array_equal(e.H1, fn.norm_hr_sq(u, 1.0))
+            for got, ref in ((e.L4, fn.l4_norm4(u)), (e.psi, fn.psi(u, CONSTS)),
+                             (e.phi, fn.phi(u, CONSTS))):
+                if dealias:
+                    assert np.max(np.abs(got / ref - 1.0)) < 1e-13
+                else:
+                    assert np.array_equal(got, ref)
 
 
 class TestKappaCalibration:

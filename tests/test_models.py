@@ -160,6 +160,21 @@ class TestStep:
             a, c = st.advance(c, zs[:, s])
         assert np.linalg.norm(a - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    def test_phase_equals_complex_exp(self):
+        # cos + i sin against exp(1j theta), bit for bit, with a row above R
+        # and a NaN row, with and without the cut-off
+        M, R, tau = 32, 1.0, 2.5e-3
+        rows = np.stack([1.5 * basis_mode(M, 1), 0.2 * basis_mode(M, 2) + 0.1 * basis_mode(M, 5),
+                         np.full(M, np.nan + 0j)])
+        for trunc in (None, R):
+            p = md.ModelParams(gamma=0.05, alpha=1.0, M=M, truncation=trunc)
+            dens = md.physical_field(rows, p)[1]
+            assert dens[0].max() > R > dens[1].max()
+            with np.errstate(invalid="ignore"):
+                theta = tau * (dens if trunc is None else dens * md.cutoff_smoothstep(dens, R))
+                assert np.array_equal(md._phase(dens, tau, p), np.exp(1j * theta),
+                                      equal_nan=True)
+
     def test_cutoff_skip_keeps_rows(self):
         # one row reaches R, one is NaN, one stays below R: each row of the
         # batch equals that row stepped alone, though only the batch (and the
@@ -223,6 +238,35 @@ class TestSimulate:
         batch = md.simulate_ensemble(u0, p, ic, spec, 0.1, seed=7, traj_ids=np.arange(200))
         sub = md.simulate_ensemble(u0, p, ic, spec, 0.1, seed=7, traj_ids=np.arange(100))
         assert np.array_equal(batch.final[:100], sub.final)
+
+    def test_expeuler_records_match_step_loop(self):
+        # each record's field is handed to the next drift, so the trajectory
+        # must equal repeated Stepper.step bit for bit, with every recorded
+        # column that of its state; rows 4..7 cross the H^1 guard at once
+        # and stay frozen, their H^1 column at the frozen state's
+        M, B, every, n_steps = 16, 8, 3, 20
+        amps = np.array([0.05, 0.1, 0.15, 0.2, 0.5, 0.6, 0.7, 0.8])
+        u0 = amps[:, None] * basis_mode(M, 1) + 0.1 * basis_mode(M, 4)
+        p = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+        ic = md.IntegratorConfig(dt=1e-3, scheme="expeuler", record_every=every,
+                                 blowup_guard=1.5)
+        spec = nz.NoiseSpec.power_profile(4, 0.3, 2.0)
+        rec = md.simulate_ensemble(u0, p, ic, spec, n_steps * ic.dt, seed=13,
+                                   consts=CONSTS, record_states=True)
+        st = md.Stepper(p, ic, spec)
+        zs = nz.EnsembleNoise(13, np.arange(B), spec.N).next_block(n_steps)
+        a, out = u0.copy(), [u0.copy()]
+        excluded = np.zeros(B, bool)
+        for s in range(n_steps):
+            new = st.step(a, zs[:, s])
+            excluded |= ~(fn.norm_hr_sq(new, 1.0) <= ic.blowup_guard**2)
+            a = np.where(excluded[:, None], a, new)
+            if (s + 1) % every == 0 or s + 1 == n_steps:
+                out.append(a)
+        assert np.array_equal(rec.excluded, amps > 0.4)
+        assert np.array_equal(rec.states, np.array(out))
+        assert np.array_equal(rec.energy.H1, fn.norm_hr_sq(rec.states, 1.0))
+        assert np.max(np.abs(rec.energy.phi / fn.phi(rec.states, CONSTS) - 1.0)) < 1e-13
 
     def test_pathwise_mass_law(self):
         p = md.ModelParams(gamma=0.0, alpha=0.5, M=64)
