@@ -1,6 +1,6 @@
 """Executable coupling machinery: the Foias-Prodi pinned pair, the low-mode
-Girsanov coupling on [0, t1], drift-corrected coupled segments with
-decoupling bookkeeping, and stopping-time detection.
+Girsanov coupling on [0, t1], and drift-corrected coupled segments with
+decoupling bookkeeping.
 
 Pinning.  While a pair is coupled its second member stores only high modes;
 the low modes are u1's by representation, so P_N u1 = P_N u2 holds exactly,
@@ -521,56 +521,6 @@ def recompute_decoupling(
     budget_cap = cfg.rho2 * np.exp(-0.25 * alpha * segment_k * cfg.T)
     bud_bad = np.any(rec.budget_integral[1:] > budget_cap, axis=0)
     return e4_bad | bud_bad
-
-
-# ---------------------------------------------------------------------------
-# stopping detection
-# ---------------------------------------------------------------------------
-
-def first_crossing(
-    times: np.ndarray, values: np.ndarray, threshold: np.ndarray | float, above: bool = True
-) -> float | None:
-    """First grid time at which the event holds (conservative: first point past)."""
-    values = np.asarray(values, dtype=float)
-    thr = np.broadcast_to(np.asarray(threshold, dtype=float), values.shape)
-    hit = values >= thr if above else values <= thr
-    idx = np.argmax(hit)
-    if not hit[idx]:
-        return None
-    return float(times[idx])
-
-
-@dataclass
-class StoppingReport:
-    ball_entry: float | None
-    e4_exceedance: float | None
-    girsanov_budget_exceedance: float | None
-
-
-def detect_stop(
-    times: np.ndarray,
-    cfg: CouplingConfig,
-    alpha: float,
-    phi_sum: np.ndarray | None = None,
-    e4: np.ndarray | None = None,
-    budget_integral: np.ndarray | None = None,
-    ball_radius: float = np.inf,
-    coupling_time: float = 0.0,
-    segment_k: int = 0,
-) -> StoppingReport:
-    """First discrete times of the three configured stopping events."""
-    ball = None
-    if phi_sum is not None and np.isfinite(ball_radius):
-        ball = first_crossing(times, phi_sum, ball_radius, above=False)
-    e4_t = None
-    if e4 is not None:
-        cap = cfg.e4_budget(np.asarray(times) - coupling_time)
-        e4_t = first_crossing(times, e4, cap, above=True)
-    bud = None
-    if budget_integral is not None:
-        cap = cfg.rho2 * np.exp(-0.25 * alpha * segment_k * cfg.T)
-        bud = first_crossing(times, budget_integral, cap, above=True)
-    return StoppingReport(ball, e4_t, bud)
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,6 @@ SCHEMES = ("strang", "expeuler")
 NOISE_MODES = ("exact", "em")
 
 
-class BlowUpError(RuntimeError):
-    """Trajectory exceeded the H^1 guard and was rejected."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Equation selector: viscosity, damping, Galerkin dimension, truncation."""
@@ -208,20 +204,6 @@ def _cubic(field: tuple, R: float | None, M: int) -> np.ndarray:
     if R is not None:
         w = w * _cutoff(dens, R)
     return to_spectral(w, M)
-
-
-def nonlinearity(a: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Spectral coefficients of i|u|^2 u, dealiased by zero padding."""
-    a = np.asarray(a, dtype=np.complex128)
-    return _cubic(physical_field(a, params), None, a.shape[-1])
-
-
-def truncated_nonlinearity(a: np.ndarray, R: float, params: ModelParams) -> np.ndarray:
-    """Coefficients of i|u|^2 u phi_R(|u|^2) with the smoothstep cut-off."""
-    if R <= 0:
-        raise ValueError("truncation radius R must be positive")
-    a = np.asarray(a, dtype=np.complex128)
-    return _cubic(physical_field(a, params), R, a.shape[-1])
 
 
 def nl_coeffs(a: np.ndarray, params: ModelParams, field: tuple | None = None) -> np.ndarray:
@@ -596,30 +578,6 @@ def simulate_ensemble(
         mass_int_h=mass_h,
         mass_int_h1=mass_h1,
     )
-
-
-def simulate(
-    u0: np.ndarray,
-    params: ModelParams,
-    integ: IntegratorConfig,
-    spec: NoiseSpec,
-    T: float,
-    seed: int,
-    traj_id: int = 0,
-    consts: FunctionalConstants | None = None,
-    record_states: bool = False,
-) -> TrajectoryRecord:
-    """Single trajectory; raises BlowUpError if the guard trips."""
-    rec = simulate_ensemble(
-        np.asarray(u0, dtype=np.complex128)[None, :],
-        params, integ, spec, T, seed,
-        traj_ids=np.array([traj_id]),
-        consts=consts,
-        record_states=record_states,
-    )
-    if rec.excluded[0]:
-        raise BlowUpError("||u||_H1 exceeded the blow-up guard; trajectory rejected")
-    return rec.single()
 
 
 # ---------------------------------------------------------------------------

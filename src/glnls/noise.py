@@ -71,13 +71,6 @@ class NoiseSpec:
         out[:n] = self.lambdas[:n]
         return out
 
-    def check_cq(self, cq_bound: float) -> None:
-        if traces(self).tr_a32qq >= cq_bound:
-            raise ValueError(
-                f"Tr(A^(3/2)QQ*) = {traces(self).tr_a32qq:.6g} exceeds the "
-                f"configured C_Q bound {cq_bound:.6g}"
-            )
-
 
 def traces(spec: NoiseSpec) -> Traces:
     lam2 = spec.lambdas**2

@@ -28,7 +28,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from . import functionals as fn
 from .functionals import FunctionalConstants
 from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, decay_factors,
-                     simulate_ensemble, steps)
+                     record_schedule, simulate_ensemble, steps)
 from .noise import EnsembleNoise, NoiseSpec, traces
 from .spectral import eigenvalues
 
@@ -122,18 +122,11 @@ def _solve_lp(C: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> OTResult:
     # equality rows: n row sums then m column sums, last column row dropped
     import scipy.sparse as sp
 
-    data, ri, ci = [], [], []
-    for i in range(n):
-        for j in range(m):
-            ri.append(i)
-            ci.append(i * m + j)
-            data.append(1.0)
-    for j in range(m - 1):
-        for i in range(n):
-            ri.append(n + j)
-            ci.append(i * m + j)
-            data.append(1.0)
-    A = sp.csr_matrix((data, (ri, ci)), shape=(n + m - 1, n * m))
+    # plan entry (i, j) is variable i * m + j
+    ri = np.concatenate([np.repeat(np.arange(n), m), np.repeat(n + np.arange(m - 1), n)])
+    ci = np.concatenate([np.arange(n * m),
+                         np.tile(np.arange(n) * m, m - 1) + np.repeat(np.arange(m - 1), n)])
+    A = sp.csr_matrix((np.ones(ri.size), (ri, ci)), shape=(n + m - 1, n * m))
     b = np.concatenate([wa, wb[:-1]])
     res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     if res.status != 0:
@@ -659,10 +652,11 @@ def tail_experiment(
     rec = simulate_ensemble(
         u0, params, integ, spec, T, seed,
         traj_ids=np.arange(ensemble_size), consts=consts,
-        track_phi_every_step=True,
     )
     t = rec.times
-    en = fn.accumulate_en(np.maximum(rec.energy.phi, 0.0), dt * record_every, n, params.alpha)
+    en = fn.accumulate_en(np.maximum(rec.energy.phi, 0.0),
+                          record_schedule(int(round(T / dt)), record_every), dt, n,
+                          params.alpha)
     phi0 = float(fn.phi(np.asarray(u0, complex), consts))
     if c_n_hat is None:
         late = t >= max(1.0, t[1])

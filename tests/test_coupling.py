@@ -328,37 +328,47 @@ class TestBlowUpGuard:
 
 
 class TestStopping:
+    """recompute_decoupling on synthetic segment records of two pairs."""
+
+    @staticmethod
+    def _record(times, e4_1=None, budget=None):
+        zero = np.zeros((len(times), 2))
+        return cp.SegmentRecord(times=times, e4_1=zero if e4_1 is None else e4_1,
+                                e4_2=zero, budget_integral=zero if budget is None else budget)
+
     def test_no_thresholds_no_stop(self):
         cfg = small_cfg()
-        times = np.linspace(0, 5, 11)
-        rep = cp.detect_stop(times, cfg, alpha=1.0)
-        assert rep == cp.StoppingReport(None, None, None)
-
-    def test_zero_trajectory_ball_entry(self):
-        cfg = small_cfg()
-        times = np.linspace(0, 5, 11)
-        rep = cp.detect_stop(times, cfg, alpha=1.0,
-                             phi_sum=np.zeros(11), ball_radius=1.0)
-        assert rep.ball_entry == 0.0
+        rec = self._record(np.linspace(0, 5, 11))
+        assert not cp.recompute_decoupling(rec, cfg, alpha=1.0, segment_k=0).any()
 
     def test_synthetic_e4_ramp(self):
-        # E4 ramp crossing theta + beta^4 at t = 3.2 exactly
+        # pair 0's E4 ramps with slope one past theta + beta^4 ~= 3.2; the
+        # ramp stopped one record short of 3.2 stays inside the budget
         cfg = cp.CouplingConfig(N=1, theta=3.2, beta=1e-3, T=1.0, c4_hat=0.0,
                                 k41_hat=1.0, consts=CONSTS)
         dt = 0.01
         times = np.arange(0.0, 5.0 + dt / 2, dt)
-        e4 = times.copy()  # slope-one ramp, threshold theta + beta^4 ~= 3.2
-        rep = cp.detect_stop(times, cfg, alpha=1.0, e4=e4)
-        assert 3.2 <= rep.e4_exceedance <= 3.2 + dt + 1e-9
+        ramp = np.stack([times, np.zeros_like(times)], axis=1)
+        flags = cp.recompute_decoupling(self._record(times, e4_1=ramp), cfg, alpha=1.0,
+                                        segment_k=0)
+        assert np.array_equal(flags, [True, False])
+        short = times < 3.2 - dt / 2
+        rec = self._record(times[short], e4_1=ramp[short])
+        assert not cp.recompute_decoupling(rec, cfg, alpha=1.0, segment_k=0).any()
 
     def test_girsanov_budget_event(self):
+        # rho2 = 0.5: pair 1's budget ramp crosses it at t = 1.0, and at
+        # segment k = 1 the cap is rho2 e^{-alpha T/4} ~= 0.44
         cfg = small_cfg(beta=0.25)
         times = np.linspace(0, 2, 21)
-        integral = np.linspace(0, 1.0, 21)
-        rep = cp.detect_stop(times, cfg, alpha=1.0, budget_integral=integral,
-                             segment_k=0)
-        # rho2 = 0.5; the ramp crosses at t = 1.0
-        assert rep.girsanov_budget_exceedance == pytest.approx(1.0, abs=0.1)
+        ramp = np.stack([np.zeros(21), np.linspace(0, 1.0, 21)], axis=1)
+        flags = cp.recompute_decoupling(self._record(times, budget=ramp), cfg, alpha=1.0,
+                                        segment_k=0)
+        assert np.array_equal(flags, [False, True])
+        rec = self._record(times, budget=0.46 * ramp)
+        assert not cp.recompute_decoupling(rec, cfg, alpha=1.0, segment_k=0).any()
+        assert np.array_equal(cp.recompute_decoupling(rec, cfg, alpha=1.0, segment_k=1),
+                              [False, True])
 
 
 class TestSharedFieldReference:

@@ -27,13 +27,13 @@ def cubic_oracle(a, M_out):
 class TestNonlinearity:
     def test_zero(self):
         p = md.ModelParams(gamma=0.1, alpha=1.0, M=8)
-        assert np.all(md.nonlinearity(np.zeros(8, complex), p) == 0)
+        assert np.all(md.nl_coeffs(np.zeros(8, complex), p) == 0)
 
     def test_single_mode_against_quadrature_oracle(self):
         M = 16
         p = md.ModelParams(gamma=0.1, alpha=1.0, M=M)
         a = 0.8 * basis_mode(M, 1)
-        got = md.nonlinearity(a, p)
+        got = md.nl_coeffs(a, p)
         oracle = cubic_oracle(a, M)
         assert np.max(np.abs(got - oracle)) < 1e-7
         # only odd modes are excited by a real single-mode cube
@@ -44,7 +44,7 @@ class TestNonlinearity:
         M = 12
         p = md.ModelParams(gamma=0.1, alpha=1.0, M=M)
         a = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.arange(1, M + 1)
-        assert np.max(np.abs(md.nonlinearity(a, p) - cubic_oracle(a, M))) < 1e-6
+        assert np.max(np.abs(md.nl_coeffs(a, p) - cubic_oracle(a, M))) < 1e-6
 
     def test_mass_neutrality(self):
         # Re<i|u|^2 u, conj(u)>_H = 0, the identity behind the mass law
@@ -53,7 +53,7 @@ class TestNonlinearity:
         p = md.ModelParams(gamma=0.1, alpha=1.0, M=M)
         for _ in range(5):
             a = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-            nl = md.nonlinearity(a, p)
+            nl = md.nl_coeffs(a, p)
             val = np.real(np.sum(nl * np.conj(a)))
             assert abs(val) < 1e-10 * np.sum(np.abs(a) ** 2)
 
@@ -64,7 +64,7 @@ class TestNonlinearity:
         a = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         p2 = md.ModelParams(gamma=0.1, alpha=1.0, M=M, pad_factor=2)
         p3 = md.ModelParams(gamma=0.1, alpha=1.0, M=M, pad_factor=3)
-        assert np.max(np.abs(md.nonlinearity(a, p2) - md.nonlinearity(a, p3))) < 1e-11
+        assert np.max(np.abs(md.nl_coeffs(a, p2) - md.nl_coeffs(a, p3))) < 1e-11
 
 
 class TestTruncatedNonlinearity:
@@ -72,8 +72,8 @@ class TestTruncatedNonlinearity:
         M = 16
         p = md.ModelParams(gamma=0.1, alpha=1.0, M=M)
         a = 0.2 * basis_mode(M, 1)  # |u|^2 <= 0.08 << R
-        full = md.nonlinearity(a, p)
-        trunc = md.truncated_nonlinearity(a, 2.0, p)
+        full = md.nl_coeffs(a, p)
+        trunc = md.nl_coeffs(a, replace(p, truncation=2.0))
         assert np.allclose(full, trunc, atol=1e-14)
 
     def test_saturated_region_is_zero(self):
@@ -205,17 +205,20 @@ class TestSimulate:
     def test_t_zero_single_record(self):
         p = md.ModelParams(gamma=0.1, alpha=1.0, M=8)
         ic = md.IntegratorConfig(dt=0.01)
-        rec = md.simulate(basis_mode(8, 1), p, ic, NO_NOISE, 0.0, seed=6)
+        rec = md.simulate_ensemble(basis_mode(8, 1), p, ic, NO_NOISE, 0.0, seed=6)
         assert len(rec.times) == 1 and rec.times[0] == 0.0
 
     def test_seed_determinism(self):
         p = md.ModelParams(gamma=0.05, alpha=1.0, M=16)
         ic = md.IntegratorConfig(dt=1e-3, record_every=50)
         spec = nz.NoiseSpec.power_profile(4, 0.3, 2.0)
-        a = md.simulate(basis_mode(16, 1), p, ic, spec, 0.5, seed=7, record_states=True)
-        b = md.simulate(basis_mode(16, 1), p, ic, spec, 0.5, seed=7, record_states=True)
+
+        def run(seed):
+            return md.simulate_ensemble(basis_mode(16, 1), p, ic, spec, 0.5, seed=seed,
+                                        traj_ids=np.array([0]), record_states=True)
+
+        a, b, c = run(7), run(7), run(8)
         assert np.array_equal(a.states, b.states)
-        c = md.simulate(basis_mode(16, 1), p, ic, spec, 0.5, seed=8, record_states=True)
         assert not np.array_equal(a.states, c.states)
 
     def test_batching_invariance(self):
@@ -299,8 +302,6 @@ class TestSimulate:
         rec = md.simulate_ensemble(np.zeros(8, complex), p, ic, spec, 0.2, seed=12,
                                    traj_ids=np.arange(4))
         assert rec.excluded.all()
-        with pytest.raises(md.BlowUpError):
-            md.simulate(np.zeros(8, complex), p, ic, spec, 0.2, seed=12)
 
     def test_truncated_matches_full_below_radius(self):
         spec = nz.NoiseSpec.power_profile(4, 0.05, 2.0)

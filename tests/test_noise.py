@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from glnls import noise as nz
+from glnls.config import ConfigError, load_config
 
 
 class TestSpecAndTraces:
@@ -22,11 +23,22 @@ class TestSpecAndTraces:
         with pytest.raises(ValueError):
             nz.NoiseSpec(np.array([1.0, 0.0]))
 
-    def test_cq_check(self):
-        spec = nz.NoiseSpec.power_profile(8, 1.0, 2.0)
-        spec.check_cq(200.0)
-        with pytest.raises(ValueError):
-            spec.check_cq(1.0)
+    def test_cq_check(self, tmp_path):
+        # a run configuration needs cq_bound > Tr(A^{3/2}QQ*), ~84.3 here
+        tr32 = nz.traces(nz.NoiseSpec.power_profile(8, 1.0, 2.0)).tr_a32qq
+
+        def load(cq):
+            p = tmp_path / "run.cfg"
+            p.write_text("[noise]\nforced_modes = 8\nlambda0 = 1.0\ndecay = 2.0\n"
+                         f"cq_bound = {cq!r}\n")
+            return load_config(str(p))
+
+        load(200.0)
+        load(float(np.nextafter(tr32, np.inf)))
+        for cq in (1.0, tr32):
+            with pytest.raises(ConfigError) as err:
+                load(cq)
+            assert "C_Q" in str(err.value)
 
 
 class TestIncrements:

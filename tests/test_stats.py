@@ -378,6 +378,26 @@ class TestTails:
         assert rep.frequency[-1] == 0.0
         assert rep.c_n_hat > 0
 
+    def test_en_off_stride_grid_matches_ensemble_budget(self):
+        # records at 0, 0.1, ..., 1.2 and 1.25: the last gap is half a stride,
+        # and the E_4 behind c_n_hat must be simulate_ensemble's gap-aware one
+        M, T, dt, every, B = 16, 1.25, 1e-2, 10, 32
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+        spec = nz.NoiseSpec.power_profile(4, 0.3, 2.0)
+        u0 = np.zeros(M, complex)
+        rep = st.tail_experiment(params, spec, u0, n=4, p=1.0, rho_grid=[1.0], T=T,
+                                 ensemble_size=B, seed=19, dt=dt, record_every=every)
+        rec = md.simulate_ensemble(u0, params, md.IntegratorConfig(dt=dt, record_every=every),
+                                   spec, T, seed=19, traj_ids=np.arange(B))
+        t = rec.times
+        assert t[-1] - t[-2] == pytest.approx(0.05)
+        en = fn.accumulate_en(rec.energy.phi, md.record_schedule(125, every), dt, 4,
+                              params.alpha)
+        assert np.allclose(en, rec.energy.E4, rtol=1e-13, atol=0.0)
+        late = t >= 1.0
+        expect = np.quantile(rec.energy.E4[late] / t[late][:, None], 0.99)
+        assert rep.c_n_hat == pytest.approx(expect, rel=1e-12)
+
 
 class TestInvariantMeasure:
     def test_deterministic_limit_is_delta_zero(self):
