@@ -20,32 +20,51 @@ the next drift, as the package runs it) and once with the drift and
 (64, 128) as `models._phase` writes it (cos + i sin) against
 np.exp(1j theta).  All times are process CPU time, so BLAS or FFT worker
 threads count against the route that starts them.
+
+The `measures`-shaped rows print process CPU and wall time side by side, so
+that CPU spent in helper threads shows as CPU above wall: the complex DST-I
+at K = 1024 as scipy makes it from a complex array (two strided real
+transforms) against the one interleaved call of `spectral._dst_complex`;
+`Stepper.advance` with and without the Strang state at (M, B) = (512, 1)
+and (64, 1000); and `stats.dual_lower_bound` between two 32-sample
+measures at M = 512.
 """
 
 import sys
 import time
 
 import numpy as np
+from scipy.fft import dst
 
 from glnls import coupling as cp
 from glnls import functionals as fn
 from glnls import models as md
 from glnls import noise as nz
 from glnls import spectral as sp
+from glnls import stats as st
 
 
-def cpu_time(f, min_total=0.2):
-    """CPU seconds per call of f, repeated until min_total seconds have passed."""
+def cpu_wall(f, min_total=0.2):
+    """(CPU, wall) seconds per call of f, repeated until min_total CPU seconds have passed."""
     f()  # builds the cached matrices
     reps = 1
     while True:
-        t0 = time.process_time()
+        t0, w0 = time.process_time(), time.perf_counter()
         for _ in range(reps):
             f()
-        total = time.process_time() - t0
+        total, wall = time.process_time() - t0, time.perf_counter() - w0
         if total >= min_total:
-            return total / reps
+            return total / reps, wall / reps
         reps *= 2
+
+
+def cpu_time(f, min_total=0.2):
+    """CPU seconds per call of f."""
+    return cpu_wall(f, min_total)[0]
+
+
+def _us(t):
+    return f"{t[0] * 1e6:9.1f} us cpu {t[1] * 1e6:9.1f} us wall"
 
 
 def bench_transforms(M: int, batch: int):
@@ -142,6 +161,43 @@ def bench_phase(B: int = 64, K: int = 128):
           f"exp(1j theta) {t_exp * 1e6:7.1f} us   ratio {t_exp / t_new:4.2f}")
 
 
+def bench_dst_complex(K: int = 1024, batch: int = 1):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((batch, K)) + 1j * rng.standard_normal((batch, K))
+    two = cpu_wall(lambda: dst(x, type=1, axis=-1))
+    one = cpu_wall(lambda: sp._dst_complex(x))
+    print(f"complex DST-I K={K} B={batch}: two real calls {_us(two)}   "
+          f"one interleaved call {_us(one)}   ratio {two[0] / one[0]:4.2f}")
+
+
+def bench_strang_state(M: int, batch: int):
+    params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+    spec = nz.NoiseSpec.power_profile(8, 0.05, 2.0)
+    stp = md.Stepper(params, md.IntegratorConfig(dt=5e-3), spec)
+    rng = np.random.default_rng(0)
+    a = 0.05 * (rng.standard_normal((batch, M))
+                + 1j * rng.standard_normal((batch, M))) / np.arange(1, M + 1) ** 2
+    z = rng.standard_normal((batch, 2, spec.N))
+    c = stp.open(a)
+    both = cpu_wall(lambda: stp.advance(c, z))
+    carried = cpu_wall(lambda: stp.advance(c, z, strang_state=False))
+    print(f"advance M={M:4d} B={batch:4d}: with Strang state {_us(both)}   "
+          f"c_next only {_us(carried)}   ratio {both[0] / carried[0]:4.2f}")
+
+
+def bench_dual(M: int = 512, n: int = 32):
+    rng = np.random.default_rng(0)
+    k = np.arange(1, M + 1)
+
+    def measure():
+        return st.EmpiricalMeasure(0.05 * (rng.standard_normal((n, M))
+                                           + 1j * rng.standard_normal((n, M))) / k**2)
+
+    a, b = measure(), measure()
+    t = cpu_wall(lambda: st.dual_lower_bound(a, b, "d0"))
+    print(f"dual_lower_bound {n} x {n} samples M={M}: {_us(t)}   cpu/wall {t[0] / t[1]:4.2f}")
+
+
 if __name__ == "__main__":
     sizes = [int(x) for x in sys.argv[1:]] or [16, 64, 128, 256, 512, 1024]
     print(f"DENSE_MAX_POINTS = {sp.DENSE_MAX_POINTS}")
@@ -153,3 +209,7 @@ if __name__ == "__main__":
     bench_stepping()
     bench_weighted_step()
     bench_phase()
+    bench_dst_complex()
+    for M, batch in ((512, 1), (64, 1000)):
+        bench_strang_state(M, batch)
+    bench_dual()

@@ -271,12 +271,12 @@ def _weighted_step(stepper: Stepper, lin1, linw, logw, cost, z, offset):
     u1 takes the exponential-Euler step, its drift lin1 plus the noise; w
     takes it with the same noise, except that its low modes land exactly on
     u1's plus ``offset`` (the bridge's interpolation term, 0 on a coupled
-    segment).  The Gaussian shift of w's low-mode increments that does this
-    is charged to the log weight and the cost.
+    segment).  The noise moves the N forced modes alone, so w's other modes
+    are its drift's.  The Gaussian shift of w's low-mode increments that
+    does this is charged to the log weight and the cost.
     """
     N, dt = stepper.spec.N, stepper.integ.dt
-    noise = stepper.noise(z)
-    u1n, wn = lin1 + noise, linw + noise
+    u1n, wn = stepper.add_noise(lin1.copy(), z), linw.copy()
     wn[..., :N] = u1n[..., :N] + offset
     delta = lin1[..., :N] - linw[..., :N] + offset
     dlw, dcost = _shift_logweight(

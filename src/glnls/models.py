@@ -27,7 +27,12 @@ Two one-step schemes are provided:
     of two of each.  Each driver carries the
     half-kicked state c next to the Strang state a; records, the blow-up
     guard, the mass integrals and the final state all read a, which is the
-    exact Strang state of the step from c.  The merged kick drops the
+    exact Strang state of the step from c.  A step whose a nothing reads
+    skips its analysis (``Stepper.advance(..., strang_state=False)``):
+    ``simulate_ensemble`` forms a only on record steps unless it tracks the
+    mass integrals or per-step Phi, and ``mixing_curve`` only on its
+    record steps, which spares one of the step's three transforms.  The
+    merged kick drops the
     projection between the two half-kicks, so a trajectory differs from
     repeated ``Stepper.step`` calls by that projection alone: 2e-14
     relative after 200 steps at M = 64, dt = 5e-3 for fields of size 0.08,
@@ -76,6 +81,13 @@ not finite is excluded for the rest of the run: it stays at its last
 admitted state, is left out of means and is reported in an ``excluded``
 output, never dropped.  A caller may link rows (the members of a pair, a
 pair and its reference) so that they are excluded together.
+
+On an FSAL step that forms no Strang state the guard reads c_next: a row
+whose c_next has an H^1 norm above the guard or not finite is excluded at
+that step.  Its c stays at its last admitted value and its a at the last
+Strang state formed for it, which is what it is recorded and returned as,
+with that a's H^1 norm.  Rows that never cross are bit-identical to a run
+that forms a on every step, since the c chain is the same.
 """
 
 from __future__ import annotations
@@ -287,22 +299,27 @@ class Stepper:
         self.integ = integ
         self.spec = spec
         self.decay = decay_factors(params, integ.dt)
+        self.n_forced = min(spec.N, params.M)
         if integ.noise_mode == "exact":
             self.noise_scale = convolution_std(
-                spec, params.gamma, params.alpha, integ.dt, params.M
+                spec, params.gamma, params.alpha, integ.dt, self.n_forced
             )
         else:
-            self.noise_scale = spec.lambdas_padded(params.M)  # times dW
+            self.noise_scale = spec.lambdas_padded(self.n_forced)  # times dW
 
-    def noise(self, z: np.ndarray) -> np.ndarray:
-        """The step's additive noise, shape (..., M), from normals (..., 2, N)."""
-        n = min(self.spec.N, self.params.M)
-        zpair = np.zeros(z.shape[:-2] + (2, self.params.M))
-        zpair[..., :n] = z[..., :n]
+    def add_noise(self, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """b plus the step's additive noise from normals z (..., 2, N), in place.
+
+        The noise lives on the forced modes alone, so only b[..., :N] moves;
+        the modes above N would have gained an exact 0.0.
+        """
+        n = self.n_forced
+        z = z[..., :n]
         if self.integ.noise_mode == "exact":
-            return convolution_from_normals(zpair, self.noise_scale)
-        dw = increments_from_normals(zpair, self.integ.dt)
-        return self.noise_scale * dw
+            b[..., :n] += convolution_from_normals(z, self.noise_scale)
+        else:
+            b[..., :n] += self.noise_scale * increments_from_normals(z, self.integ.dt)
+        return b
 
     def drift(self, a: np.ndarray, field: tuple | None = None) -> np.ndarray:
         """Deterministic part of the exponential-Euler step, e^{-L dt} (a + dt NL(a)).
@@ -316,9 +333,9 @@ class Stepper:
         if self.integ.scheme == "strang":
             h = 0.5 * self.integ.dt
             a = _kick(a, h, self.params)
-            a = self.decay * a + self.noise(z)
+            a = self.add_noise(self.decay * a, z)
             return _kick(a, h, self.params)
-        return self.drift(a) + self.noise(z)
+        return self.add_noise(self.drift(a), z)
 
     def _fsal(self) -> bool:
         return self.integ.scheme == "strang" and self.params.nonlinear
@@ -328,31 +345,35 @@ class Stepper:
         with a nonlinearity, a itself otherwise."""
         return _kick(a, 0.5 * self.integ.dt, self.params) if self._fsal() else a
 
-    def advance(self, c: np.ndarray, z: np.ndarray,
-                field: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def advance(self, c: np.ndarray, z: np.ndarray, field: tuple | None = None,
+                strang_state: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
         """One step from the carried state c: (a, c_next).
 
         a = P K(dt/2) (decay c + noise) is the Strang state after the step;
         c_next = P K(dt) (decay c + noise) merges its closing half-kick with
         the next step's opening one.  Both come from one synthesis v and one
-        phase e: a = analysis(v e), c_next = analysis(v e e).
+        phase e: a = analysis(v e), c_next = analysis(v e e).  With
+        strang_state=False the FSAL step skips the analysis of a and returns
+        (None, c_next), c_next bit for bit as before.
 
         Under exponential Euler c is the state itself, and field, when
         given, is physical_field(c, params): the drift then makes no
         synthesis of its own.  The FSAL step synthesises decay c + noise,
-        not c, and does not read it.
+        not c, and does not read it.  Without FSAL a is c_next, and it is
+        always returned.
         """
         if not self._fsal():
             if self.integ.scheme == "expeuler":
-                a = self.drift(c, field) + self.noise(z)
+                a = self.add_noise(self.drift(c, field), z)
             else:
                 a = self.step(c, z)
             return a, a
-        b = self.decay * c + self.noise(z)
+        b = self.add_noise(self.decay * c, z)
         v, e = _kick_field(b, 0.5 * self.integ.dt, self.params)
         w = np.multiply(v, e)
         M = self.params.M
-        return to_spectral(w, M), to_spectral(np.multiply(w, e), M)
+        a = to_spectral(w, M) if strang_state else None
+        return a, to_spectral(np.multiply(w, e), M)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +564,15 @@ def simulate_ensemble(
 
     record(0)
     i_rec = 0
+    every_step = track_phi_every_step or track_mass_integrals
     for z, recorded in steps(source, n_steps, rec_idx):
         prev_h1 = guard.h1sq
-        a, c = guard.admit((a, c), stepper.advance(c, z, field))
+        new, c_new = stepper.advance(c, z, field, strang_state=recorded or every_step)
+        if new is None:  # no Strang state formed: the guard reads c_next
+            guard.check(c_new)
+            c = guard.hold(c, c_new)
+        else:
+            a, c = guard.admit((a, c), (new, c_new))
         field = None
         if track_phi_every_step or recorded:
             field, h2, l4, ps, ph = measure(a)

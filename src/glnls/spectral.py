@@ -16,7 +16,13 @@ transform entry points.  Each picks its route from the grid size:
   parts.  Only the M modes actually present take part, so the padding
   costs nothing.
 * K > DENSE_MAX_POINTS: scipy's DST-I (one worker) on the zero-padded
-  coefficients, O(K log K) per field.
+  coefficients, O(K log K) per field.  A complex batch is one pocketfft
+  call: its interleaved float view (..., K, 2) is transformed along axis
+  -2, real and imaginary parts side by side, and normalised in place.
+  Handed the complex array, scipy.fft.dst makes two strided real
+  transforms and adds them into a third array; the one call gives the same
+  bits, since each part meets the same real transform, in less time
+  (benchmarks/transform_bench.py times both).
 
 The crossover constant is measured with benchmarks/transform_bench.py.  On
 a 2-vCPU Xeon (2.1 GHz) the dense route is 3-10x faster than the DST up to
@@ -146,9 +152,23 @@ def _synthesis_dense(a: np.ndarray, K: int) -> np.ndarray:
     return _real_matmul(_sine_matrices(a.shape[-1], K)[0], a)
 
 
+def _dst_complex(x: np.ndarray) -> np.ndarray:
+    """DST-I of complex x along its last axis, as the float array (..., K, 2)
+    of the real and imaginary parts: one real transform of the interleaved view.
+
+    The callers normalise by multiplying with a reciprocal, which is what
+    numpy's complex division by a real scalar does, so the result has the
+    bits of scipy's complex route divided by the same scalar.
+    """
+    x = np.ascontiguousarray(x)
+    return dst(x.view(np.float64).reshape(x.shape + (2,)), type=1, axis=-2)
+
+
 def _synthesis_dst(a: np.ndarray, K: int) -> np.ndarray:
     # DST-I is an involution up to 2(K+1), which fixes the normalization
-    return dst(pad_modes(a, K), type=1, axis=-1) / np.sqrt(2.0)
+    y = _dst_complex(pad_modes(a, K))
+    y *= 1.0 / np.sqrt(2.0)
+    return y.view(np.complex128)[..., 0]
 
 
 def _analysis_dense(values: np.ndarray, M: int) -> np.ndarray:
@@ -157,7 +177,8 @@ def _analysis_dense(values: np.ndarray, M: int) -> np.ndarray:
 
 def _analysis_dst(values: np.ndarray, M: int) -> np.ndarray:
     K = values.shape[-1]
-    return dst(values, type=1, axis=-1)[..., :M] / (np.sqrt(2.0) * (K + 1))
+    y = np.multiply(_dst_complex(values)[..., :M, :], 1.0 / (np.sqrt(2.0) * (K + 1)))
+    return y.view(np.complex128)[..., 0]
 
 
 def to_physical(a: np.ndarray, grid: PhysicalGrid | None = None) -> np.ndarray:

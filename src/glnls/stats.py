@@ -11,10 +11,16 @@ go through the assignment solver (same value, no certificate).  Beyond the
 sample cap the estimate is an average over subsample replicates with the
 replicate scatter reported, never silently.
 
+The costs come from the differences a_i - b_j themselves (``pairwise_hk``),
+with no BLAS call: a measure is at distance exactly 0 from itself in every
+ground cost, a small cost keeps its full relative precision, and an entry is
+the same whichever other samples share its matrix.
+
 Dual bounds use observable families with certified Lipschitz constants under
 the chosen ground cost: distance caps u -> min(||u - v_j||_{H^k}, 1) around
-reference points and clipped spectral coordinates, all 1-Lipschitz for d_k
-(and 3^{-1/2}-Lipschitz for d_0^xi since 1 + e^x + e^y >= 3).
+reference points, one ``pairwise_hk`` block per measure, and clipped
+spectral coordinates, all 1-Lipschitz for d_k (and 3^{-1/2}-Lipschitz for
+d_0^xi since 1 + e^x + e^y >= 3).
 """
 
 from __future__ import annotations
@@ -69,13 +75,30 @@ class EmpiricalMeasure:
 # ---------------------------------------------------------------------------
 
 def pairwise_hk(A: np.ndarray, B: np.ndarray, k: int) -> np.ndarray:
-    """Matrix of ||a_i - b_j||_{H^k} via the weighted Gram expansion."""
-    w = eigenvalues(A.shape[-1]) ** k if k else np.ones(A.shape[-1])
-    na = np.sum(w * np.abs(A) ** 2, axis=-1)
-    nb = np.sum(w * np.abs(B) ** 2, axis=-1)
-    cross = np.real((A * w) @ np.conj(B).T)
-    d2 = na[:, None] + nb[None, :] - 2.0 * cross
-    return np.sqrt(np.maximum(d2, 0.0))
+    """Matrix of ||a_i - b_j||_{H^k} = sqrt(sum_m w_m |a_im - b_jm|^2), w = alpha^k.
+
+    Formed from the differences themselves, one column at a time in a
+    single (len(A), M) buffer.  The Gram expansion
+    ||a||^2 + ||b||^2 - 2 Re<a, b> cancels to rounding for nearby samples
+    (d0 costs of 3e-8 between coincident ones, which put a floor of 1e-4
+    under W_{d0xi}), and its cross term is a BLAS product.  Here coincident
+    samples cost exactly 0, and an entry depends only on its two rows: the
+    same for any other rows of A or B, and symmetric.
+    """
+    A, B = np.asarray(A, dtype=np.complex128), np.asarray(B, dtype=np.complex128)
+    w = eigenvalues(A.shape[-1]) ** k if k else None
+    out = np.empty((A.shape[0], B.shape[0]))
+    d = np.empty(A.shape, dtype=np.complex128)
+    sq = d.view(np.float64)               # (n, 2M): the parts of each difference
+    dens = sq[:, ::2]                     # |a_im - b_jm|^2, written in place
+    for j, b in enumerate(B):
+        np.subtract(A, b, out=d)
+        np.multiply(sq, sq, out=sq)
+        np.add(dens, sq[:, 1::2], out=dens)
+        if w is not None:
+            np.multiply(dens, w, out=dens)
+        np.sqrt(dens.sum(axis=-1), out=out[:, j])
+    return out
 
 
 def cost_matrix(
@@ -220,21 +243,7 @@ def wasserstein_bruteforce(
 # dual lower bounds
 # ---------------------------------------------------------------------------
 
-def _default_observables(
-    pooled: np.ndarray, ground: str, xi: float | None, max_refs: int = 48
-):
-    """(callable, certified Lipschitz constant) pairs for the dual bound."""
-    hk = 1 if ground == "d1" else 0
-    lip = 1.0 / np.sqrt(3.0) if ground == "d0xi" else 1.0
-    refs = pooled[:: max(1, len(pooled) // max_refs)][:max_refs]
-    obs = []
-    for v in refs:
-        obs.append((lambda u, v=v: np.minimum(pairwise_hk(u, v[None], hk)[:, 0], 1.0), lip))
-    M = pooled.shape[-1]
-    for k in range(min(M, 6)):
-        obs.append((lambda u, k=k: np.clip(u[:, k].real, -0.5, 0.5), lip))
-        obs.append((lambda u, k=k: np.clip(u[:, k].imag, -0.5, 0.5), lip))
-    return obs
+DUAL_REFS = 48  # reference points of the dual bound's distance caps
 
 
 def dual_lower_bound(
@@ -242,22 +251,29 @@ def dual_lower_bound(
     emp_b: EmpiricalMeasure,
     ground: str = "d0",
     xi: float | None = None,
-    observables=None,
 ) -> float:
-    """max_f |mean_A f - mean_B f| / Lip(f) over the certified family.
+    """max_f |mean_A f - mean_B f| / Lip(f) over a certified family.
 
-    Never exceeds the primal transport cost (one-sided Kantorovich bound;
-    for the distance-like d_0^xi only this direction holds).
+    The family: distance caps u -> min(||u - v||_{H^k}, 1) around up to
+    DUAL_REFS reference points v spread through the pooled samples (k = 1
+    for d1, else 0), evaluated as one ``pairwise_hk`` block per measure,
+    and the real and imaginary parts of the first six modes clipped to
+    [-0.5, 0.5].  Each is 1-Lipschitz for d_k and 3^{-1/2}-Lipschitz for
+    d_0^xi.  Never exceeds the primal transport cost (one-sided Kantorovich
+    bound; for the distance-like d_0^xi only this direction holds).
     """
-    obs = observables or _default_observables(
-        np.concatenate([emp_a.samples, emp_b.samples]), ground, xi
-    )
-    best = 0.0
-    for f, lip in obs:
-        da = float(f(emp_a.samples) @ emp_a.weights)
-        db = float(f(emp_b.samples) @ emp_b.weights)
-        best = max(best, abs(da - db) / lip)
-    return best
+    pooled = np.concatenate([emp_a.samples, emp_b.samples])
+    refs = pooled[:: max(1, len(pooled) // DUAL_REFS)][:DUAL_REFS]
+    hk = 1 if ground == "d1" else 0
+    lip = 1.0 / np.sqrt(3.0) if ground == "d0xi" else 1.0
+
+    def means(emp: EmpiricalMeasure) -> np.ndarray:
+        caps = np.minimum(pairwise_hk(emp.samples, refs, hk), 1.0)
+        low = emp.samples[:, :6]
+        coords = np.clip(np.concatenate([low.real, low.imag], axis=1), -0.5, 0.5)
+        return emp.weights @ np.concatenate([caps, coords], axis=1)
+
+    return float(np.max(np.abs(means(emp_a) - means(emp_b)))) / lip
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +361,10 @@ def mixing_curve(
     """Synchronous-coupling upper estimate of W_{d1}(P_t delta_u1, P_t delta_u2)
     together with the dual lower bound on the same marginal ensembles.
 
-    A pair is excluded once either member crosses the blow-up guard; the
-    means and the dual bound are taken over the live pairs (NaN when none
-    is left).
+    A pair is excluded once either member crosses the blow-up guard (on a
+    step between records, once either member's carried state does; see the
+    ``models`` docstring); the means and the dual bound are taken over the
+    live pairs (NaN when none is left).
     """
     integ = integ or IntegratorConfig(dt=5e-3)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -379,10 +396,13 @@ def mixing_curve(
     observe(0)
     n_steps = int(rec_steps.max(initial=0))
     for done, (z, recorded) in enumerate(steps(source, n_steps, rec_steps.tolist()), start=1):
-        new, c_new = stepper.advance(c, z)
-        guard.check(new)
+        # between records only the guard reads the step, through c_next
+        new, c_new = stepper.advance(c, z, strang_state=recorded)
+        guard.check(c_new if new is None else new)
         guard.excluded[:] = guard.excluded.any(axis=0)  # a pair falls with either member
-        pair, c = guard.hold(pair, new), guard.hold(c, c_new)
+        c = guard.hold(c, c_new)
+        if new is not None:
+            pair = guard.hold(pair, new)
         if recorded:
             observe(done)
 
@@ -683,8 +703,9 @@ def invariant_measure_sample(
 ) -> tuple[EmpiricalMeasure, dict]:
     """Approximate draws from the invariant measure by a thinned long run.
 
-    Returns the empirical measure and a diagnostics dict with the two
-    estimators of the Phi mean (thinned-sample vs full time-average).
+    Returns the empirical measure and a diagnostics dict with the Phi mean
+    of the samples.  The chain forms its Strang state only at the samples
+    (see the ``models`` docstring), so it has no per-step Phi to average.
     """
     if burn_in <= 0 or n_samples < 1 or thinning <= 0:
         raise ValueError("need burn_in > 0, n_samples >= 1, thinning > 0")
@@ -703,7 +724,6 @@ def invariant_measure_sample(
     phis = rec.energy.phi[mask, 0][-n_samples:]
     diag = {
         "phi_sample_mean": float(np.mean(phis)),
-        "phi_time_average": float(np.mean(rec.energy.phi[rec.times > burn_in, 0])),
         "n_samples": int(states.shape[0]),
         "thinning": stride * dt,
     }

@@ -394,7 +394,7 @@ class TestSharedFieldReference:
         """_weighted_step with each member's drift synthesising it afresh."""
         N, dt = st.spec.N, st.integ.dt
         lin1, linw = st.drift(u1), st.drift(w)
-        noise = st.noise(z)
+        noise = st.add_noise(np.zeros_like(lin1), z)  # 0 above the forced modes
         u1n, wn = lin1 + noise, linw + noise
         wn[:, :N] = u1n[:, :N] + offset
         dlw, dcost = cp._shift_logweight(lin1[:, :N] - linw[:, :N] + offset,

@@ -7,6 +7,7 @@ from glnls import functionals as fn
 from glnls import models as md
 from glnls import noise as nz
 from glnls.spectral import PhysicalGrid, basis_mode, to_physical
+from glnls.stats import mixing_curve
 
 CONSTS = fn.FunctionalConstants()
 NO_NOISE = nz.NoiseSpec(np.zeros(0))
@@ -201,6 +202,38 @@ class TestStep:
                 assert not np.allclose(batch[0][0], full.advance(full.open(rows[0]), z[0])[0])
 
 
+    @pytest.mark.parametrize("integ", [{}, {"scheme": "expeuler"}, {"noise_mode": "em"}],
+                             ids=["fsal", "expeuler", "em"])
+    def test_noise_on_forced_modes_only(self, integ):
+        # the noise added into the N forced modes alone equals the sum with
+        # the full (..., M) noise vector, whose other columns are zero
+        M, B, N = 32, 16, 8
+        rng = np.random.default_rng(3)
+        a = 0.3 * (rng.standard_normal((B, M)) + 1j * rng.standard_normal((B, M))) \
+            / np.arange(1, M + 1)
+        z = rng.standard_normal((B, 2, N))
+        p = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+        ic = md.IntegratorConfig(dt=5e-3, **integ)
+        spec = nz.NoiseSpec.power_profile(N, 0.5, 2.0)
+        st = md.Stepper(p, ic, spec)
+        zpair = np.zeros((B, 2, M))
+        zpair[..., :N] = z
+        if ic.noise_mode == "exact":
+            full = nz.convolution_from_normals(
+                zpair, nz.convolution_std(spec, p.gamma, p.alpha, ic.dt, M))
+        else:
+            full = spec.lambdas_padded(M) * nz.increments_from_normals(zpair, ic.dt)
+        if ic.scheme == "expeuler":
+            expect = st.drift(a) + full
+            got = st.advance(a, z)[0]
+        else:
+            h = 0.5 * ic.dt
+            expect = md._kick(st.decay * md._kick(a, h, p) + full, h, p)
+            got = st.advance(st.open(a), z)[0]
+        assert np.array_equal(got, expect)
+        assert np.array_equal(st.step(a, z), expect)
+
+
 class TestSimulate:
     def test_t_zero_single_record(self):
         p = md.ModelParams(gamma=0.1, alpha=1.0, M=8)
@@ -270,6 +303,99 @@ class TestSimulate:
         assert np.array_equal(rec.states, np.array(out))
         assert np.array_equal(rec.energy.H1, fn.norm_hr_sq(rec.states, 1.0))
         assert np.max(np.abs(rec.energy.phi / fn.phi(rec.states, CONSTS) - 1.0)) < 1e-13
+
+    def test_skipped_strang_states_match_forming_every_step(self, monkeypatch):
+        # with nothing crossing the guard, simulate_ensemble and mixing_curve
+        # give the records and final states of a run that forms the Strang
+        # state on every step
+        M, B = 32, 6
+        rng = np.random.default_rng(21)
+        u0 = 0.5 * (rng.standard_normal((B, M)) + 1j * rng.standard_normal((B, M))) \
+            / np.arange(1, M + 1) ** 2
+        p = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+        ic = md.IntegratorConfig(dt=5e-3, record_every=7)
+        spec = nz.NoiseSpec.power_profile(4, 0.3, 2.0)
+
+        def run():
+            rec = md.simulate_ensemble(u0, p, ic, spec, 0.3, seed=21, consts=CONSTS,
+                                       record_states=True)
+            mix = mixing_curve(u0[0], u0[1], p, spec, [0.0, 0.05, 0.15, 0.3], 5,
+                                  seed=22, integ=ic)
+            return rec, mix
+
+        orig, skipped = md.Stepper.advance, []
+
+        def spy(self, c, z, field=None, strang_state=True):
+            skipped.append(not strang_state)
+            return orig(self, c, z, field, strang_state)
+
+        monkeypatch.setattr(md.Stepper, "advance", spy)
+        rec, mix = run()
+        assert sum(skipped) == (60 - 9) + (60 - 3)  # every step but the records
+        monkeypatch.setattr(md.Stepper, "advance",
+                            lambda self, c, z, field=None, strang_state=True:
+                            orig(self, c, z, field))
+        ref, ref_mix = run()
+        assert not rec.excluded.any() and not mix.excluded.any()
+        assert np.array_equal(rec.states, ref.states)
+        assert np.array_equal(rec.final, ref.final)
+        for name in ("H", "H1", "L4", "psi", "phi", "E1", "E4"):
+            assert np.array_equal(getattr(rec.energy, name), getattr(ref.energy, name))
+        for name in ("t", "upper_d1", "upper_d0", "dual_t", "dual_lower"):
+            assert np.array_equal(getattr(mix, name), getattr(ref_mix, name))
+
+    def test_guard_reads_carried_state_between_records(self):
+        # rows 2 and 3 cross the guard between records, where no Strang state
+        # is formed: each is excluded at the step its c_next crosses, and
+        # recorded from then on as its last formed Strang state, the record
+        # before, with that state's H^1 norm
+        M, B, every, n_steps, guard = 16, 4, 10, 60, 4.32
+        u0 = np.array([0.1, 0.2, 0.9, 1.2])[:, None] * basis_mode(M, 1) \
+            + 0.2 * basis_mode(M, 3)
+        p = md.ModelParams(gamma=0.0, alpha=0.1, M=M)
+        ic = md.IntegratorConfig(dt=1e-2, record_every=every, blowup_guard=guard)
+        spec = nz.NoiseSpec.power_profile(4, 0.2, 1.0)
+        rec = md.simulate_ensemble(u0, p, ic, spec, n_steps * ic.dt, seed=42,
+                                   consts=CONSTS, record_states=True)
+
+        # the rule written out, with the Strang state formed on every step;
+        # parent_rule: the guard reads the Strang state on every step
+        st = md.Stepper(p, ic, spec)
+        zs = nz.EnsembleNoise(42, np.arange(B), spec.N).next_block(n_steps)
+
+        def replay(parent_rule):
+            a, c = u0.copy(), st.open(u0)
+            excluded, crossed, out = np.zeros(B, bool), {}, [u0.copy()]
+            for s in range(1, n_steps + 1):
+                new, c_new = st.advance(c, zs[:, s - 1])
+                read = new if parent_rule or s % every == 0 else c_new
+                now = ~(fn.norm_hr_sq(read, 1.0) <= guard**2) & ~excluded
+                crossed.update({int(i): s for i in np.flatnonzero(now)})
+                excluded |= now
+                c = np.where(excluded[:, None], c, c_new)
+                if s % every == 0:
+                    a = np.where(excluded[:, None], a, new)
+                    out.append(a)
+            return np.array(out), excluded, crossed
+
+        states, excluded, crossed = replay(False)
+        assert crossed == {3: 28, 2: 55}
+        assert np.array_equal(rec.excluded, excluded)
+        assert np.array_equal(rec.states, states)
+        assert np.array_equal(rec.final, states[-1])
+        assert np.array_equal(rec.states[3:, 3], np.broadcast_to(rec.states[2, 3], (4, M)))
+        assert np.array_equal(rec.states[6, 2], rec.states[5, 2])
+        assert np.array_equal(rec.energy.H1, fn.norm_hr_sq(rec.states, 1.0))
+        # the setting tells the rules apart: read on every step, the Strang
+        # state of row 3 crosses at step 35
+        assert replay(True)[2][3] == 35
+        # the rows that never cross are those of a run without the others
+        alone = md.simulate_ensemble(u0[:2], p, ic, spec, n_steps * ic.dt, seed=42,
+                                     consts=CONSTS, record_states=True)
+        assert np.array_equal(rec.states[:, :2], alone.states)
+        for name in ("H", "H1", "L4", "psi", "phi", "E1", "E4"):
+            assert np.array_equal(getattr(rec.energy, name)[:, :2],
+                                  getattr(alone.energy, name))
 
     def test_pathwise_mass_law(self):
         p = md.ModelParams(gamma=0.0, alpha=0.5, M=64)

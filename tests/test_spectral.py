@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import dst
 
 from glnls import spectral as sp
 
@@ -92,6 +93,31 @@ class TestTransforms:
             assert np.array_equal(sp.to_spectral(v[rows], M), back[rows])
         assert np.array_equal(sp.to_physical(a[5], grid), v[5])
         assert np.array_equal(sp.to_spectral(v[5], M), back[5])
+
+    @pytest.mark.parametrize("K", [514, 600, 1024, 2047])
+    def test_one_call_dst_matches_scipy_complex_route(self, K):
+        # the DST route transforms the interleaved float view in one call:
+        # bit for bit scipy's dst of the complex array, divided as before,
+        # for each field alone, in batches of 2, 3, 4, 5 and 8 and in a stack
+        M = K // 2
+        rng = np.random.default_rng(K + 2)
+        a = rng.standard_normal((8, M)) + 1j * rng.standard_normal((8, M))
+        v = rng.standard_normal((8, K)) + 1j * rng.standard_normal((8, K))
+        grid = sp.PhysicalGrid(K)
+        syn, ana = sp.to_physical(a, grid), sp.to_spectral(v, M)
+        assert syn.tobytes() == (dst(sp.pad_modes(a, K), type=1, axis=-1)
+                                 / np.sqrt(2.0)).tobytes()
+        assert ana.tobytes() == (dst(v, type=1, axis=-1)[..., :M]
+                                 / (np.sqrt(2.0) * (K + 1))).tobytes()
+        for i in range(8):
+            assert np.array_equal(sp.to_physical(a[i], grid), syn[i])
+            assert np.array_equal(sp.to_spectral(v[i], M), ana[i])
+        for n in (2, 3, 4, 5):
+            assert np.array_equal(sp.to_physical(a[8 - n:], grid), syn[8 - n:])
+            assert np.array_equal(sp.to_spectral(v[8 - n:], M), ana[8 - n:])
+        assert np.array_equal(sp.to_physical(a.reshape(2, 4, M), grid),
+                              syn.reshape(2, 4, K))
+        assert np.array_equal(sp.to_spectral(v.reshape(2, 4, K), M), ana.reshape(2, 4, M))
 
     def test_crossover_covered(self):
         Ks = [K for _, K in CROSSOVER_GRIDS]

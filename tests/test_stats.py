@@ -33,6 +33,32 @@ class TestWasserstein:
         emp = rand_measure(rng, 5)
         assert st.wasserstein(emp, emp, "d0").value == pytest.approx(0.0, abs=1e-12)
 
+    def test_self_distance_exactly_zero(self):
+        # costs from differences vanish on coincident samples, so the LP
+        # (32 atoms) and the assignment route (80 atoms) give exactly 0
+        rng = np.random.default_rng(10)
+        k = np.arange(1, 65)
+        for n in (32, 80):
+            emp = st.EmpiricalMeasure(0.5 * (rng.standard_normal((n, 64))
+                                             + 1j * rng.standard_normal((n, 64))) / k**2)
+            for ground in ("d0", "d1", "d0xi"):
+                assert st.wasserstein(emp, emp, ground, xi=0.05).value == 0.0
+
+    def test_pairwise_costs_from_differences(self):
+        # every entry is the H^k norm of the explicit difference, the same
+        # whatever other rows A and B hold, and symmetric
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((7, 64)) + 1j * rng.standard_normal((7, 64))
+        B = A[3] + 1e-6 * (rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64)))
+        for k in (0, 1):
+            C = st.pairwise_hk(A, B, k)
+            expect = fn.norm_hr(A[:, None, :] - B[None, :, :], k)
+            assert np.max(np.abs(C / expect - 1.0)) <= 1e-14
+            for j in range(5):
+                assert np.array_equal(st.pairwise_hk(A, B[j:j + 1], k)[:, 0], C[:, j])
+                assert np.array_equal(st.pairwise_hk(A[2:4], B[j:j + 1], k)[:, 0], C[2:4, j])
+            assert np.array_equal(st.pairwise_hk(B, A, k), C.T)
+
     def test_two_diracs(self):
         u1 = basis_mode(4, 1)
         u2 = 0.25 * basis_mode(4, 2)
@@ -77,12 +103,12 @@ class TestWasserstein:
             assert dual <= primal + 1e-9
 
     def test_dual_tight_on_far_diracs(self):
-        # f(u) = min(||u||_H, 1) separates delta_{e1} from delta_0 exactly
+        # the distance cap around the reference point 0, min(||u||_H, 1),
+        # separates delta_{e1} from delta_0 exactly
         e1 = basis_mode(4, 1)
         ea = st.EmpiricalMeasure(e1[None])
         eb = st.EmpiricalMeasure(np.zeros((1, 4), complex))
-        obs = [(lambda u: np.minimum(fn.norm_h(u), 1.0), 1.0)]
-        dual = st.dual_lower_bound(ea, eb, "d0", observables=obs)
+        dual = st.dual_lower_bound(ea, eb, "d0")
         primal = st.wasserstein(ea, eb, "d0").value
         assert dual == pytest.approx(1.0, rel=1e-12)
         assert primal == pytest.approx(1.0, rel=1e-12)
@@ -410,20 +436,33 @@ class TestInvariantMeasure:
         assert np.all(fn.norm_h(emp.samples) < 1e-6)
 
     def test_ergodic_consistency_and_gamma_trend(self):
-        M = 16
+        M, burn_in, n_samples, dt = 16, 20.0, 96, 5e-3
         spec = nz.NoiseSpec.power_profile(4, 0.2, 2.0)
 
         def measure(g, tag):
             params = md.ModelParams(gamma=g, alpha=1.0, M=M)
-            return st.invariant_measure_sample(params, spec, burn_in=20.0,
-                                               n_samples=96, thinning=1.0,
-                                               seed=nz.derive_seed(19, tag),
-                                               dt=5e-3)
+            return st.invariant_measure_sample(params, spec, burn_in=burn_in,
+                                               n_samples=n_samples, thinning=1.0,
+                                               seed=nz.derive_seed(19, tag), dt=dt)
 
         ref, diag0 = measure(0.0, "g0")
-        # thinned-sample mean of Phi agrees with the time average
-        spread = abs(diag0["phi_sample_mean"] - diag0["phi_time_average"])
-        assert spread <= 0.5 * max(abs(diag0["phi_time_average"]), 1e-6)
+        # the sampler forms its Strang state only at the samples: the same
+        # chain forming it on every step gives the samples bit for bit
+        stride = int(round(1.0 / dt))
+        n_steps = int(round(burn_in / dt)) + n_samples * stride
+        full = md.simulate_ensemble(
+            np.zeros(M, complex), md.ModelParams(gamma=0.0, alpha=1.0, M=M),
+            md.IntegratorConfig(dt=dt, record_every=1), spec, n_steps * dt,
+            nz.derive_seed(19, "g0"), traj_ids=np.array([0]), consts=CONSTS,
+            record_states=True,
+        )
+        after = np.arange(n_steps + 1) * dt > burn_in
+        thinned = after & (np.arange(n_steps + 1) % stride == 0)
+        assert np.array_equal(full.states[thinned, 0][-n_samples:], ref.samples)
+        # the thinned-sample mean of Phi agrees with the per-step time average
+        per_step = float(np.mean(full.energy.phi[after, 0]))
+        assert diag0["phi_sample_mean"] == float(np.mean(full.energy.phi[thinned, 0][-n_samples:]))
+        assert abs(diag0["phi_sample_mean"] - per_step) <= 0.1 * per_step
         w_big = st.wasserstein(measure(0.3, "g3")[0], ref, "d0").value
         w_small = st.wasserstein(measure(0.02, "g02")[0], ref, "d0").value
         assert w_small < w_big
