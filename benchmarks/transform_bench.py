@@ -1,5 +1,5 @@
-"""Timing of the two transform routes, of the stepping layouts and of the
-weighted coupling step.
+"""Timing of the two transform routes, of the stepping layouts, of the
+weighted coupling step and of start-up.
 
 Run:  python benchmarks/transform_bench.py [M ...]
 
@@ -28,8 +28,20 @@ transforms) against the one interleaved call of `spectral._dst_complex`;
 `Stepper.advance` with and without the Strang state at (M, B) = (512, 1)
 and (64, 1000); and `stats.dual_lower_bound` between two 32-sample
 measures at M = 512.
+
+The start-up rows run each probe in a fresh interpreter and print the
+median over its runs of the probe process's CPU time from interpreter start
+(what mcbench's `setup_s` counts), its peak resident memory, and the number
+of scipy modules it has loaded at the end: `import glnls`, `import
+glnls.cli`, and `import glnls.cli` followed by a 20-step ensemble at
+(M, B) = (64, 64), all on the dense route.  The other rows import scipy.fft
+themselves, so only a fresh process shows what the package loads.
 """
 
+import json
+import pathlib
+import statistics
+import subprocess
 import sys
 import time
 
@@ -132,11 +144,11 @@ def bench_weighted_step(M: int = 32, pairs: int = 256):
     w[:, 8:] += 0.01 * (rng.standard_normal((pairs, M - 8))) / k[8:]
     z = rng.standard_normal((pairs, 2, spec.N))
     zero = np.zeros(pairs)
-    h1 = fn.norm_hr_sq(u1, 1.0)  # the guard's, which both loops compute
+    norms1 = fn.norms_h_h1_sq(u1)  # the guard's, which both loops compute
 
     def shared():
-        lin = [cp._admit_member(st, x, h, consts)[1]
-               for x, h in ((u1, h1), (w, fn.norm_hr_sq(w, 1.0)))]
+        lin = [cp._admit_member(st, x, *norms, consts)[1]
+               for x, norms in ((u1, norms1), (w, fn.norms_h_h1_sq(w)))]
         cp._weighted_step(st, *lin, zero, zero, z, 0.0)
 
     def unshared():
@@ -185,6 +197,42 @@ def bench_strang_state(M: int, batch: int):
           f"c_next only {_us(carried)}   ratio {both[0] / carried[0]:4.2f}")
 
 
+STARTUP_PROBES = {
+    "import glnls": "import glnls",
+    "import glnls.cli": "import glnls.cli",
+    "20-step ensemble M=64 B=64": (
+        "import glnls.cli\n"
+        "import numpy as np\n"
+        "from glnls import models as md, noise as nz\n"
+        "md.simulate_ensemble(np.zeros(64, complex), md.ModelParams(gamma=0.05, alpha=1.0, M=64),"
+        " md.IntegratorConfig(dt=5e-3, record_every=20), nz.NoiseSpec.power_profile(8, 0.05, 2.0),"
+        " 0.1, seed=0, traj_ids=np.arange(64))"
+    ),
+}
+
+# Peak memory is the VmHWM line of /proc/self/status (Linux): ru_maxrss of a
+# child keeps the high-water mark of the process it was forked from.
+PROBE = """import sys
+sys.path.insert(0, {src!r})
+{code}
+import json, time
+hwm = [line for line in open("/proc/self/status") if line.startswith("VmHWM")]
+print(json.dumps([time.process_time(), int(hwm[0].split()[1]) / 1024.0,
+                  sum(m == "scipy" or m.startswith("scipy.") for m in sys.modules)]))
+"""
+
+
+def bench_startup(runs: int = 5):
+    src = str(pathlib.Path(sp.__file__).resolve().parents[1])
+    for label, code in STARTUP_PROBES.items():
+        out = [json.loads(subprocess.run([sys.executable, "-c", PROBE.format(src=src, code=code)],
+                                         capture_output=True, text=True, check=True).stdout)
+               for _ in range(runs)]
+        cpu, rss, mods = (statistics.median(col) for col in zip(*out))
+        print(f"start-up {label:27s}: {cpu:6.3f} s cpu   peak rss {rss:6.1f} MB   "
+              f"scipy modules {mods:4.0f}   (median of {runs} fresh processes)")
+
+
 def bench_dual(M: int = 512, n: int = 32):
     rng = np.random.default_rng(0)
     k = np.arange(1, M + 1)
@@ -199,6 +247,7 @@ def bench_dual(M: int = 512, n: int = 32):
 
 
 if __name__ == "__main__":
+    bench_startup()
     sizes = [int(x) for x in sys.argv[1:]] or [16, 64, 128, 256, 512, 1024]
     print(f"DENSE_MAX_POINTS = {sp.DENSE_MAX_POINTS}")
     for M in sizes:

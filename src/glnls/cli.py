@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 
 from . import acceptance
@@ -62,6 +62,8 @@ def run_ensemble(cfg: RunConfig, n_traj: int, workers: int, seed: int):
     if workers <= 1:
         parts = [_ensemble_chunk(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_ensemble_chunk, payloads))
     times = parts[0][0]

@@ -31,10 +31,11 @@ rho2 e^{-alpha k T / 4}.
 
 Cost.  The budgets need Phi of both members at every step.  Each admitted
 member is synthesised once per step (``models.physical_field``): the field
-gives its ||u||_{L^4}^4 for Phi and, at once, its drift for the next step,
-and u1's H^1 norm comes from the blow-up guard.  A pair-step thus makes two
-syntheses and two analyses, and the loop carries the drifts, not the
-larger fields.
+gives its ||u||_{L^4}^4 for Phi and, at once, its drift for the next step.
+Phi's squared H and H^1 norms come from one |a|^2 per member
+(``functionals.norms_h_h1_sq``), u1's by way of the blow-up guard.  A
+pair-step thus makes two syntheses and two analyses, and the loop carries
+the drifts, not the larger fields.
 
 Exclusion.  A pair whose u1 crosses the blow-up guard (see ``models``) is
 excluded from the step that crossed on: its members, log weight, Girsanov
@@ -285,14 +286,14 @@ def _weighted_step(stepper: Stepper, lin1, linw, logw, cost, z, offset):
     return u1n, wn, logw + dlw, cost + dcost
 
 
-def _admit_member(stepper: Stepper, a, h1sq, consts: FunctionalConstants, more=True):
+def _admit_member(stepper: Stepper, a, h2, h1sq, consts: FunctionalConstants, more=True):
     """(Phi, drift) of an admitted pair member from one synthesis of it.
 
-    h1sq is ||a||_{H^1}^2; the drift is the next step's Stepper.drift(a),
-    None when no step follows (more=False).
+    (h2, h1sq) are fn.norms_h_h1_sq(a); the drift is the next step's
+    Stepper.drift(a), None when no step follows (more=False).
     """
     field = physical_field(a, stepper.params)
-    return (field_energy(a, field, h1sq, stepper.params, consts)[-1],
+    return (field_energy(a, field, h2, h1sq, stepper.params, consts)[-1],
             stepper.drift(a, field) if more else None)
 
 
@@ -340,8 +341,8 @@ def girsanov_attempt(
     source = EnsembleNoise(seed, ids, spec.N)
 
     guard = BlowUpGuard(integ, u1)
-    phi1_0, lin1 = _admit_member(stepper, u1, guard.h1sq, consts)
-    phi2_0, linw = _admit_member(stepper, w, fn.norm_hr_sq(w, 1.0), consts)
+    phi1_0, lin1 = _admit_member(stepper, u1, guard.h2, guard.h1sq, consts)
+    phi2_0, linw = _admit_member(stepper, w, *fn.norms_h_h1_sq(w), consts)
     e4_1 = fn.EnAccumulator(4, params.alpha)
     e4_2 = fn.EnAccumulator(4, params.alpha)
     e4_1.reset(phi1_0)
@@ -358,8 +359,8 @@ def girsanov_attempt(
         )
         del lin1, linw  # spent; freed before the next drifts are built
         more = s + 1 < n_steps
-        ph1, lin1 = _admit_member(stepper, u1, guard.h1sq, consts, more)
-        ph2, linw = _admit_member(stepper, w, fn.norm_hr_sq(w, 1.0), consts, more)
+        ph1, lin1 = _admit_member(stepper, u1, guard.h2, guard.h1sq, consts, more)
+        ph2, linw = _admit_member(stepper, w, *fn.norms_h_h1_sq(w), consts, more)
         dt_live = guard.hold(0.0, dt)  # an excluded pair's E_4 stops integrating
         e4_1.push(ph1, dt_live)
         e4_2.push(ph2, dt_live)
@@ -462,8 +463,8 @@ def coupled_segment(
         )
         del lin1, linw  # spent; freed before the next drifts are built
         more = done < n_steps
-        ph1, lin1 = _admit_member(stepper, u1, guard.h1sq, consts, more)
-        ph2, linw = _admit_member(stepper, w, fn.norm_hr_sq(w, 1.0), consts, more)
+        ph1, lin1 = _admit_member(stepper, u1, guard.h2, guard.h1sq, consts, more)
+        ph2, linw = _admit_member(stepper, w, *fn.norms_h_h1_sq(w), consts, more)
         dt_live = guard.hold(0.0, dt)  # an excluded pair's budgets stop integrating
         e4_1.push(ph1, dt_live)
         e4_2.push(ph2, dt_live)

@@ -98,6 +98,14 @@ def norm_hr_sq(a: np.ndarray, r: float) -> np.ndarray:
     return np.sum(_hr_weights(a.shape[-1], r) * np.abs(a) ** 2, axis=-1)
 
 
+def norms_h_h1_sq(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||u||_H^2, ||u||_{H^1}^2) from one |a|^2: the bits of norm_h_sq(a)
+    and norm_hr_sq(a, 1.0), for callers that need both norms of one state."""
+    a = np.asarray(a)
+    a2 = np.abs(a) ** 2
+    return np.sum(a2, axis=-1), np.sum(_hr_weights(a.shape[-1], 1.0) * a2, axis=-1)
+
+
 def _quad_mean(values_p: np.ndarray) -> np.ndarray:
     # interior rectangle sum == trapezoid, endpoints are Dirichlet zeros
     K = values_p.shape[-1]
@@ -135,12 +143,12 @@ def psi_phi(h2, h1sq, l4, consts: FunctionalConstants) -> tuple:
 
 def psi(a: np.ndarray, consts: FunctionalConstants) -> np.ndarray:
     """Psi(u) = ||u||_{H^1}^2 - 1/2 ||u||_{L^4}^4 + kappa ||u||_H^6."""
-    return psi_phi(norm_h_sq(a), norm_hr_sq(a, 1.0), l4_norm4(a), consts)[0]
+    return psi_phi(*norms_h_h1_sq(a), l4_norm4(a), consts)[0]
 
 
 def phi(a: np.ndarray, consts: FunctionalConstants) -> np.ndarray:
     """Phi(u) = Psi(u) + kappa ||u||_H^18."""
-    return psi_phi(norm_h_sq(a), norm_hr_sq(a, 1.0), l4_norm4(a), consts)[1]
+    return psi_phi(*norms_h_h1_sq(a), l4_norm4(a), consts)[1]
 
 
 # ---------------------------------------------------------------------------

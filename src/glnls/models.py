@@ -51,10 +51,11 @@ Two one-step schemes are provided:
     ``physical_field`` gives (v, |v|^2) on the ``pad_points`` grid; that
     one field feeds the state's Phi, through ||u||_{L^4}^4 =
     sum |v|^4/(K+1) (``field_energy``), and the next step's drift
-    (``Stepper.drift(a, field)``).  The guard's H^1 norms of the admitted
-    state (``BlowUpGuard.h1sq``) are Phi's H^1 term.  Under FSAL Strang
-    the kick synthesises decay c + noise, not the Strang state a, so Phi
-    and records there make a synthesis of their own.
+    (``Stepper.drift(a, field)``).  The guard's squared H and H^1 norms of
+    the admitted state (``BlowUpGuard.h2`` and ``.h1sq``, from one |a|^2)
+    are Phi's other two terms.  Under FSAL Strang the kick synthesises
+    decay c + noise, not the Strang state a, so Phi and records there make
+    a synthesis of their own.
 
 The cubic term is evaluated pseudo-spectrally on a refined grid.  In the
 sine basis a cubic of an M-mode field has modes up to 3M, and a padded grid
@@ -252,22 +253,21 @@ def _kick(a: np.ndarray, tau: float, params: ModelParams) -> np.ndarray:
     return to_spectral(np.multiply(v, e), a.shape[-1])
 
 
-def field_energy(a: np.ndarray, field: tuple, h1sq, params: ModelParams,
+def field_energy(a: np.ndarray, field: tuple, h2, h1sq, params: ModelParams,
                  consts: FunctionalConstants) -> tuple:
-    """(||u||_H^2, ||u||_{L^4}^4, Psi, Phi) of the states a, from
-    field = physical_field(a, params) and h1sq = ||a||_{H^1}^2.
+    """(||u||_{L^4}^4, Psi, Phi) of the states a, from field =
+    physical_field(a, params) and (h2, h1sq) = fn.norms_h_h1_sq(a).
 
     The values of fn.psi and fn.phi, without a synthesis of their own.
     |u|^4 has cosine modes up to 4M, so the L^4 quadrature on the pad_points
     grid is exact once that grid has 2M points.  With dealias=False it has
     M, and l4_norm4's own 2M+1-point grid is used instead.
     """
-    h2 = fn.norm_h_sq(a)
     if params.pad_points >= 2 * params.M:
         l4 = fn.l4_norm4_from_density(field[1])
     else:
         l4 = fn.l4_norm4(a)
-    return (h2, l4, *fn.psi_phi(h2, h1sq, l4, consts))
+    return (l4, *fn.psi_phi(h2, h1sq, l4, consts))
 
 
 # ---------------------------------------------------------------------------
@@ -403,22 +403,23 @@ def steps(source: EnsembleNoise, n_steps: int, record_steps=()) -> Iterator[tupl
 class BlowUpGuard:
     """The exclusion rule for the rows (fields) of a stepped batch.
 
-    check(a) excludes every row of a past the guard and returns the squared
-    H^1 norms; hold(old, new) keeps the excluded rows of new at old.  Rows
-    are linked by or-ing into ``excluded`` between the two calls.  admit
-    does both and keeps ``h1sq``, the squared H^1 norms of the admitted
-    rows, which a frozen row holds at its frozen state's.
+    check(a) excludes every row of a past the guard; hold(old, new) keeps
+    the excluded rows of new at old.  Rows are linked by or-ing into
+    ``excluded`` between the two calls.  admit does both and keeps ``h2``
+    and ``h1sq``, the squared H and H^1 norms of the admitted rows from one
+    |a|^2, which a frozen row holds at its frozen state's.
     """
 
     def __init__(self, integ: IntegratorConfig, a: np.ndarray):
         self.limit = integ.blowup_guard**2
         self.excluded = np.zeros(np.shape(a)[:-1], dtype=bool)
-        self.h1sq = fn.norm_hr_sq(a, 1.0)
+        self.h2, self.h1sq = fn.norms_h_h1_sq(a)
 
-    def check(self, a: np.ndarray) -> np.ndarray:
-        h1sq = fn.norm_hr_sq(a, 1.0)
+    def check(self, a: np.ndarray) -> None:
+        self._exclude(fn.norm_hr_sq(a, 1.0))
+
+    def _exclude(self, h1sq: np.ndarray) -> None:
         self.excluded |= ~(h1sq <= self.limit)
-        return h1sq
 
     def hold(self, old, new):
         """new, with every excluded row kept at old (per-row arrays or scalars)."""
@@ -428,9 +429,11 @@ class BlowUpGuard:
         return np.where(self.excluded.reshape(self.excluded.shape + extra), old, new)
 
     def admit(self, old: tuple, new: tuple) -> tuple:
-        """check(new[0]), then hold every array of the tuple new, and h1sq, at old."""
-        h1sq = self.check(new[0])
-        self.h1sq = self.hold(self.h1sq, h1sq)
+        """Exclude the rows of new[0] past the guard, then hold every array of
+        the tuple new, and the norms, at old."""
+        h2, h1sq = fn.norms_h_h1_sq(new[0])
+        self._exclude(h1sq)
+        self.h2, self.h1sq = self.hold(self.h2, h2), self.hold(self.h1sq, h1sq)
         return tuple(self.hold(o, n) for o, n in zip(old, new))
 
 
@@ -532,24 +535,23 @@ def simulate_ensemble(
     guard = BlowUpGuard(integ, a)
 
     def measure(a):
-        """(field, ||u||_H^2, ||u||_{L^4}^4, Psi, Phi) of the admitted states a.
+        """(field, ||u||_{L^4}^4, Psi, Phi) of the admitted states a.
 
         The next exponential-Euler drift reads the field, so that scheme
         keeps it and synthesises a once per step; under Strang it is None.
         """
         field = physical_field(a, params)
         return (field if integ.scheme == "expeuler" else None,
-                *field_energy(a, field, guard.h1sq, params, consts))
+                *field_energy(a, field, guard.h2, guard.h1sq, params, consts))
 
-    field, h2, l4, ps, ph = measure(a)
+    field, l4, ps, ph = measure(a)
     e1 = fn.EnAccumulator(1, params.alpha)
     e4 = fn.EnAccumulator(4, params.alpha)
     e1.reset(ph)
     e4.reset(ph)
-    prev_h = h2
 
     def record(i_rec: int):
-        cols["H"][i_rec] = h2
+        cols["H"][i_rec] = guard.h2
         cols["H1"][i_rec] = guard.h1sq
         cols["L4"][i_rec] = l4
         cols["psi"][i_rec] = ps
@@ -566,7 +568,7 @@ def simulate_ensemble(
     i_rec = 0
     every_step = track_phi_every_step or track_mass_integrals
     for z, recorded in steps(source, n_steps, rec_idx):
-        prev_h1 = guard.h1sq
+        prev_h, prev_h1 = guard.h2, guard.h1sq
         new, c_new = stepper.advance(c, z, field, strang_state=recorded or every_step)
         if new is None:  # no Strang state formed: the guard reads c_next
             guard.check(c_new)
@@ -575,17 +577,14 @@ def simulate_ensemble(
             a, c = guard.admit((a, c), (new, c_new))
         field = None
         if track_phi_every_step or recorded:
-            field, h2, l4, ps, ph = measure(a)
-        elif track_mass_integrals:
-            h2 = fn.norm_h_sq(a)
+            field, l4, ps, ph = measure(a)
         # left-endpoint E_n pushes and trapezoid mass integrals
         if track_phi_every_step:
             e1.push(ph, integ.dt)
             e4.push(ph, integ.dt)
         if track_mass_integrals:
-            int_h += 0.5 * (prev_h + h2) * integ.dt
+            int_h += 0.5 * (prev_h + guard.h2) * integ.dt
             int_h1 += 0.5 * (prev_h1 + guard.h1sq) * integ.dt
-            prev_h = h2
         if recorded:
             i_rec += 1
             if not track_phi_every_step:

@@ -22,7 +22,10 @@ transform entry points.  Each picks its route from the grid size:
   Handed the complex array, scipy.fft.dst makes two strided real
   transforms and adds them into a third array; the one call gives the same
   bits, since each part meets the same real transform, in less time
-  (benchmarks/transform_bench.py times both).
+  (benchmarks/transform_bench.py times both).  scipy.fft is imported by
+  the first call of this route and kept: a process whose grids all stay at
+  or below DENSE_MAX_POINTS never loads it (the import takes about half a
+  CPU-second and 25 MB on a 2-vCPU Xeon).
 
 The crossover constant is measured with benchmarks/transform_bench.py.  On
 a 2-vCPU Xeon (2.1 GHz) the dense route is 3-10x faster than the DST up to
@@ -46,7 +49,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import dst
 
 
 class DimensionMismatchError(ValueError):
@@ -152,6 +154,9 @@ def _synthesis_dense(a: np.ndarray, K: int) -> np.ndarray:
     return _real_matmul(_sine_matrices(a.shape[-1], K)[0], a)
 
 
+_dst = None  # scipy.fft.dst, imported by the first DST-route call
+
+
 def _dst_complex(x: np.ndarray) -> np.ndarray:
     """DST-I of complex x along its last axis, as the float array (..., K, 2)
     of the real and imaginary parts: one real transform of the interleaved view.
@@ -160,8 +165,11 @@ def _dst_complex(x: np.ndarray) -> np.ndarray:
     numpy's complex division by a real scalar does, so the result has the
     bits of scipy's complex route divided by the same scalar.
     """
+    global _dst
+    if _dst is None:
+        from scipy.fft import dst as _dst
     x = np.ascontiguousarray(x)
-    return dst(x.view(np.float64).reshape(x.shape + (2,)), type=1, axis=-2)
+    return _dst(x.view(np.float64).reshape(x.shape + (2,)), type=1, axis=-2)
 
 
 def _synthesis_dst(a: np.ndarray, K: int) -> np.ndarray:

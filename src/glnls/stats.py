@@ -9,7 +9,9 @@ equality-constraint marginals give the dual potentials, so every evaluation
 carries a primal-dual certificate gap.  Uniform equal-size problems can also
 go through the assignment solver (same value, no certificate).  Beyond the
 sample cap the estimate is an average over subsample replicates with the
-replicate scatter reported, never silently.
+replicate scatter reported, never silently.  scipy.optimize (HiGHS and the
+assignment solver) and scipy.sparse are imported by the call that solves,
+so the drivers that solve no transport problem never load them.
 
 The costs come from the differences a_i - b_j themselves (``pairwise_hk``),
 with no BLAS call: a measure is at distance exactly 0 from itself in every
@@ -29,7 +31,6 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from . import functionals as fn
 from .functionals import FunctionalConstants
@@ -141,10 +142,11 @@ class OTResult:
 
 
 def _solve_lp(C: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> OTResult:
-    n, m = C.shape
-    # equality rows: n row sums then m column sums, last column row dropped
     import scipy.sparse as sp
+    from scipy.optimize import linprog
 
+    n, m = C.shape
+    # equality rows: n row sums then m column sums, last column row dropped;
     # plan entry (i, j) is variable i * m + j
     ri = np.concatenate([np.repeat(np.arange(n), m), np.repeat(n + np.arange(m - 1), n)])
     ci = np.concatenate([np.arange(n * m),
@@ -200,6 +202,8 @@ def wasserstein(
     if method == "assignment" or (method == "auto" and uniform_square and emp_a.n > 64):
         if not uniform_square:
             raise ValueError("assignment route needs uniform equal-size measures")
+        from scipy.optimize import linear_sum_assignment
+
         ri, cj = linear_sum_assignment(C)
         return OTResult(value=float(C[ri, cj].mean()), gap=None, method="assignment")
     return _solve_lp(C, emp_a.weights, emp_b.weights)
@@ -519,11 +523,8 @@ class MomentReport:
     mean_h2n: dict
     mean_phin: dict
     mean_exp: np.ndarray
-    se_exp: np.ndarray
     overflow_flags: int
     xi: float
-    envelope_fits: dict
-    lyapunov_chat: float
 
 
 def moment_experiment(
@@ -562,24 +563,9 @@ def moment_experiment(
     expo = xi * H
     flagged = int(np.sum(expo > fn.EXP_CAP))
     evals = np.exp(np.minimum(expo, fn.EXP_CAP))
-    mean_exp = np.mean(evals, axis=1)
-    se_exp = np.std(evals, axis=1) / np.sqrt(ensemble_size)
-
-    fits = {}
-    phi0 = float(fn.phi(np.asarray(u0, complex), consts))
-    t = rec.times
-    for n in n_list:
-        y = mean_phin[n]
-        tail = y[-max(3, len(y) // 4):].mean()
-        dev = y - tail
-        mask = dev > max(1e-12, 1e-3 * abs(tail))
-        if mask.sum() >= 3 and phi0 > 0:
-            fits[n] = fit_exponential(t[mask], dev[mask])
-    chat = float(np.max(mean_phin[min(n_list)] - np.exp(-0.5 * params.alpha * t) * phi0))
     return MomentReport(
-        t=t, mean_h2n=mean_h2n, mean_phin=mean_phin, mean_exp=mean_exp,
-        se_exp=se_exp, overflow_flags=flagged, xi=xi, envelope_fits=fits,
-        lyapunov_chat=chat,
+        t=rec.times, mean_h2n=mean_h2n, mean_phin=mean_phin,
+        mean_exp=np.mean(evals, axis=1), overflow_flags=flagged, xi=xi,
     )
 
 

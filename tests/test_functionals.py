@@ -62,6 +62,15 @@ class TestNorms:
         a = random_field(np.random.default_rng(7), 8)
         assert fn.norm_hr_sq(a, 1.5) == np.sum(eigenvalues(8) ** 1.5 * np.abs(a) ** 2)
 
+    @pytest.mark.parametrize("shape", [(8,), (5, 16), (2, 3, 64)])
+    def test_both_norms_from_one_pass(self, shape):
+        # one |a|^2 for both norms, with the bits of the two single-norm calls
+        rng = np.random.default_rng(list(shape))
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h2, h1sq = fn.norms_h_h1_sq(a)
+        assert np.array_equal(h2, fn.norm_h_sq(a))
+        assert np.array_equal(h1sq, fn.norm_hr_sq(a, 1.0))
+
     def test_scaling(self):
         rng = np.random.default_rng(1)
         a = random_field(rng, 10)
@@ -128,9 +137,8 @@ class TestSharedFieldPhi:
         rng = np.random.default_rng([M, pad_factor])
         a = np.stack([random_field(rng, M, d) for d in (0.5, 1.0, 2.0) for _ in range(4)])
         p = md.ModelParams(gamma=0.05, alpha=1.0, M=M, pad_factor=pad_factor)
-        h2, l4, ps, ph = md.field_energy(a, md.physical_field(a, p), fn.norm_hr_sq(a, 1.0),
-                                         p, CONSTS)
-        assert np.array_equal(h2, fn.norm_h_sq(a))
+        l4, ps, ph = md.field_energy(a, md.physical_field(a, p), *fn.norms_h_h1_sq(a),
+                                     p, CONSTS)
         for got, ref in ((l4, fn.l4_norm4(a)), (ps, fn.psi(a, CONSTS)), (ph, fn.phi(a, CONSTS))):
             assert np.max(np.abs(got / ref - 1.0)) < 1e-13
 
@@ -143,9 +151,9 @@ class TestSharedFieldPhi:
         field = md.physical_field(a, p)
         assert field[0].shape[-1] == M
         assert abs(fn.l4_norm4_from_density(field[1]) / fn.l4_norm4(a) - 1.0) > 1e-6
-        got = md.field_energy(a, field, fn.norm_hr_sq(a, 1.0), p, CONSTS)
-        assert np.array_equal(got[1], fn.l4_norm4(a))
-        assert np.array_equal(got[3], fn.phi(a, CONSTS))
+        got = md.field_energy(a, field, *fn.norms_h_h1_sq(a), p, CONSTS)
+        assert np.array_equal(got[0], fn.l4_norm4(a))
+        assert np.array_equal(got[2], fn.phi(a, CONSTS))
 
     @pytest.mark.parametrize("dealias", [True, False])
     def test_ensemble_records(self, dealias):
