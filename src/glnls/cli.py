@@ -9,10 +9,17 @@ chunks the trajectory ensemble across processes, and because every
 trajectory owns a counter-based stream keyed by (seed, id), the merged
 output is identical for any worker count.
 
-Every run allocates a fresh directory (never overwriting an earlier one),
-writes CSV curves with 17-significant-digit floats, and one manifest.json
-referencing each output file with its content hash.  Failures exit nonzero
-with a machine-readable JSON error on stderr.
+validate runs the acceptance checks (--only picks some of them by index)
+and writes nothing.  Every other subcommand has a driver
+``drive_<name>(cfg, seed, args)`` that returns only what it computed: its
+CSV tables as ``{file name: (header, rows)}`` and its manifest fields
+(``trajectory_count``, and where it has them ``excluded_count``,
+``derived_constants`` and ``results``).  ``main`` is the one runner: it
+allocates a fresh run directory (never overwriting an earlier one), times
+the driver, writes each table with 17-significant-digit floats and then
+one manifest.json with the config echo, the wall time, the counts and the
+SHA-256 of every CSV.  Failures exit nonzero with a machine-readable JSON
+error on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ import argparse
 import json
 import os
 import sys
+import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +40,7 @@ from . import models as md
 from . import stats as st
 from .config import ConfigError, RunConfig, default_config, load_config
 from .noise import derive_seed
-from .outputs import RunManifest, Stopwatch, allocate_run_dir, write_csv
+from .outputs import allocate_run_dir, write_csv, write_manifest
 
 
 def _ensemble_chunk(payload):
@@ -76,67 +85,45 @@ def run_ensemble(cfg: RunConfig, n_traj: int, workers: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# drivers: (cfg, seed, args) -> (tables, manifest fields)
 # ---------------------------------------------------------------------------
-
-def _manifest(cfg: RunConfig, sub: str, seed: int) -> RunManifest:
-    return RunManifest(
-        subcommand=sub, config=cfg.as_dict(), config_hash=cfg.content_hash(),
-        seed=seed,
-    )
-
 
 def _exp(cfg: RunConfig, key: str, default: str) -> str:
     return cfg.experiment.get(key, default)
 
 
-def drive_validate(cfg, run_dir, seed, args) -> int:
-    only = None
-    if args.only:
-        only = {int(x) for x in args.only.split(",")}
-    results = acceptance.run_all(only=only)
-    return 0 if all(r.passed for r in results) else 1
+def _fit_fields(fit: st.RateFit, exponent: str) -> dict:
+    return {exponent: fit.exponent, "r_squared": fit.r_squared,
+            "residual": fit.residual, "half_width": fit.half_width}
 
 
-def drive_simulate(cfg, run_dir, seed, args) -> int:
-    params, spec = cfg.model_params(), cfg.noise_spec()
-    integ, consts = cfg.integrator_config(), cfg.constants()
+def drive_simulate(cfg, seed, args):
+    params = cfg.model_params()
     save_states = cfg.run["save_states"].strip().lower() in ("1", "true", "yes")
-    man = _manifest(cfg, "simulate", seed)
-    with Stopwatch() as sw:
-        rec = md.simulate_ensemble(
-            cfg.u0(), params, integ, spec, cfg.T, seed,
-            traj_ids=np.array([0]), consts=consts, record_states=save_states,
-        )
-    one = rec.single()
-    p = write_csv(run_dir / "energy.csv", fn.ENERGY_CSV_HEADER, one.energy.rows())
-    man.add_file(p)
+    rec = md.simulate_ensemble(
+        cfg.u0(), params, cfg.integrator_config(), cfg.noise_spec(), cfg.T, seed,
+        traj_ids=np.array([0]), consts=cfg.constants(), record_states=save_states,
+    )
+    e = rec.energy
+    tables = {"energy.csv": (
+        fn.ENERGY_CSV_HEADER,
+        zip(e.t, *(getattr(e, name)[:, 0] for name in fn.ENERGY_CSV_HEADER[1:])),
+    )}
     if save_states:
-        M = params.M
-        header = ["t"] + [f"re_a{k}" for k in range(1, M + 1)] + [
-            f"im_a{k}" for k in range(1, M + 1)
-        ]
-        rows = (
-            [one.times[i]] + list(one.states[i].real) + list(one.states[i].imag)
-            for i in range(len(one.times))
-        )
-        p = write_csv(run_dir / "states.csv", header, rows)
-        man.add_file(p)
-    man.wall_time_s = sw.elapsed
-    man.trajectory_count = 1
-    man.excluded_count = int(one.excluded)
-    man.write(run_dir)
-    return 0
+        modes = range(1, params.M + 1)
+        header = ["t"] + [f"re_a{k}" for k in modes] + [f"im_a{k}" for k in modes]
+        tables["states.csv"] = (header, (
+            [t, *a.real, *a.imag] for t, a in zip(rec.times, rec.states[:, 0])
+        ))
+    return tables, {"trajectory_count": 1, "excluded_count": int(rec.excluded[0])}
 
 
-def drive_ensemble(cfg, run_dir, seed, args) -> int:
+def drive_ensemble(cfg, seed, args):
     workers = args.workers
     if workers is None:
         workers = int(os.environ.get("GLNLS_WORKERS", cfg.run["workers"]))
     n_traj = int(_exp(cfg, "size", "100"))
-    man = _manifest(cfg, "ensemble", seed)
-    with Stopwatch() as sw:
-        times, H, H1, phi, final, excluded = run_ensemble(cfg, n_traj, workers, seed)
+    times, H, H1, phi, final, excluded = run_ensemble(cfg, n_traj, workers, seed)
     live = ~excluded
     n = max(int(live.sum()), 1)
     rows = (
@@ -146,20 +133,13 @@ def drive_ensemble(cfg, run_dir, seed, args) -> int:
          phi[i, live].mean(), phi[i, live].std() / np.sqrt(n))
         for i in range(len(times))
     )
-    p = write_csv(
-        run_dir / "ensemble_mean.csv",
-        ("t", "mean_H", "se_H", "mean_H1", "se_H1", "mean_phi", "se_phi"),
-        rows,
-    )
-    man.add_file(p)
-    man.wall_time_s = sw.elapsed
-    man.trajectory_count = n_traj
-    man.excluded_count = int(excluded.sum())
-    man.write(run_dir)
-    return 0
+    header = ("t", "mean_H", "se_H", "mean_H1", "se_H1", "mean_phi", "se_phi")
+    return {"ensemble_mean.csv": (header, rows)}, {
+        "trajectory_count": n_traj, "excluded_count": int(excluded.sum()),
+    }
 
 
-def drive_couple(cfg, run_dir, seed, args) -> int:
+def drive_couple(cfg, seed, args):
     params, spec = cfg.model_params(), cfg.noise_spec()
     consts = cfg.constants()
     n_pairs = int(_exp(cfg, "pairs", "64"))
@@ -168,66 +148,57 @@ def drive_couple(cfg, run_dir, seed, args) -> int:
     seg_t = float(_exp(cfg, "segment_time", "2.0"))
     perturb = complex(_exp(cfg, "perturb", "0"))
     dt = float(_exp(cfg, "dt", cfg.integrator["dt"]))
-    man = _manifest(cfg, "couple", seed)
-    with Stopwatch() as sw:
-        pilot = cp.estimate_pilot_constants(
-            params, spec, consts, derive_seed(seed, "pilot"),
-            n_traj=int(_exp(cfg, "pilot_traj", "100")),
-            T=float(_exp(cfg, "pilot_time", "10.0")),
-        )
-        theta = float(_exp(cfg, "theta", str(10.0 * pilot.c4_hat)))
-        ccfg = cp.CouplingConfig(
-            N=spec.N, theta=theta, beta=beta, T=seg_t,
-            c4_hat=pilot.c4_hat, k41_hat=pilot.k41_hat, consts=consts,
-        )
-        integ = md.IntegratorConfig(dt=dt, scheme="expeuler", noise_mode="em")
-        u1 = cfg.u0()
-        u2 = u1.copy()
-        if perturb != 0:
-            u2[params.M - 1] += perturb
-        state = cp.make_coupled_state(
-            np.broadcast_to(u1, (n_pairs, params.M)).copy(),
-            np.broadcast_to(u2, (n_pairs, params.M)).copy(),
-            ccfg, consts,
-        )
-        rows = []
-        for k in range(n_segments):
-            state, seg = cp.coupled_segment(
-                state, ccfg, params, integ, spec,
-                derive_seed(seed, f"segment-{k}"),
-            )
-            flags = state.e4_crossed.astype(int) + 2 * state.budget_crossed.astype(int)
-            j = fn.j_functional(state.u1, state.u2_composite(ccfg.N), consts)
-            for pair in range(n_pairs):
-                rows.append((
-                    pair, state.k, state.ell[pair], j[pair],
-                    state.log_weight[pair], seg.e4_1[-1, pair],
-                    seg.e4_2[-1, pair], flags[pair],
-                ))
-    p = write_csv(
-        run_dir / "coupling.csv",
-        ("pair", "k", "ell", "J", "log_weight", "E4_u1", "E4_u2", "stopped_flags"),
-        rows,
+    pilot = cp.estimate_pilot_constants(
+        params, spec, consts, derive_seed(seed, "pilot"),
+        n_traj=int(_exp(cfg, "pilot_traj", "100")),
+        T=float(_exp(cfg, "pilot_time", "10.0")),
     )
-    man.add_file(p)
-    man.wall_time_s = sw.elapsed
-    man.trajectory_count = 2 * n_pairs
-    man.excluded_count = int(state.excluded.sum())
-    man.derived_constants = {
-        "c4_hat": pilot.c4_hat, "k41_hat": pilot.k41_hat,
-        "theta": theta, "t1": ccfg.t1, "r1": ccfg.r1,
-        "rho1": ccfg.rho1, "rho2": ccfg.rho2,
-        "kappa": consts.kappa, "kappa2": consts.kappa2,
+    theta = float(_exp(cfg, "theta", str(10.0 * pilot.c4_hat)))
+    ccfg = cp.CouplingConfig(
+        N=spec.N, theta=theta, beta=beta, T=seg_t,
+        c4_hat=pilot.c4_hat, k41_hat=pilot.k41_hat, consts=consts,
+    )
+    integ = md.IntegratorConfig(dt=dt, scheme="expeuler", noise_mode="em")
+    u1 = cfg.u0()
+    u2 = u1.copy()
+    if perturb != 0:
+        u2[params.M - 1] += perturb
+    state = cp.make_coupled_state(
+        np.broadcast_to(u1, (n_pairs, params.M)).copy(),
+        np.broadcast_to(u2, (n_pairs, params.M)).copy(),
+        ccfg, consts,
+    )
+    rows = []
+    for k in range(n_segments):
+        state, seg = cp.coupled_segment(
+            state, ccfg, params, integ, spec, derive_seed(seed, f"segment-{k}"),
+        )
+        flags = state.e4_crossed.astype(int) + 2 * state.budget_crossed.astype(int)
+        j = fn.j_functional(state.u1, state.u2_composite(ccfg.N), consts)
+        for pair in range(n_pairs):
+            rows.append((
+                pair, state.k, state.ell[pair], j[pair],
+                state.log_weight[pair], seg.e4_1[-1, pair],
+                seg.e4_2[-1, pair], flags[pair],
+            ))
+    header = ("pair", "k", "ell", "J", "log_weight", "E4_u1", "E4_u2", "stopped_flags")
+    return {"coupling.csv": (header, rows)}, {
+        "trajectory_count": 2 * n_pairs,
+        "excluded_count": int(state.excluded.sum()),
+        "derived_constants": {
+            "c4_hat": pilot.c4_hat, "k41_hat": pilot.k41_hat,
+            "theta": theta, "t1": ccfg.t1, "r1": ccfg.r1,
+            "rho1": ccfg.rho1, "rho2": ccfg.rho2,
+            "kappa": consts.kappa, "kappa2": consts.kappa2,
+        },
+        "results": {
+            "still_coupled": int(np.sum(state.ell != cp.UNCOUPLED)),
+            "pairs": n_pairs, "segments": n_segments,
+        },
     }
-    man.results = {
-        "still_coupled": int(np.sum(state.ell != cp.UNCOUPLED)),
-        "pairs": n_pairs, "segments": n_segments,
-    }
-    man.write(run_dir)
-    return 0
 
 
-def drive_mixing(cfg, run_dir, seed, args) -> int:
+def drive_mixing(cfg, seed, args):
     params0 = cfg.model_params()
     spec = cfg.noise_spec()
     gammas = [float(x) for x in _exp(cfg, "gammas", cfg.model["gamma"]).split(",")]
@@ -235,42 +206,24 @@ def drive_mixing(cfg, run_dir, seed, args) -> int:
     n_points = int(_exp(cfg, "t_points", "51"))
     ensemble = int(_exp(cfg, "ensemble", "64"))
     t_grid = np.linspace(0.0, t_max, n_points)
-    man = _manifest(cfg, "mixing", seed)
-    fits = {}
-    with Stopwatch() as sw:
-        for g in gammas:
-            params = md.ModelParams(
-                gamma=g, alpha=params0.alpha, M=params0.M,
-                truncation=params0.truncation, dealias=params0.dealias,
-                pad_factor=params0.pad_factor, nonlinear=params0.nonlinear,
-            )
-            curve = st.mixing_curve(
-                cfg.u0(), _second_state(cfg), params, spec, t_grid, ensemble,
-                derive_seed(seed, f"mixing-{g}"),
-                integ=cfg.integrator_config(),
-            )
-            p = write_csv(
-                run_dir / f"mixing_gamma{g:g}.csv",
-                ("t", "upper_d1", "upper_d0"),
-                zip(curve.t, curve.upper_d1, curve.upper_d0),
-            )
-            man.add_file(p)
-            p = write_csv(
-                run_dir / f"mixing_dual_gamma{g:g}.csv",
-                ("t", "dual_lower_d1"),
-                zip(curve.dual_t, curve.dual_lower),
-            )
-            man.add_file(p)
-            if curve.fit:
-                fits[str(g)] = {
-                    "rate": curve.fit.exponent, "r_squared": curve.fit.r_squared,
-                    "residual": curve.fit.residual, "half_width": curve.fit.half_width,
-                }
-    man.wall_time_s = sw.elapsed
-    man.trajectory_count = 2 * ensemble * len(gammas)
-    man.results = {"fits": fits}
-    man.write(run_dir)
-    return 0
+    tables, fits = {}, {}
+    for g in gammas:
+        curve = st.mixing_curve(
+            cfg.u0(), _second_state(cfg), replace(params0, gamma=g), spec, t_grid,
+            ensemble, derive_seed(seed, f"mixing-{g}"), integ=cfg.integrator_config(),
+        )
+        tables[f"mixing_gamma{g:g}.csv"] = (
+            ("t", "upper_d1", "upper_d0"),
+            zip(curve.t, curve.upper_d1, curve.upper_d0),
+        )
+        tables[f"mixing_dual_gamma{g:g}.csv"] = (
+            ("t", "dual_lower_d1"), zip(curve.dual_t, curve.dual_lower),
+        )
+        if curve.fit:
+            fits[str(g)] = _fit_fields(curve.fit, "rate")
+    return tables, {
+        "trajectory_count": 2 * ensemble * len(gammas), "results": {"fits": fits},
+    }
 
 
 def _second_state(cfg: RunConfig) -> np.ndarray:
@@ -284,117 +237,88 @@ def _second_state(cfg: RunConfig) -> np.ndarray:
     return out
 
 
-def drive_inviscid(cfg, run_dir, seed, args) -> int:
+def drive_inviscid(cfg, seed, args):
     params0 = cfg.model_params()
-    spec = cfg.noise_spec()
     gammas = [float(x) for x in _exp(cfg, "gammas", "1e-4,1e-3,1e-2,1e-1").split(",")]
-    T = float(_exp(cfg, "time", "1.0"))
     pairs = int(_exp(cfg, "pairs", "100"))
-    truncated = _exp(cfg, "truncated", "true").lower() in ("1", "true", "yes")
-    R = float(_exp(cfg, "radius", "2.0"))
-    man = _manifest(cfg, "inviscid", seed)
-    with Stopwatch() as sw:
-        curve = st.inviscid_curve(
-            cfg.u0(), gammas, T, pairs, seed, alpha=params0.alpha, M=params0.M,
-            spec=spec, truncated=truncated, R=R,
-            dt=float(cfg.integrator["dt"]),
-        )
-    p = write_csv(
-        run_dir / "inviscid.csv",
-        ("gamma", "mean_sup_err", "mean_sup_err_sq", "se_sup_err_sq", "excluded"),
-        zip(curve.gammas, curve.mean_sup_err, curve.mean_sup_err_sq,
-            curve.se_sup_err_sq, curve.excluded),
+    curve = st.inviscid_curve(
+        cfg.u0(), gammas, float(_exp(cfg, "time", "1.0")), pairs, seed,
+        alpha=params0.alpha, M=params0.M, spec=cfg.noise_spec(),
+        truncated=_exp(cfg, "truncated", "true").lower() in ("1", "true", "yes"),
+        R=float(_exp(cfg, "radius", "2.0")), dt=float(cfg.integrator["dt"]),
     )
-    man.add_file(p)
-    man.wall_time_s = sw.elapsed
-    # one shared gamma = 0 reference per pair index, one path per distinct nonzero gamma
-    man.trajectory_count = pairs * (1 + len(set(gammas) - {0.0}))
-    man.excluded_count = int(curve.excluded.sum())
+    rows = zip(curve.gammas, curve.mean_sup_err, curve.mean_sup_err_sq,
+               curve.se_sup_err_sq, curve.excluded)
+    header = ("gamma", "mean_sup_err", "mean_sup_err_sq", "se_sup_err_sq", "excluded")
+    fields = {
+        # one shared gamma = 0 reference per pair index, one path per distinct nonzero gamma
+        "trajectory_count": pairs * (1 + len(set(gammas) - {0.0})),
+        "excluded_count": int(curve.excluded.sum()),
+    }
     if curve.fit:
-        man.results = {
-            "slope": curve.fit.exponent, "r_squared": curve.fit.r_squared,
-            "residual": curve.fit.residual, "half_width": curve.fit.half_width,
-        }
-    man.write(run_dir)
-    return 0
+        fields["results"] = _fit_fields(curve.fit, "slope")
+    return {"inviscid.csv": (header, rows)}, fields
 
 
-def drive_measures(cfg, run_dir, seed, args) -> int:
+def drive_measures(cfg, seed, args):
     params0 = cfg.model_params()
     spec, consts = cfg.noise_spec(), cfg.constants()
     gammas = [float(x) for x in _exp(cfg, "gammas", "0.2,0.1,0.05").split(",")]
     burn_in = float(_exp(cfg, "burn_in", str(20.0 / params0.alpha)))
     n_samples = int(_exp(cfg, "samples", "128"))
     thinning = float(_exp(cfg, "thinning", "1.0"))
-    man = _manifest(cfg, "measures", seed)
+
+    def sample(g, tag):
+        return st.invariant_measure_sample(
+            replace(params0, gamma=g), spec, burn_in, n_samples, thinning,
+            derive_seed(seed, tag), dt=float(cfg.integrator["dt"]), consts=consts,
+        )
+
+    ref, diag0 = sample(0.0, "measure-0")
+    diags = {"0": diag0}
     rows = []
-    diags = {}
-    with Stopwatch() as sw:
-        def sample(g, tag):
-            params = md.ModelParams(gamma=g, alpha=params0.alpha, M=params0.M)
-            return st.invariant_measure_sample(
-                params, spec, burn_in, n_samples, thinning,
-                derive_seed(seed, tag), dt=float(cfg.integrator["dt"]),
-                consts=consts,
-            )
-        ref, diag0 = sample(0.0, "measure-0")
-        diags["0"] = diag0
-        for g in gammas:
-            emp, diag = sample(g, f"measure-{g}")
-            diags[str(g)] = diag
-            w0 = st.wasserstein(emp, ref, "d0")
-            wxi = st.wasserstein(emp, ref, "d0xi", xi=consts.xi)
-            dual = st.dual_lower_bound(emp, ref, "d0")
-            rows.append((g, w0.value, w0.gap if w0.gap is not None else -1.0,
-                         wxi.value, dual))
-    p = write_csv(
-        run_dir / "measures.csv",
-        ("gamma", "w_d0", "w_d0_gap", "w_d0xi", "dual_lower_d0"),
-        rows,
-    )
-    man.add_file(p)
-    man.wall_time_s = sw.elapsed
-    man.trajectory_count = len(gammas) + 1
-    man.results = {"diagnostics": diags}
-    man.write(run_dir)
-    return 0
+    for g in gammas:
+        emp, diags[str(g)] = sample(g, f"measure-{g}")
+        w0 = st.wasserstein(emp, ref, "d0")
+        wxi = st.wasserstein(emp, ref, "d0xi", xi=consts.xi)
+        dual = st.dual_lower_bound(emp, ref, "d0")
+        rows.append((g, w0.value, w0.gap if w0.gap is not None else -1.0,
+                     wxi.value, dual))
+    header = ("gamma", "w_d0", "w_d0_gap", "w_d0xi", "dual_lower_d0")
+    return {"measures.csv": (header, rows)}, {
+        "trajectory_count": len(gammas) + 1, "results": {"diagnostics": diags},
+    }
 
 
-def drive_tails(cfg, run_dir, seed, args) -> int:
+def drive_tails(cfg, seed, args):
     params, spec = cfg.model_params(), cfg.noise_spec()
     n = int(_exp(cfg, "n", "4"))
-    p_ = float(_exp(cfg, "p", "1.0"))
+    p = float(_exp(cfg, "p", "1.0"))
     T = float(_exp(cfg, "time", "10.0"))
     ensemble = int(_exp(cfg, "ensemble", "200"))
     rho_text = _exp(cfg, "rho_grid", "")
-    man = _manifest(cfg, "tails", seed)
-    with Stopwatch() as sw:
-        if rho_text:
-            rho = np.array([float(x) for x in rho_text.split(",")])
-        else:
-            pilot = st.tail_experiment(
-                params, spec, cfg.u0(), n, p_,
-                np.geomspace(1e-3, 1e3, 7), T, ensemble_size=32,
-                seed=derive_seed(seed, "tails-pilot"), consts=cfg.constants(),
-            )
-            hi = max(pilot.c_n_hat * np.sqrt(T), 1.0)
-            rho = np.geomspace(hi * 1e-4, hi, 12)
-        rep = st.tail_experiment(
-            params, spec, cfg.u0(), n, p_, rho, T, ensemble_size=ensemble,
-            seed=seed, consts=cfg.constants(),
+    if rho_text:
+        rho = np.array([float(x) for x in rho_text.split(",")])
+    else:
+        pilot = st.tail_experiment(
+            params, spec, cfg.u0(), n, p,
+            np.geomspace(1e-3, 1e3, 7), T, ensemble_size=32,
+            seed=derive_seed(seed, "tails-pilot"), consts=cfg.constants(),
         )
+        hi = max(pilot.c_n_hat * np.sqrt(T), 1.0)
+        rho = np.geomspace(hi * 1e-4, hi, 12)
+    rep = st.tail_experiment(
+        params, spec, cfg.u0(), n, p, rho, T, ensemble_size=ensemble,
+        seed=seed, consts=cfg.constants(),
+    )
     rows = zip(rep.rho, rep.frequency, rep.envelope_k / rep.rho**rep.p)
-    p = write_csv(run_dir / "tails.csv", ("rho", "frequency", "envelope"), rows)
-    man.add_file(p)
-    man.wall_time_s = sw.elapsed
-    man.trajectory_count = ensemble
-    man.derived_constants = {"c_n_hat": rep.c_n_hat, "envelope_k": rep.envelope_k}
-    man.write(run_dir)
-    return 0
+    return {"tails.csv": (("rho", "frequency", "envelope"), rows)}, {
+        "trajectory_count": ensemble,
+        "derived_constants": {"c_n_hat": rep.c_n_hat, "envelope_k": rep.envelope_k},
+    }
 
 
 DRIVERS = {
-    "validate": drive_validate,
     "simulate": drive_simulate,
     "ensemble": drive_ensemble,
     "couple": drive_couple,
@@ -405,10 +329,25 @@ DRIVERS = {
 }
 
 
+def _check_indices(text: str) -> set[int]:
+    """--only: comma-separated acceptance check indices in 1..len(ALL_CHECKS)."""
+    n = len(acceptance.ALL_CHECKS)
+    only = set()
+    for item in text.split(","):
+        try:
+            k = int(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{item!r} is not a check index") from None
+        if not 1 <= k <= n:
+            raise argparse.ArgumentTypeError(f"check {k} is not one of 1..{n}")
+        only.add(k)
+    return only
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="glnls", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name in DRIVERS:
+    for name in ("validate", *DRIVERS):
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="config file path")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -416,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "ensemble":
             sp.add_argument("--workers", type=int, default=None)
         if name == "validate":
-            sp.add_argument("--only", default=None,
+            sp.add_argument("--only", type=_check_indices, default=None,
                             help="comma-separated criterion indices to run")
     return ap
 
@@ -429,13 +368,24 @@ def main(argv=None) -> int:
             cfg.run["seed"] = str(args.seed)
         if args.out is not None:
             cfg.run["out_dir"] = args.out
-        seed = cfg.seed
         if args.subcommand == "validate":
-            return drive_validate(cfg, None, seed, args)
+            results = acceptance.run_all(only=args.only)
+            return 0 if all(r.passed for r in results) else 1
+        seed = cfg.seed
         run_dir = allocate_run_dir(cfg.run["out_dir"], args.subcommand)
-        code = DRIVERS[args.subcommand](cfg, run_dir, seed, args)
+        start = time.perf_counter()
+        tables, fields = DRIVERS[args.subcommand](cfg, seed, args)
+        wall_time_s = time.perf_counter() - start
+        files = [write_csv(run_dir / name, header, rows)
+                 for name, (header, rows) in tables.items()]
+        fields = {"excluded_count": 0, "derived_constants": {}, "results": {}, **fields}
+        write_manifest(
+            run_dir, files, subcommand=args.subcommand, config=cfg.as_dict(),
+            config_hash=cfg.content_hash(), seed=seed, wall_time_s=wall_time_s,
+            **fields,
+        )
         print(f"wrote {run_dir}")
-        return code
+        return 0
     except ConfigError as exc:
         json.dump({"error": "config", "violations": exc.violations},
                   sys.stderr, indent=2)

@@ -11,8 +11,8 @@ Sections and keys::
     [noise]       forced_modes, lambda0, decay, lambdas (explicit override), cq_bound
     [integrator]  dt, time, record_every, scheme, noise_mode, blowup_guard
     [functionals] kappa, kappa2, xi
-    [experiment]  driver plus driver-specific keys (free-form, echoed to the
-                  manifest; unknown keys are preserved)
+    [experiment]  driver-specific keys (free-form, echoed to the manifest;
+                  unknown keys are preserved); the subcommand picks the driver
     [run]         seed, out_dir, workers, save_states, u0_modes
 """
 
@@ -68,9 +68,7 @@ _DEFAULTS = {
         "kappa2": "1.0",
         "xi": "0.05",
     },
-    "experiment": {
-        "driver": "simulate",
-    },
+    "experiment": {},
     "run": {
         "seed": "12345",
         "out_dir": "runs",
@@ -91,7 +89,6 @@ class RunConfig:
     functionals: dict
     experiment: dict
     run: dict
-    source_path: str | None = None
 
     # ---- typed accessors -------------------------------------------------
 
@@ -139,10 +136,6 @@ class RunConfig:
     @property
     def seed(self) -> int:
         return int(self.run["seed"])
-
-    @property
-    def workers(self) -> int:
-        return int(self.run["workers"])
 
     def u0(self) -> np.ndarray:
         """Initial field from 'k:coeff' pairs, e.g. '1:0.5, 2:0.3+0.1j'."""
@@ -289,7 +282,7 @@ def load_config(path: str) -> RunConfig:
     read = cp.read(path)
     if not read:
         raise ConfigError([f"config file not found or unreadable: {path}"])
-    cfg = RunConfig(**_merged(cp), source_path=path)
+    cfg = RunConfig(**_merged(cp))
     bad = validate(cfg)
     if bad:
         raise ConfigError(bad)

@@ -125,7 +125,6 @@ class CoupledState:
     girsanov_cost: np.ndarray | None = None
     e4_1: fn.EnAccumulator | None = None
     e4_2: fn.EnAccumulator | None = None
-    coupling_time: float = 0.0
     e4_crossed: np.ndarray | None = None
     budget_crossed: np.ndarray | None = None
     budget_integral: np.ndarray | None = None
@@ -303,7 +302,6 @@ class GirsanovReport:
     success: np.ndarray
     log_weight: np.ndarray
     cost: np.ndarray
-    cost_bracket: float
     excluded: np.ndarray
 
 
@@ -373,15 +371,11 @@ def girsanov_attempt(
     state.log_weight = logw
     state.girsanov_cost = cost
     state.excluded = guard.excluded
-    bracket = (cfg.t1 + 1.0 / cfg.t1 + 1.0) * cfg.r1**4 + cfg.c4_hat * cfg.t1 + (
-        cfg.rho1 * np.sqrt(cfg.t1)
-    )
     return GirsanovReport(
         state=state,
         success=success,
         log_weight=logw,
         cost=cost,
-        cost_bracket=float(bracket),
         excluded=guard.excluded,
     )
 
@@ -434,7 +428,7 @@ def coupled_segment(
     e4_1.alpha = params.alpha
     e4_2.alpha = params.alpha
 
-    elapsed0 = state.k * cfg.T - state.coupling_time
+    elapsed0 = state.k * cfg.T
     budget_cap = cfg.rho2 * np.exp(-0.25 * params.alpha * state.k * cfg.T)
     e4_crossed = state.e4_crossed.copy()
     budget_crossed = state.budget_crossed.copy()
@@ -508,7 +502,6 @@ def recompute_decoupling(
     cfg: CouplingConfig,
     alpha: float,
     segment_k: int,
-    coupling_time: float = 0.0,
 ) -> np.ndarray:
     """Replay the decoupling decision from a saved record.
 
@@ -516,8 +509,7 @@ def recompute_decoupling(
     flags exactly; the bookkeeping is a deterministic function of the
     trajectory.
     """
-    elapsed = rec.times[1:] - coupling_time  # live checks run post-step only
-    cap = cfg.e4_budget(elapsed)[:, None]
+    cap = cfg.e4_budget(rec.times[1:])[:, None]  # live checks run post-step only
     e4_bad = np.any((rec.e4_1[1:] > cap) | (rec.e4_2[1:] > cap), axis=0)
     budget_cap = cfg.rho2 * np.exp(-0.25 * alpha * segment_k * cfg.T)
     bud_bad = np.any(rec.budget_integral[1:] > budget_cap, axis=0)
@@ -532,8 +524,6 @@ def recompute_decoupling(
 class PilotConstants:
     c4_hat: float
     k41_hat: float
-    n_traj: int
-    T: float
 
 
 def estimate_pilot_constants(
@@ -575,4 +565,4 @@ def estimate_pilot_constants(
         rho_grid = np.geomspace(max(hi * 1e-3, 1e-12), max(hi, 1e-9), 12) / np.sqrt(T)
     freq = np.array([np.mean(sup_dev >= r * np.sqrt(T)) for r in rho_grid])
     k41 = float(np.max(freq * rho_grid / (phi0**4 + 1.0))) if np.any(freq > 0) else 1.0
-    return PilotConstants(c4_hat=c4, k41_hat=max(k41, 1e-6), n_traj=n_traj, T=T)
+    return PilotConstants(c4_hat=c4, k41_hat=max(k41, 1e-6))

@@ -284,12 +284,3 @@ class EnergySeries:
     phi: np.ndarray
     E1: np.ndarray
     E4: np.ndarray
-
-    def rows(self):
-        if self.H.ndim != 1:
-            raise ValueError("CSV rows are only defined for single trajectories")
-        for i in range(len(self.t)):
-            yield (
-                self.t[i], self.H[i], self.H1[i], self.L4[i],
-                self.psi[i], self.phi[i], self.E1[i], self.E4[i],
-            )

@@ -442,14 +442,6 @@ class BlowUpGuard:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TrajectoryRecord:
-    times: np.ndarray
-    energy: EnergySeries
-    states: np.ndarray | None = None  # (n_rec, M) at the record stride
-    excluded: bool = False
-
-
-@dataclass
 class EnsembleRecord:
     """Strided functional records for a batch of trajectories.
 
@@ -465,21 +457,6 @@ class EnsembleRecord:
     states: np.ndarray | None = None          # (n_rec, B, M) if requested
     mass_int_h: np.ndarray | None = None      # (n_rec, B) int ||u||_H^2 ds
     mass_int_h1: np.ndarray | None = None     # (n_rec, B) int ||u||_H1^2 ds
-
-    def single(self) -> TrajectoryRecord:
-        e = self.energy
-        squeeze = lambda x: x[:, 0]
-        es = EnergySeries(
-            t=e.t, H=squeeze(e.H), H1=squeeze(e.H1), L4=squeeze(e.L4),
-            psi=squeeze(e.psi), phi=squeeze(e.phi),
-            E1=squeeze(e.E1), E4=squeeze(e.E4),
-        )
-        return TrajectoryRecord(
-            times=self.times,
-            energy=es,
-            states=None if self.states is None else self.states[:, 0],
-            excluded=bool(self.excluded[0]),
-        )
 
 
 def simulate_ensemble(

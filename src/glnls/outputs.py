@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,46 +51,20 @@ def allocate_run_dir(out_dir: str | Path, name: str) -> Path:
     return cand
 
 
-@dataclass
-class RunManifest:
-    """One per run directory: config echo, counts, derived constants, hashes."""
-
-    subcommand: str
-    config: dict
-    config_hash: str
-    seed: int
-    code_version: str = __version__
-    wall_time_s: float = 0.0
-    trajectory_count: int = 0
-    excluded_count: int = 0
-    derived_constants: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    files: dict = field(default_factory=dict)
-
-    def add_file(self, path: Path):
-        self.files[Path(path).name] = sha256_file(path)
-
-    def write(self, run_dir: Path) -> Path:
-        path = Path(run_dir) / "manifest.json"
-        if path.exists():
-            raise FileExistsError(f"{path} already exists; one manifest per run")
-        payload = {
-            "subcommand": self.subcommand,
-            "code_version": self.code_version,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
-            "trajectory_count": self.trajectory_count,
-            "excluded_count": self.excluded_count,
-            "derived_constants": self.derived_constants,
-            "results": self.results,
-            "files": self.files,
-            "config": self.config,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
-            fh.write("\n")
-        return path
+def write_manifest(run_dir: Path, files, **fields) -> Path:
+    """Write the run's one manifest.json: the given fields, the code version
+    and the SHA-256 of each file in files.  Keys are sorted, so the same
+    fields give the same bytes."""
+    path = Path(run_dir) / "manifest.json"
+    payload = {
+        **fields,
+        "code_version": __version__,
+        "files": {Path(f).name: sha256_file(f) for f in files},
+    }
+    with open(path, "x") as fh:  # one manifest per run: never overwritten
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        fh.write("\n")
+    return path
 
 
 def _jsonable(obj):
@@ -102,12 +74,3 @@ def _jsonable(obj):
         return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
-
-class Stopwatch:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.t0
-        return False

@@ -346,8 +346,6 @@ class MixingCurve:
     dual_t: np.ndarray
     dual_lower: np.ndarray
     fit: RateFit | None
-    gamma: float
-    ensemble: int
     excluded: np.ndarray           # (ensemble,) pairs frozen by the blow-up guard
 
 
@@ -419,8 +417,7 @@ def mixing_curve(
     return MixingCurve(
         t=times, upper_d1=up1, upper_d0=np.asarray(up0),
         dual_t=np.asarray(dual_t), dual_lower=np.asarray(dual_v),
-        fit=fit, gamma=params.gamma, ensemble=ensemble_size,
-        excluded=guard.excluded[0],
+        fit=fit, excluded=guard.excluded[0],
     )
 
 
@@ -432,8 +429,6 @@ class InviscidCurve:
     se_sup_err_sq: np.ndarray
     excluded: np.ndarray
     fit: RateFit | None
-    truncated: bool
-    R: float | None
 
 
 def inviscid_curve(
@@ -513,7 +508,7 @@ def inviscid_curve(
         fit = fit_power_law(gamma_list[pos], mean_sq[pos], "power-gamma")
     return InviscidCurve(
         gammas=gamma_list, mean_sup_err=mean_err, mean_sup_err_sq=mean_sq,
-        se_sup_err_sq=se_sq, excluded=excluded, fit=fit, truncated=truncated, R=R,
+        se_sup_err_sq=se_sq, excluded=excluded, fit=fit,
     )
 
 
@@ -573,8 +568,6 @@ def moment_experiment(
 class MassIdentityReport:
     """Per-checkpoint residual of the integrated mean-energy identity."""
 
-    t_left: np.ndarray
-    t_right: np.ndarray
     mean_residual: np.ndarray
     se_residual: np.ndarray
     inside_3se: np.ndarray
@@ -621,7 +614,7 @@ def mass_identity_residuals(
     mean = res.mean(axis=1)
     se = res.std(axis=1) / np.sqrt(res.shape[1])
     return MassIdentityReport(
-        t_left=t[:-1], t_right=t[1:], mean_residual=mean, se_residual=se,
+        mean_residual=mean, se_residual=se,
         inside_3se=np.abs(mean) <= 3.0 * se,
     )
 
@@ -633,7 +626,6 @@ class TailReport:
     envelope_k: float
     p: float
     c_n_hat: float
-    n: int
 
 
 def tail_experiment(
@@ -673,7 +665,7 @@ def tail_experiment(
     pos = freq > 0
     k_hat = float(np.max(freq[pos] * rho_grid[pos] ** p)) if pos.any() else 0.0
     return TailReport(rho=rho_grid, frequency=freq, envelope_k=k_hat, p=p,
-                      c_n_hat=c_n_hat, n=n)
+                      c_n_hat=c_n_hat)
 
 
 def invariant_measure_sample(

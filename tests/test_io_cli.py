@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pytest
 
@@ -99,6 +100,26 @@ u0_modes = 1:0.4
 """
 
 
+def assert_manifest(run_dir):
+    """The run's manifest lists exactly its CSVs, each with its SHA-256, and
+    carries the wall time and the trajectory and excluded counts."""
+    man = json.loads((run_dir / "manifest.json").read_text())
+    csvs = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in run_dir.glob("*.csv")}
+    assert csvs and man["files"] == csvs
+    assert set(p.name for p in run_dir.iterdir()) == set(csvs) | {"manifest.json"}
+    assert man["wall_time_s"] > 0
+    assert man["trajectory_count"] >= 1
+    assert 0 <= man["excluded_count"] <= man["trajectory_count"]
+    return man
+
+
+MEASURES = BASE.format(time="0.1") + (
+    "\n[experiment]\ndriver = measures\ngammas = 0.1\nburn_in = 1.0\n"
+    "samples = 8\nthinning = 0.1\n"
+)
+
+
 class TestCLI:
     def test_simulate_t_zero_single_row(self, tmp_path):
         cfgp = write(tmp_path, BASE.format(time="0.0"))
@@ -107,6 +128,7 @@ class TestCLI:
         csv = (tmp_path / "o" / "simulate" / "energy.csv").read_text().splitlines()
         assert csv[0] == "t,H,H1,L4,psi,phi,E1,E4"
         assert len(csv) == 2
+        assert_manifest(tmp_path / "o" / "simulate")
 
     def test_rerun_never_overwrites(self, tmp_path):
         cfgp = write(tmp_path, BASE.format(time="0.0"))
@@ -140,7 +162,7 @@ class TestCLI:
         cfgp = write(tmp_path, BASE.format(time="0.02"))
         out = str(tmp_path / "o")
         cli.main(["simulate", "--config", cfgp, "--out", out])
-        man = json.loads((tmp_path / "o" / "simulate" / "manifest.json").read_text())
+        man = assert_manifest(tmp_path / "o" / "simulate")
         assert "energy.csv" in man["files"]
         assert len(man["files"]["energy.csv"]) == 64
         assert man["seed"] == 21 and man["code_version"]
@@ -158,6 +180,7 @@ class TestCLI:
         a = (tmp_path / "o" / "ensemble" / "ensemble_mean.csv").read_bytes()
         b = (tmp_path / "o" / "ensemble-2" / "ensemble_mean.csv").read_bytes()
         assert a == b
+        assert assert_manifest(tmp_path / "o" / "ensemble")["trajectory_count"] == 600
 
     def test_workers_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GLNLS_WORKERS", "2")
@@ -187,6 +210,15 @@ class TestCLI:
         assert rc == 0
         assert "[PASS]" in out and "Wasserstein" in out
 
+    @pytest.mark.parametrize("only, named",
+                             [("11", "11"), ("0,99", "0"), ("2,x", "x"), ("", "''")])
+    def test_validate_rejects_bad_indices(self, capsys, only, named):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["validate", "--only", only])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "--only" in err and named in err
+
     def test_couple_driver_csv(self, tmp_path):
         text = BASE.format(time="0.1") + (
             "\n[experiment]\ndriver = couple\npairs = 3\nsegments = 2\n"
@@ -198,6 +230,8 @@ class TestCLI:
         lines = (tmp_path / "o" / "couple" / "coupling.csv").read_text().splitlines()
         assert lines[0] == "pair,k,ell,J,log_weight,E4_u1,E4_u2,stopped_flags"
         assert len(lines) == 1 + 3 * 2
+        man = assert_manifest(tmp_path / "o" / "couple")
+        assert man["trajectory_count"] == 6 and "c4_hat" in man["derived_constants"]
 
     def test_inviscid_driver(self, tmp_path):
         text = BASE.format(time="0.1") + (
@@ -210,6 +244,7 @@ class TestCLI:
         lines = (tmp_path / "o" / "inviscid" / "inviscid.csv").read_text().splitlines()
         assert lines[0].startswith("gamma,")
         assert len(lines) == 3
+        assert assert_manifest(tmp_path / "o" / "inviscid")["trajectory_count"] == 12
 
     def test_tails_driver(self, tmp_path):
         text = BASE.format(time="1.0") + (
@@ -221,6 +256,7 @@ class TestCLI:
         assert cli.main(["tails", "--config", cfgp, "--out", out]) == 0
         lines = (tmp_path / "o" / "tails" / "tails.csv").read_text().splitlines()
         assert lines[0] == "rho,frequency,envelope"
+        assert assert_manifest(tmp_path / "o" / "tails")["trajectory_count"] == 8
 
     def test_mixing_driver(self, tmp_path):
         text = BASE.format(time="0.1") + (
@@ -232,14 +268,25 @@ class TestCLI:
         assert cli.main(["mixing", "--config", cfgp, "--out", out]) == 0
         files = {p.name for p in (tmp_path / "o" / "mixing").iterdir()}
         assert "mixing_gamma0.05.csv" in files and "manifest.json" in files
+        man = assert_manifest(tmp_path / "o" / "mixing")
+        assert set(man["files"]) == {"mixing_gamma0.05.csv", "mixing_dual_gamma0.05.csv"}
 
     def test_measures_driver(self, tmp_path):
-        text = BASE.format(time="0.1") + (
-            "\n[experiment]\ndriver = measures\ngammas = 0.1\nburn_in = 1.0\n"
-            "samples = 8\nthinning = 0.1\n"
-        )
-        cfgp = write(tmp_path, text)
+        cfgp = write(tmp_path, MEASURES)
         out = str(tmp_path / "o")
         assert cli.main(["measures", "--config", cfgp, "--out", out]) == 0
         lines = (tmp_path / "o" / "measures" / "measures.csv").read_text().splitlines()
         assert lines[0].startswith("gamma,w_d0")
+        assert assert_manifest(tmp_path / "o" / "measures")["trajectory_count"] == 2
+
+    def test_measures_honours_model_keys(self, tmp_path):
+        # every gamma's params keep the [model] keys: linear dynamics give
+        # other samples and so other distances
+        out = str(tmp_path / "o")
+        linear = MEASURES.replace("[model]\n", "[model]\nnonlinear = false\n")
+        for name, text in (("cubic.cfg", MEASURES), ("linear.cfg", linear)):
+            cfgp = write(tmp_path, text, name=name)
+            assert cli.main(["measures", "--config", cfgp, "--out", out]) == 0
+        a = (tmp_path / "o" / "measures" / "measures.csv").read_bytes()
+        b = (tmp_path / "o" / "measures-2" / "measures.csv").read_bytes()
+        assert a != b
