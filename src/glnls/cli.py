@@ -1,19 +1,20 @@
 """Command-line surface: reproducible runs driven by a config file.
 
-    glnls SUBCOMMAND --config PATH [--seed N] [--workers N] [--out DIR]
+    glnls SUBCOMMAND [--config PATH] [--seed N] [--out DIR]
+    glnls ensemble [--config PATH] [--seed N] [--workers N] [--out DIR]
+    glnls validate [--only I,J,...]
 
 Subcommands: validate, simulate, ensemble, couple, mixing, inviscid,
-measures, tails.  Only ensemble accepts --workers, falling back to the
-GLNLS_WORKERS environment variable and then to [run] workers; its pool
+measures, tails.  Only ensemble accepts --workers (default 1): its pool
 chunks the trajectory ensemble across processes, and because every
 trajectory owns a counter-based stream keyed by (seed, id), the merged
 output is identical for any worker count.
 
-validate runs the acceptance checks (--only picks some of them by index)
-and writes nothing.  Every other subcommand has a driver
+validate runs the pinned acceptance checks (--only picks some of them by
+index) and writes nothing.  Every other subcommand has a driver
 ``drive_<name>(cfg, seed, args)`` that returns only what it computed: its
 CSV tables as ``{file name: (header, rows)}`` and its manifest fields
-(``trajectory_count``, and where it has them ``excluded_count``,
+(``trajectory_count`` and ``excluded_count``, and where it has them
 ``derived_constants`` and ``results``).  ``main`` is the one runner: it
 allocates a fresh run directory (never overwriting an earlier one), times
 the driver, writes each table with 17-significant-digit floats and then
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -119,11 +119,8 @@ def drive_simulate(cfg, seed, args):
 
 
 def drive_ensemble(cfg, seed, args):
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("GLNLS_WORKERS", cfg.run["workers"]))
     n_traj = int(_exp(cfg, "size", "100"))
-    times, H, H1, phi, final, excluded = run_ensemble(cfg, n_traj, workers, seed)
+    times, H, H1, phi, final, excluded = run_ensemble(cfg, n_traj, args.workers, seed)
     live = ~excluded
     n = max(int(live.sum()), 1)
     rows = (
@@ -206,7 +203,7 @@ def drive_mixing(cfg, seed, args):
     n_points = int(_exp(cfg, "t_points", "51"))
     ensemble = int(_exp(cfg, "ensemble", "64"))
     t_grid = np.linspace(0.0, t_max, n_points)
-    tables, fits = {}, {}
+    tables, fits, excluded = {}, {}, 0
     for g in gammas:
         curve = st.mixing_curve(
             cfg.u0(), _second_state(cfg), replace(params0, gamma=g), spec, t_grid,
@@ -221,8 +218,10 @@ def drive_mixing(cfg, seed, args):
         )
         if curve.fit:
             fits[str(g)] = _fit_fields(curve.fit, "rate")
+        excluded += 2 * int(curve.excluded.sum())  # a pair's two members fall together
     return tables, {
-        "trajectory_count": 2 * ensemble * len(gammas), "results": {"fits": fits},
+        "trajectory_count": 2 * ensemble * len(gammas), "excluded_count": excluded,
+        "results": {"fits": fits},
     }
 
 
@@ -272,6 +271,7 @@ def drive_measures(cfg, seed, args):
         return st.invariant_measure_sample(
             replace(params0, gamma=g), spec, burn_in, n_samples, thinning,
             derive_seed(seed, tag), dt=float(cfg.integrator["dt"]), consts=consts,
+            blowup_guard=float(cfg.integrator["blowup_guard"]),
         )
 
     ref, diag0 = sample(0.0, "measure-0")
@@ -286,7 +286,9 @@ def drive_measures(cfg, seed, args):
                      wxi.value, dual))
     header = ("gamma", "w_d0", "w_d0_gap", "w_d0xi", "dual_lower_d0")
     return {"measures.csv": (header, rows)}, {
-        "trajectory_count": len(gammas) + 1, "results": {"diagnostics": diags},
+        "trajectory_count": len(gammas) + 1,
+        "excluded_count": sum(d["excluded"] for d in diags.values()),
+        "results": {"diagnostics": diags},
     }
 
 
@@ -297,23 +299,24 @@ def drive_tails(cfg, seed, args):
     T = float(_exp(cfg, "time", "10.0"))
     ensemble = int(_exp(cfg, "ensemble", "200"))
     rho_text = _exp(cfg, "rho_grid", "")
+    kw = {"consts": cfg.constants(), "blowup_guard": float(cfg.integrator["blowup_guard"])}
     if rho_text:
         rho = np.array([float(x) for x in rho_text.split(",")])
     else:
         pilot = st.tail_experiment(
             params, spec, cfg.u0(), n, p,
             np.geomspace(1e-3, 1e3, 7), T, ensemble_size=32,
-            seed=derive_seed(seed, "tails-pilot"), consts=cfg.constants(),
+            seed=derive_seed(seed, "tails-pilot"), **kw,
         )
         hi = max(pilot.c_n_hat * np.sqrt(T), 1.0)
         rho = np.geomspace(hi * 1e-4, hi, 12)
     rep = st.tail_experiment(
         params, spec, cfg.u0(), n, p, rho, T, ensemble_size=ensemble,
-        seed=seed, consts=cfg.constants(),
+        seed=seed, **kw,
     )
     rows = zip(rep.rho, rep.frequency, rep.envelope_k / rep.rho**rep.p)
     return {"tails.csv": (("rho", "frequency", "envelope"), rows)}, {
-        "trajectory_count": ensemble,
+        "trajectory_count": ensemble, "excluded_count": rep.excluded,
         "derived_constants": {"c_n_hat": rep.c_n_hat, "envelope_k": rep.envelope_k},
     }
 
@@ -344,33 +347,42 @@ def _check_indices(text: str) -> set[int]:
     return only
 
 
+def _worker_count(text: str) -> int:
+    """--workers: a process count of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is below 1")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="glnls", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name in ("validate", *DRIVERS):
+    sub.add_parser("validate").add_argument(
+        "--only", type=_check_indices, default=None,
+        help="comma-separated criterion indices to run")
+    for name in DRIVERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="config file path")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
         sp.add_argument("--out", default=None, help="output directory override")
         if name == "ensemble":
-            sp.add_argument("--workers", type=int, default=None)
-        if name == "validate":
-            sp.add_argument("--only", type=_check_indices, default=None,
-                            help="comma-separated criterion indices to run")
+            sp.add_argument("--workers", type=_worker_count, default=1,
+                            help="worker processes (default 1)")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.subcommand == "validate":
+            results = acceptance.run_all(only=args.only)
+            return 0 if all(r.passed for r in results) else 1
         cfg = load_config(args.config) if args.config else default_config()
         if args.seed is not None:
             cfg.run["seed"] = str(args.seed)
         if args.out is not None:
             cfg.run["out_dir"] = args.out
-        if args.subcommand == "validate":
-            results = acceptance.run_all(only=args.only)
-            return 0 if all(r.passed for r in results) else 1
         seed = cfg.seed
         run_dir = allocate_run_dir(cfg.run["out_dir"], args.subcommand)
         start = time.perf_counter()
@@ -378,7 +390,7 @@ def main(argv=None) -> int:
         wall_time_s = time.perf_counter() - start
         files = [write_csv(run_dir / name, header, rows)
                  for name, (header, rows) in tables.items()]
-        fields = {"excluded_count": 0, "derived_constants": {}, "results": {}, **fields}
+        fields = {"derived_constants": {}, "results": {}, **fields}
         write_manifest(
             run_dir, files, subcommand=args.subcommand, config=cfg.as_dict(),
             config_hash=cfg.content_hash(), seed=seed, wall_time_s=wall_time_s,

@@ -1,19 +1,20 @@
 """Run configuration: a plain key-value file with sections, fully validated
 against the module invariants at load time.
 
-The format is INI-style (configparser).  Every key has a default, so a
-minimal file selects a working run; validation collects every violation and
-reports them together, naming the violated bound.
+The format is INI-style (configparser; " ;" starts an inline comment).
+Every key has a default, so a minimal file selects a working run;
+validation collects every violation, an unknown section or key among them,
+and reports them together, naming the violated bound.
 
 Sections and keys::
 
-    [model]       gamma, alpha, modes, truncation, dealias, pad_factor, nonlinear
+    [model]       gamma, alpha, modes, truncation, nonlinear
     [noise]       forced_modes, lambda0, decay, lambdas (explicit override), cq_bound
     [integrator]  dt, time, record_every, scheme, noise_mode, blowup_guard
     [functionals] kappa, kappa2, xi
-    [experiment]  driver-specific keys (free-form, echoed to the manifest;
-                  unknown keys are preserved); the subcommand picks the driver
-    [run]         seed, out_dir, workers, save_states, u0_modes
+    [experiment]  driver-specific keys (free-form, echoed to the manifest);
+                  the subcommand picks the driver
+    [run]         seed, out_dir, save_states, u0_modes
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ _DEFAULTS = {
         "alpha": "1.0",
         "modes": "64",
         "truncation": "",
-        "dealias": "true",
-        "pad_factor": "2",
         "nonlinear": "true",
     },
     "noise": {
@@ -72,7 +71,6 @@ _DEFAULTS = {
     "run": {
         "seed": "12345",
         "out_dir": "runs",
-        "workers": "1",
         "save_states": "false",
         "u0_modes": "",
     },
@@ -100,8 +98,6 @@ class RunConfig:
             alpha=float(m["alpha"]),
             M=int(m["modes"]),
             truncation=trunc,
-            dealias=_bool(m["dealias"]),
-            pad_factor=int(m["pad_factor"]),
             nonlinear=_bool(m["nonlinear"]),
         )
 
@@ -174,15 +170,21 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _merged(cp: configparser.ConfigParser) -> dict:
+def _merged(cp: configparser.ConfigParser) -> tuple[dict, list[str]]:
+    """(the file's sections over the defaults, one violation per unknown
+    section or key).  [experiment] takes any key."""
+    bad = [f"[{name}]: unknown section" for name in cp.sections() if name not in _DEFAULTS]
     sections = {}
     for name, defaults in _DEFAULTS.items():
         merged = dict(defaults)
         if cp.has_section(name):
             for key, val in cp.items(name):
-                merged[key] = val
+                if name != "experiment" and key not in defaults:
+                    bad.append(f"[{name}] {key}: unknown key")
+                else:
+                    merged[key] = val
         sections[name] = merged
-    return sections
+    return sections, bad
 
 
 def validate(cfg: RunConfig) -> list[str]:
@@ -210,9 +212,6 @@ def validate(cfg: RunConfig) -> list[str]:
         R = num(m, "model", "truncation")
         if R is not None and R <= 0:
             bad.append(f"[model] truncation={R} violates R > 0")
-    pf = num(m, "model", "pad_factor", int)
-    if pf is not None and pf < 2:
-        bad.append(f"[model] pad_factor={pf} violates pad_factor >= 2")
 
     spec = None
     try:
@@ -264,9 +263,6 @@ def validate(cfg: RunConfig) -> list[str]:
                     f"{alpha / (2.0 * tr):.6g}"
                 )
 
-    workers = num(r, "run", "workers", int)
-    if workers is not None and workers < 1:
-        bad.append(f"[run] workers={workers} violates workers >= 1")
     num(r, "run", "seed", int)
     if r["u0_modes"].strip():
         try:
@@ -278,12 +274,13 @@ def validate(cfg: RunConfig) -> list[str]:
 
 def load_config(path: str) -> RunConfig:
     """Parse and validate; raises ConfigError listing all violations."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = cp.read(path)
     if not read:
         raise ConfigError([f"config file not found or unreadable: {path}"])
-    cfg = RunConfig(**_merged(cp))
-    bad = validate(cfg)
+    sections, bad = _merged(cp)
+    cfg = RunConfig(**sections)
+    bad += validate(cfg)
     if bad:
         raise ConfigError(bad)
     return cfg

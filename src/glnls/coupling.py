@@ -30,7 +30,7 @@ Girsanov budget integral int (1 + Phi_1^4 + Phi_2^4)||u1-u2||_{H^1}^2 passes
 rho2 e^{-alpha k T / 4}.
 
 Cost.  The budgets need Phi of both members at every step.  Each admitted
-member is synthesised once per step (``models.physical_field``): the field
+member is synthesised once per step (``functionals.physical_field``): the field
 gives its ||u||_{L^4}^4 for Phi and, at once, its drift for the next step.
 Phi's squared H and H^1 norms come from one |a|^2 per member
 (``functionals.norms_h_h1_sq``), u1's by way of the blow-up guard.  A
@@ -54,8 +54,8 @@ import numpy as np
 
 from . import functionals as fn
 from .functionals import FunctionalConstants
-from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, field_energy,
-                     physical_field, record_schedule, simulate_ensemble, steps)
+from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, record_schedule,
+                     simulate_ensemble, steps)
 from .noise import EnsembleNoise, NoiseSpec, increments_from_normals
 from .spectral import project_high, project_low
 
@@ -291,8 +291,8 @@ def _admit_member(stepper: Stepper, a, h2, h1sq, consts: FunctionalConstants, mo
     (h2, h1sq) are fn.norms_h_h1_sq(a); the drift is the next step's
     Stepper.drift(a), None when no step follows (more=False).
     """
-    field = physical_field(a, stepper.params)
-    return (field_energy(a, field, h2, h1sq, stepper.params, consts)[-1],
+    field = fn.physical_field(a)
+    return (fn.field_energy(field, h2, h1sq, consts)[-1],
             stepper.drift(a, field) if more else None)
 
 

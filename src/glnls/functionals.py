@@ -5,10 +5,12 @@ of ``stats.cost_matrix``).
 
 Conventions.  H is the complexified L^2(0,1) with the sine basis orthonormal,
 so ||u||_H^2 = sum_k |a_k|^2 and ||u||_{H^r}^2 = sum_k alpha_k^r |a_k|^2 with
-alpha_k = (k pi)^2.  L^p norms are physical-space quadratures evaluated on a
-refined grid; for even integer p the trapezoid sum is exact for band-limited
-fields (the integrand is a cosine polynomial of degree <= p*M, resolved once
-2(K+1) > p*M).
+alpha_k = (k pi)^2.  ||u||_{L^4}^4 and J's cross term are physical-space
+quadratures on the K = 2M interior points of ``physical_field``, the one grid
+the package samples fields on.  The trapezoid sum there is exact for M-mode
+fields: the integrand is a cosine polynomial of degree <= 4M, resolved since
+2(K+1) = 4M + 2 > 4M.  So ``l4_norm4``, ``psi`` and ``phi`` equal the values
+the steppers take from the fields they synthesise, bit for bit.
 
 kappa and kappa2 are fixed inputs ([functionals] kappa, kappa2 of a run
 configuration), not quantities to estimate: they are constants of Phi and J
@@ -112,72 +114,71 @@ def _quad_mean(values_p: np.ndarray) -> np.ndarray:
     return np.sum(values_p, axis=-1) / (K + 1)
 
 
-def l4_norm4(a: np.ndarray) -> np.ndarray:
-    """||u||_{L^4}^4, exact for band-limited fields (2x refined quadrature)."""
+# ---------------------------------------------------------------------------
+# the physical field, L^4, Psi and Phi
+# ---------------------------------------------------------------------------
+
+def physical_field(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, |v|^2): the M-mode states a synthesised on 2M interior points, and
+    their density; the one grid the package samples fields on, for the cubic
+    term, the Strang kick, Phi and J."""
     a = np.asarray(a, dtype=np.complex128)
-    v = to_physical(a, PhysicalGrid(2 * a.shape[-1] + 1))
-    return _quad_mean(np.abs(v) ** 4)
+    v = to_physical(a, PhysicalGrid(2 * a.shape[-1]))
+    return v, np.abs(v) ** 2
 
 
-def l4_norm4_from_density(dens: np.ndarray) -> np.ndarray:
-    """||u||_{L^4}^4 from dens = |u|^2 at the K interior nodes of a grid.
-
-    Exact for an M-mode field once K >= 2M, for the reason given in the
-    module docstring; on a coarser grid the quadrature aliases.
-    """
-    return _quad_mean(dens * dens)
-
-
-# ---------------------------------------------------------------------------
-# Psi and Phi
-# ---------------------------------------------------------------------------
-
-def psi_phi(h2, h1sq, l4, consts: FunctionalConstants) -> tuple:
-    """(Psi, Phi) from ||u||_H^2, ||u||_{H^1}^2 and ||u||_{L^4}^4.
-
-    For callers that hold the three norms already; psi and phi compute them.
-    """
+def field_energy(field: tuple, h2, h1sq, consts: FunctionalConstants) -> tuple:
+    """(||u||_{L^4}^4, Psi, Phi) of the states with field = physical_field(a)
+    and (h2, h1sq) = norms_h_h1_sq(a), for callers that hold both already."""
+    dens = field[1]
+    l4 = _quad_mean(dens * dens)
     ps = h1sq - 0.5 * l4 + consts.kappa * h2**3
-    return ps, ps + consts.kappa * h2**9
+    return l4, ps, ps + consts.kappa * h2**9
+
+
+def l4_norm4(a: np.ndarray) -> np.ndarray:
+    """||u||_{L^4}^4, exact for M-mode fields."""
+    dens = physical_field(a)[1]
+    return _quad_mean(dens * dens)
 
 
 def psi(a: np.ndarray, consts: FunctionalConstants) -> np.ndarray:
     """Psi(u) = ||u||_{H^1}^2 - 1/2 ||u||_{L^4}^4 + kappa ||u||_H^6."""
-    return psi_phi(*norms_h_h1_sq(a), l4_norm4(a), consts)[0]
+    return field_energy(physical_field(a), *norms_h_h1_sq(a), consts)[1]
 
 
 def phi(a: np.ndarray, consts: FunctionalConstants) -> np.ndarray:
     """Phi(u) = Psi(u) + kappa ||u||_H^18."""
-    return psi_phi(*norms_h_h1_sq(a), l4_norm4(a), consts)[1]
+    return field_energy(physical_field(a), *norms_h_h1_sq(a), consts)[2]
 
 
 # ---------------------------------------------------------------------------
 # J functional
 # ---------------------------------------------------------------------------
 
-def _re_cross_term(u1: np.ndarray, u2: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Re integral of u1*u2*conj(v)^2; bandwidth 4M so a 2x grid is exact.
+def _re_cross_term(v1: np.ndarray, v2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re integral of u1*u2*conj(v)^2 from the fields v1, v2 of u1, u2 and the
+    coefficients v; bandwidth 4M, so the 2M-point grid is exact.
 
     The H pairing here is the bilinear one, <f,g>_H = int f g dx.
     """
-    M = u1.shape[-1]
-    grid = PhysicalGrid(2 * M)
-    p1 = to_physical(u1, grid)
-    p2 = to_physical(u2, grid)
-    pv = to_physical(v, grid)
-    return np.real(_quad_mean(p1 * p2 * np.conj(pv) ** 2))
+    pv = physical_field(v)[0]
+    return np.real(_quad_mean(v1 * v2 * np.conj(pv) ** 2))
 
 
 def j_functional(u1: np.ndarray, u2: np.ndarray, consts: FunctionalConstants) -> np.ndarray:
-    """J = ||v||_{H^1}^2 - Re<u1 u2, conj(v)^2>_H + kappa2 (Phi(u1)+Phi(u2)) ||v||_H^2."""
+    """J = ||v||_{H^1}^2 - Re<u1 u2, conj(v)^2>_H + kappa2 (Phi(u1)+Phi(u2)) ||v||_H^2.
+
+    One synthesis of u1 and one of u2 serve both their Phi and the cross term.
+    """
     u1 = np.asarray(u1, dtype=np.complex128)
     u2 = np.asarray(u2, dtype=np.complex128)
     v = u1 - u2
-    return (
-        norm_hr_sq(v, 1.0)
-        - _re_cross_term(u1, u2, v)
-        + consts.kappa2 * (phi(u1, consts) + phi(u2, consts)) * norm_h_sq(v)
-    )
+    f1, f2 = physical_field(u1), physical_field(u2)
+    phi1 = field_energy(f1, *norms_h_h1_sq(u1), consts)[2]
+    phi2 = field_energy(f2, *norms_h_h1_sq(u2), consts)[2]
+    h2v, h1v = norms_h_h1_sq(v)
+    return h1v - _re_cross_term(f1[0], f2[0], v) + consts.kappa2 * (phi1 + phi2) * h2v
 
 
 # ---------------------------------------------------------------------------

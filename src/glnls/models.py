@@ -14,7 +14,7 @@ Two one-step schemes are provided:
 ``strang``
     Exponential Strang splitting.  The nonlinear substep du/dt = i|u|^2 u
     (or its truncated version) preserves |u| pointwise and is solved exactly
-    as a phase rotation on the padded physical grid; the linear substep uses
+    as a phase rotation on the 2M-point physical grid; the linear substep uses
     the exact per-mode decay and the exact stochastic convolution.  Second
     order in dt deterministically, and mass-exact up to spectral truncation,
     which is what the conservation-law checks below rely on.
@@ -48,25 +48,25 @@ Two one-step schemes are provided:
     noise to enter linearly.
 
     Its drivers synthesise each admitted state once per step.
-    ``physical_field`` gives (v, |v|^2) on the ``pad_points`` grid; that
+    ``functionals.physical_field`` gives (v, |v|^2) on 2M points; that
     one field feeds the state's Phi, through ||u||_{L^4}^4 =
-    sum |v|^4/(K+1) (``field_energy``), and the next step's drift
+    sum |v|^4/(K+1) (``functionals.field_energy``), and the next step's drift
     (``Stepper.drift(a, field)``).  The guard's squared H and H^1 norms of
     the admitted state (``BlowUpGuard.h2`` and ``.h1sq``, from one |a|^2)
     are Phi's other two terms.  Under FSAL Strang the kick synthesises
     decay c + noise, not the Strang state a, so Phi and records there make
     a synthesis of their own.
 
-The cubic term is evaluated pseudo-spectrally on a refined grid.  In the
-sine basis a cubic of an M-mode field has modes up to 3M, and a padded grid
-of 2M interior points already reflects every alias above mode M, so the 2x
-pad is alias-free for the retained modes; a 3x pad is available for oracle
-runs.
+The cubic term is evaluated pseudo-spectrally on the 2M interior points of
+``functionals.physical_field``, the one grid the package samples fields on.
+In the sine basis a cubic of an M-mode field has modes up to 3M, and that
+grid already reflects every alias above mode M, so it is alias-free for the
+retained modes.
 
 The Strang kick is the exception to "any grid of at least 2M points will
 do": exp(i tau |u|^2) u is not band-limited, so its projection onto the M
 modes depends on the grid it was sampled on.  The kick therefore always
-uses exactly ``pad_points`` nodes.  At M = 64, for order-one fields
+uses exactly 2M nodes.  At M = 64, for order-one fields
 (a_k ~ 1/k) and tau = 2.5e-3, a kick on 134 nodes (the next FFT-friendly
 size) differs from one on 128 nodes by 3.0e-9 relative, far above the 1e-10
 agreement with the direct-sum one-step oracle that the benchmark checks.
@@ -107,7 +107,7 @@ from .noise import (
     convolution_std,
     increments_from_normals,
 )
-from .spectral import PhysicalGrid, eigenvalues, to_physical, to_spectral, validate_field
+from .spectral import eigenvalues, to_spectral, validate_field
 
 BLOCK_STEPS = 256  # steps of normals per EnsembleNoise.next_block call
 
@@ -123,8 +123,6 @@ class ModelParams:
     alpha: float
     M: int
     truncation: float | None = None  # cut-off radius R; None = full dynamics
-    dealias: bool = True
-    pad_factor: int = 2              # 3 enables the oracle padding
     nonlinear: bool = True           # False = linear test dynamics
 
     def __post_init__(self):
@@ -139,12 +137,6 @@ class ModelParams:
             raise ValueError("need at least one Galerkin mode")
         if self.truncation is not None and self.truncation <= 0:
             raise ValueError("truncation radius R must be positive")
-        if self.pad_factor < 2:
-            raise ValueError("pad_factor >= 2 required for alias-free cubics")
-
-    @property
-    def pad_points(self) -> int:
-        return self.pad_factor * self.M if self.dealias else self.M
 
 
 @dataclass(frozen=True)
@@ -187,13 +179,6 @@ def _cutoff(dens: np.ndarray, R: float):
     return cutoff_smoothstep(dens, R) if np.any(dens > R) else 1.0
 
 
-def physical_field(a: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(v, |v|^2): the states a synthesised on the pad_points grid, and their
-    density; what the cubic term, the kick and ``field_energy`` read."""
-    v = to_physical(a, PhysicalGrid(params.pad_points))
-    return v, np.abs(v) ** 2
-
-
 def _phase(dens: np.ndarray, tau: float, params: ModelParams) -> np.ndarray:
     """exp(i tau dens phi_R(dens)) at the nodes: the kick's pointwise phase.
 
@@ -222,13 +207,13 @@ def _cubic(field: tuple, R: float | None, M: int) -> np.ndarray:
 def nl_coeffs(a: np.ndarray, params: ModelParams, field: tuple | None = None) -> np.ndarray:
     """The active nonlinearity for these params (cubic, truncated or none).
 
-    field, when given, is physical_field(a, params) and spares the synthesis.
+    field, when given, is fn.physical_field(a) and spares the synthesis.
     """
     a = np.asarray(a, dtype=np.complex128)
     if not params.nonlinear:
         return np.zeros_like(a)
     if field is None:
-        field = physical_field(a, params)
+        field = fn.physical_field(a)
     return _cubic(field, params.truncation, a.shape[-1])
 
 
@@ -237,7 +222,7 @@ def _kick_field(a: np.ndarray, tau: float, params: ModelParams) -> tuple[np.ndar
 
     The density is dropped here, before the caller's products are formed.
     """
-    v, dens = physical_field(a, params)
+    v, dens = fn.physical_field(a)
     return v, _phase(dens, tau, params)
 
 
@@ -251,23 +236,6 @@ def _kick(a: np.ndarray, tau: float, params: ModelParams) -> np.ndarray:
     # differently, which would make a trajectory depend on the size of its
     # batch.
     return to_spectral(np.multiply(v, e), a.shape[-1])
-
-
-def field_energy(a: np.ndarray, field: tuple, h2, h1sq, params: ModelParams,
-                 consts: FunctionalConstants) -> tuple:
-    """(||u||_{L^4}^4, Psi, Phi) of the states a, from field =
-    physical_field(a, params) and (h2, h1sq) = fn.norms_h_h1_sq(a).
-
-    The values of fn.psi and fn.phi, without a synthesis of their own.
-    |u|^4 has cosine modes up to 4M, so the L^4 quadrature on the pad_points
-    grid is exact once that grid has 2M points.  With dealias=False it has
-    M, and l4_norm4's own 2M+1-point grid is used instead.
-    """
-    if params.pad_points >= 2 * params.M:
-        l4 = fn.l4_norm4_from_density(field[1])
-    else:
-        l4 = fn.l4_norm4(a)
-    return (l4, *fn.psi_phi(h2, h1sq, l4, consts))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +292,7 @@ class Stepper:
     def drift(self, a: np.ndarray, field: tuple | None = None) -> np.ndarray:
         """Deterministic part of the exponential-Euler step, e^{-L dt} (a + dt NL(a)).
 
-        field, when given, is physical_field(a, params) (see nl_coeffs).
+        field, when given, is fn.physical_field(a) (see nl_coeffs).
         """
         return self.decay * (a + self.integ.dt * nl_coeffs(a, self.params, field))
 
@@ -357,7 +325,7 @@ class Stepper:
         (None, c_next), c_next bit for bit as before.
 
         Under exponential Euler c is the state itself, and field, when
-        given, is physical_field(c, params): the drift then makes no
+        given, is fn.physical_field(c): the drift then makes no
         synthesis of its own.  The FSAL step synthesises decay c + noise,
         not c, and does not read it.  Without FSAL a is c_next, and it is
         always returned.
@@ -517,9 +485,9 @@ def simulate_ensemble(
         The next exponential-Euler drift reads the field, so that scheme
         keeps it and synthesises a once per step; under Strang it is None.
         """
-        field = physical_field(a, params)
+        field = fn.physical_field(a)
         return (field if integ.scheme == "expeuler" else None,
-                *field_energy(a, field, guard.h2, guard.h1sq, params, consts))
+                *fn.field_energy(field, guard.h2, guard.h1sq, consts))
 
     field, l4, ps, ph = measure(a)
     e1 = fn.EnAccumulator(1, params.alpha)

@@ -51,13 +51,16 @@ def allocate_run_dir(out_dir: str | Path, name: str) -> Path:
     return cand
 
 
-def write_manifest(run_dir: Path, files, **fields) -> Path:
-    """Write the run's one manifest.json: the given fields, the code version
-    and the SHA-256 of each file in files.  Keys are sorted, so the same
-    fields give the same bytes."""
+def write_manifest(run_dir: Path, files, *, trajectory_count: int, excluded_count: int,
+                   **fields) -> Path:
+    """Write the run's one manifest.json: the two required counts, the given
+    fields, the code version and the SHA-256 of each file in files.  Keys
+    are sorted, so the same fields give the same bytes."""
     path = Path(run_dir) / "manifest.json"
     payload = {
         **fields,
+        "trajectory_count": trajectory_count,
+        "excluded_count": excluded_count,
         "code_version": __version__,
         "files": {Path(f).name: sha256_file(f) for f in files},
     }

@@ -626,6 +626,7 @@ class TailReport:
     envelope_k: float
     p: float
     c_n_hat: float
+    excluded: int  # trajectories frozen by the blow-up guard
 
 
 def tail_experiment(
@@ -642,11 +643,12 @@ def tail_experiment(
     record_every: int = 10,
     c_n_hat: float | None = None,
     consts: FunctionalConstants | None = None,
+    blowup_guard: float = IntegratorConfig.blowup_guard,
 ) -> TailReport:
     """Frequencies of sup_{[0,T]} (E_n(t) - (C_n - 1) t) >= Phi(u0)^n + rho sqrt(T)
     against rho, overlaid with the fitted K/rho^p envelope."""
     consts = consts or FunctionalConstants()
-    integ = IntegratorConfig(dt=dt, record_every=record_every)
+    integ = IntegratorConfig(dt=dt, record_every=record_every, blowup_guard=blowup_guard)
     rec = simulate_ensemble(
         u0, params, integ, spec, T, seed,
         traj_ids=np.arange(ensemble_size), consts=consts,
@@ -665,7 +667,7 @@ def tail_experiment(
     pos = freq > 0
     k_hat = float(np.max(freq[pos] * rho_grid[pos] ** p)) if pos.any() else 0.0
     return TailReport(rho=rho_grid, frequency=freq, envelope_k=k_hat, p=p,
-                      c_n_hat=c_n_hat)
+                      c_n_hat=c_n_hat, excluded=int(rec.excluded.sum()))
 
 
 def invariant_measure_sample(
@@ -678,12 +680,14 @@ def invariant_measure_sample(
     dt: float = 5e-3,
     consts: FunctionalConstants | None = None,
     u0: np.ndarray | None = None,
+    blowup_guard: float = IntegratorConfig.blowup_guard,
 ) -> tuple[EmpiricalMeasure, dict]:
     """Approximate draws from the invariant measure by a thinned long run.
 
     Returns the empirical measure and a diagnostics dict with the Phi mean
-    of the samples.  The chain forms its Strang state only at the samples
-    (see the ``models`` docstring), so it has no per-step Phi to average.
+    of the samples and whether the blow-up guard excluded the chain.  The
+    chain forms its Strang state only at the samples (see the ``models``
+    docstring), so it has no per-step Phi to average.
     """
     if burn_in <= 0 or n_samples < 1 or thinning <= 0:
         raise ValueError("need burn_in > 0, n_samples >= 1, thinning > 0")
@@ -691,7 +695,7 @@ def invariant_measure_sample(
     u0 = np.zeros(params.M, complex) if u0 is None else np.asarray(u0, complex)
     stride = max(1, int(round(thinning / dt)))
     T = burn_in + n_samples * stride * dt
-    integ = IntegratorConfig(dt=dt, record_every=stride)
+    integ = IntegratorConfig(dt=dt, record_every=stride, blowup_guard=blowup_guard)
     rec = simulate_ensemble(
         u0, params, integ, spec, T, seed, traj_ids=np.array([0]),
         consts=consts, record_states=True,
@@ -704,5 +708,6 @@ def invariant_measure_sample(
         "phi_sample_mean": float(np.mean(phis)),
         "n_samples": int(states.shape[0]),
         "thinning": stride * dt,
+        "excluded": bool(rec.excluded[0]),
     }
     return EmpiricalMeasure(states), diag

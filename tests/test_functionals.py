@@ -129,52 +129,36 @@ class TestPsiPhi:
 
 
 class TestSharedFieldPhi:
-    """Phi from the pad_points field the steppers synthesise, against fn.phi."""
+    """Phi from the field the steppers synthesise, against fn.phi: both read
+    the one 2M-point grid of fn.physical_field, so they agree bit for bit."""
 
-    @pytest.mark.parametrize("M", [8, 32, 64])
-    @pytest.mark.parametrize("pad_factor", [2, 3])
-    def test_matches_phi(self, M, pad_factor):
-        rng = np.random.default_rng([M, pad_factor])
+    @pytest.mark.parametrize("M", [8, 32, 64, 256])
+    def test_matches_phi(self, M):
+        rng = np.random.default_rng(M)
         a = np.stack([random_field(rng, M, d) for d in (0.5, 1.0, 2.0) for _ in range(4)])
-        p = md.ModelParams(gamma=0.05, alpha=1.0, M=M, pad_factor=pad_factor)
-        l4, ps, ph = md.field_energy(a, md.physical_field(a, p), *fn.norms_h_h1_sq(a),
-                                     p, CONSTS)
+        l4, ps, ph = fn.field_energy(fn.physical_field(a), *fn.norms_h_h1_sq(a), CONSTS)
         for got, ref in ((l4, fn.l4_norm4(a)), (ps, fn.psi(a, CONSTS)), (ph, fn.phi(a, CONSTS))):
-            assert np.max(np.abs(got / ref - 1.0)) < 1e-13
+            assert np.array_equal(got, ref)
 
-    def test_dealias_off_keeps_l4_grid(self):
-        # the M-point field aliases |u|^4, so the 2M+1-point grid of l4_norm4
-        # must give the L4 term, bit for bit
+    @pytest.mark.parametrize("every_step", [True, False])
+    def test_ensemble_records(self, every_step):
+        # the record columns against the reference functionals of the recorded
+        # states, with Phi measured at recorded steps only or at every step
         M = 16
-        a = random_field(np.random.default_rng(6), M, 0.5)[None]
-        p = md.ModelParams(gamma=0.05, alpha=1.0, M=M, dealias=False)
-        field = md.physical_field(a, p)
-        assert field[0].shape[-1] == M
-        assert abs(fn.l4_norm4_from_density(field[1]) / fn.l4_norm4(a) - 1.0) > 1e-6
-        got = md.field_energy(a, field, *fn.norms_h_h1_sq(a), p, CONSTS)
-        assert np.array_equal(got[0], fn.l4_norm4(a))
-        assert np.array_equal(got[2], fn.phi(a, CONSTS))
-
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_ensemble_records(self, dealias):
-        # the record columns against the reference functionals of the recorded states
-        M = 16
-        p = md.ModelParams(gamma=0.05, alpha=1.0, M=M, dealias=dealias)
+        p = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
         spec = nz.NoiseSpec.power_profile(4, 0.5, 2.0)
         for scheme in ("strang", "expeuler"):
             integ = md.IntegratorConfig(dt=1e-3, record_every=7, scheme=scheme)
             rec = md.simulate_ensemble(0.3 * basis_mode(M, 1), p, integ, spec, 0.05, seed=4,
                                        traj_ids=np.arange(3), consts=CONSTS,
-                                       record_states=True)
+                                       record_states=True,
+                                       track_phi_every_step=every_step)
             e, u = rec.energy, rec.states
             assert np.array_equal(e.H, fn.norm_h_sq(u))
             assert np.array_equal(e.H1, fn.norm_hr_sq(u, 1.0))
             for got, ref in ((e.L4, fn.l4_norm4(u)), (e.psi, fn.psi(u, CONSTS)),
                              (e.phi, fn.phi(u, CONSTS))):
-                if dealias:
-                    assert np.max(np.abs(got / ref - 1.0)) < 1e-13
-                else:
-                    assert np.array_equal(got, ref)
+                assert np.array_equal(got, ref)
 
 
 class TestKappaCalibration:
@@ -238,6 +222,22 @@ class TestJFunctional:
         expect = np.pi**2 + CONSTS.kappa2 * fn.phi(u1, CONSTS) * 1.0
         assert fn.j_functional(u1, u2, CONSTS) == pytest.approx(float(expect), rel=1e-12)
 
+    def test_three_syntheses_same_bits(self, monkeypatch):
+        # one synthesis each of u1, u2 and v, and the bits of J assembled
+        # from the reference functionals
+        rng = np.random.default_rng(11)
+        u1 = np.stack([random_field(rng, 32) for _ in range(5)])
+        u2 = np.stack([random_field(rng, 32) for _ in range(5)])
+        v = u1 - u2
+        ref = (fn.norm_hr_sq(v, 1.0)
+               - fn._re_cross_term(fn.physical_field(u1)[0], fn.physical_field(u2)[0], v)
+               + CONSTS.kappa2 * (fn.phi(u1, CONSTS) + fn.phi(u2, CONSTS)) * fn.norm_h_sq(v))
+        calls = []
+        synth = fn.to_physical
+        monkeypatch.setattr(fn, "to_physical", lambda *a: calls.append(1) or synth(*a))
+        assert np.array_equal(fn.j_functional(u1, u2, CONSTS), ref)
+        assert len(calls) == 3
+
     def test_symmetry(self):
         rng = np.random.default_rng(8)
         u1, u2 = random_field(rng, 10), random_field(rng, 10)
@@ -254,7 +254,7 @@ class TestJFunctional:
         S = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
         p1, p2, pv = S @ u1, S @ u2, S @ v
         oracle = np.trapezoid(np.real(p1 * p2 * np.conj(pv) ** 2), x)
-        got = fn._re_cross_term(u1, u2, v)
+        got = fn._re_cross_term(fn.physical_field(u1)[0], fn.physical_field(u2)[0], v)
         assert got == pytest.approx(oracle, rel=1e-7, abs=1e-10)
 
     def test_j_dominates_h1_at_default_kappa2(self):
@@ -269,7 +269,8 @@ class TestJFunctional:
             u1, u2 = scale * u1 / fn.norm_hr(u1, 1.0) * 3.0, scale * u2 / fn.norm_hr(u2, 1.0) * 3.0
             v = u1 - u2
             half = 0.5 * consts.kappa2 * (fn.phi(u1, consts) + fn.phi(u2, consts))
-            assert half * fn.norm_h_sq(v) >= abs(fn._re_cross_term(u1, u2, v))
+            cross = fn._re_cross_term(fn.physical_field(u1)[0], fn.physical_field(u2)[0], v)
+            assert half * fn.norm_h_sq(v) >= abs(cross)
             assert fn.j_functional(u1, u2, consts) >= fn.norm_hr_sq(v, 1.0) - 1e-9
 
 

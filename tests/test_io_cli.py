@@ -1,5 +1,8 @@
 import hashlib
 import json
+import re
+from pathlib import Path
+
 import pytest
 
 from glnls import cli
@@ -77,6 +80,33 @@ class TestConfig:
 
     def test_default_config_is_valid(self):
         assert validate(default_config()) == []
+
+    def test_unknown_keys_and_sections_rejected(self, tmp_path):
+        # a misspelt key, a removed key and a misspelt section: one violation
+        # each, none silently dropped; [experiment] takes any key
+        text = (
+            "[model]\nmodse = 32\npad_factor = 3\n"
+            "[integrater]\ndt = 1e-3\n"
+            "[experiment]\nanything = 1\n"
+        )
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, text))
+        bad = err.value.violations
+        assert len(bad) == 3
+        assert any("modse" in v for v in bad) and any("pad_factor" in v for v in bad)
+        assert any("[integrater]" in v for v in bad)
+
+    def test_readme_config_loads(self, tmp_path):
+        # the README's example config, inline comments and all, is a valid run
+        # config, so it names no removed key
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        cfg = load_config(write(tmp_path, blocks[0]))
+        assert cfg.model_params().M == 64 and cfg.model_params().truncation is None
+        assert cfg.experiment["gammas"] == "0.0, 0.01, 0.1"
+        for removed in ("dealias", "pad_factor", "GLNLS_WORKERS", "workers ="):
+            assert removed not in readme
 
 
 BASE = """
@@ -182,19 +212,31 @@ class TestCLI:
         assert a == b
         assert assert_manifest(tmp_path / "o" / "ensemble")["trajectory_count"] == 600
 
-    def test_workers_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GLNLS_WORKERS", "2")
-        cfgp = write(tmp_path, BASE.format(time="0.02")
-                     + "\n[experiment]\ndriver = ensemble\nsize = 4\n")
-        out = str(tmp_path / "o")
-        assert cli.main(["ensemble", "--config", cfgp, "--out", out]) == 0
-
     def test_workers_rejected_outside_ensemble(self, tmp_path, capsys):
         cfgp = write(tmp_path, BASE.format(time="0.1"))
         with pytest.raises(SystemExit) as exit_:
             cli.main(["mixing", "--config", cfgp, "--workers", "2"])
         assert exit_.value.code != 0
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-1", "x"])
+    def test_workers_below_one_rejected(self, capsys, n):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["ensemble", "--workers", n])
+        assert exit_.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--config", "run.cfg"], ["--seed", "5"],
+                                        ["--out", "x"]])
+    def test_validate_rejects_ignored_options(self, tmp_path, monkeypatch, capsys, option):
+        # the checks are pinned and write nothing: an option they would
+        # ignore is an error, found before any check runs
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["validate", "--only", "8", *option])
+        assert exit_.value.code == 2
+        assert option[0] in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_config_exit_code_and_json(self, tmp_path, capsys):
         cfgp = write(tmp_path, "[model]\ngamma = 9\n")
@@ -278,6 +320,21 @@ class TestCLI:
         lines = (tmp_path / "o" / "measures" / "measures.csv").read_text().splitlines()
         assert lines[0].startswith("gamma,w_d0")
         assert assert_manifest(tmp_path / "o" / "measures")["trajectory_count"] == 2
+
+    @pytest.mark.parametrize("name, experiment, excluded", [
+        ("mixing", "gammas = 0.05\nt_max = 0.2\nt_points = 3\nensemble = 4\n", 8),
+        ("measures", "gammas = 0.1\nburn_in = 0.5\nsamples = 4\nthinning = 0.05\n", 2),
+        ("tails", "n = 4\np = 1.0\ntime = 1.0\nensemble = 8\nrho_grid = 0.1,1\n", 8),
+    ], ids=["mixing", "measures", "tails"])
+    def test_excluded_count(self, tmp_path, name, experiment, excluded):
+        # a blow-up guard every trajectory crosses: the manifest counts each
+        text = BASE.format(time="0.1").replace(
+            "record_every = 10\n", "record_every = 10\nblowup_guard = 0.01\n")
+        cfgp = write(tmp_path, text + "\n[experiment]\n" + experiment)
+        out = str(tmp_path / "o")
+        assert cli.main([name, "--config", cfgp, "--out", out]) == 0
+        man = assert_manifest(tmp_path / "o" / name)
+        assert man["excluded_count"] == man["trajectory_count"] == excluded
 
     def test_measures_honours_model_keys(self, tmp_path):
         # every gamma's params keep the [model] keys: linear dynamics give

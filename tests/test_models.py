@@ -6,7 +6,7 @@ import pytest
 from glnls import functionals as fn
 from glnls import models as md
 from glnls import noise as nz
-from glnls.spectral import PhysicalGrid, basis_mode, to_physical
+from glnls.spectral import PhysicalGrid, basis_mode, to_physical, to_spectral
 from glnls.stats import mixing_curve
 
 CONSTS = fn.FunctionalConstants()
@@ -59,13 +59,15 @@ class TestNonlinearity:
             assert abs(val) < 1e-10 * np.sum(np.abs(a) ** 2)
 
     def test_dealias_two_equals_three(self):
-        # 2x sine padding is already alias-free for the retained cubic modes
+        # the 2M-point grid is already alias-free for the retained cubic
+        # modes: a 3M-point grid gives the same coefficients
         rng = np.random.default_rng(2)
         M = 24
         a = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        p2 = md.ModelParams(gamma=0.1, alpha=1.0, M=M, pad_factor=2)
-        p3 = md.ModelParams(gamma=0.1, alpha=1.0, M=M, pad_factor=3)
-        assert np.max(np.abs(md.nl_coeffs(a, p2) - md.nl_coeffs(a, p3))) < 1e-11
+        p = md.ModelParams(gamma=0.1, alpha=1.0, M=M)
+        v = to_physical(a, PhysicalGrid(3 * M))
+        ref = to_spectral(1j * np.abs(v) ** 2 * v, M)
+        assert np.max(np.abs(md.nl_coeffs(a, p) - ref)) < 1e-11
 
 
 class TestTruncatedNonlinearity:
@@ -169,7 +171,7 @@ class TestStep:
                          np.full(M, np.nan + 0j)])
         for trunc in (None, R):
             p = md.ModelParams(gamma=0.05, alpha=1.0, M=M, truncation=trunc)
-            dens = md.physical_field(rows, p)[1]
+            dens = fn.physical_field(rows)[1]
             assert dens[0].max() > R > dens[1].max()
             with np.errstate(invalid="ignore"):
                 theta = tau * (dens if trunc is None else dens * md.cutoff_smoothstep(dens, R))

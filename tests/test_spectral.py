@@ -9,8 +9,8 @@ def random_field(rng, M):
     return rng.standard_normal(M) + 1j * rng.standard_normal(M)
 
 
-# (modes, grid points) on both sides of sp.DENSE_MAX_POINTS: the 2x
-# de-aliasing grid, the odd 2M+1 grid of l4_norm4, and the M = 512 grid
+# (modes, grid points) on both sides of sp.DENSE_MAX_POINTS: the 2M grid
+# every field is sampled on, an odd grid (2M + 1 points), and the M = 512 grid
 CROSSOVER_GRIDS = [(64, 128), (64, 129), (512, 1024)]
 
 
