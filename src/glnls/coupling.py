@@ -47,8 +47,9 @@ over the live pairs; an excluded bridge attempt is never a success.
 
 from __future__ import annotations
 
+import copy
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,24 +167,11 @@ def make_coupled_state(
 # pinned evolution (Foias-Prodi dynamics, no weights)
 # ---------------------------------------------------------------------------
 
-class PinnedPair:
-    """u1 by the full dynamics; u2's high modes slaved to u1's low modes."""
-
-    def __init__(
-        self,
-        params: ModelParams,
-        integ: IntegratorConfig,
-        spec: NoiseSpec,
-        N: int,
-    ):
-        self.N = N
-        self.stepper = Stepper(params, integ, spec)
-
-    def step(self, u1: np.ndarray, u2_high: np.ndarray, z: np.ndarray):
-        w2 = project_low(u1, self.N) + u2_high
-        u1n = self.stepper.step(u1, z)
-        w2n = self.stepper.step(w2, z)
-        return u1n, project_high(w2n, self.N)
+def _pinned_step(stepper: Stepper, u1: np.ndarray, high: np.ndarray, z: np.ndarray, N: int):
+    """One pinned step: u1 and the composite w2 = P_N u1 + high take the same
+    step as one stacked batch; w2's high part is kept."""
+    u1, w2 = stepper.step(np.stack([u1, project_low(u1, N) + high]), z)
+    return u1, project_high(w2, N)
 
 
 def pinned_contraction_run(
@@ -207,7 +195,7 @@ def pinned_contraction_run(
     value of its last admitted state.
     """
     consts = consts or FunctionalConstants()
-    pair = PinnedPair(params, integ, spec, N)
+    stepper = Stepper(params, integ, spec)
     rec_idx = record_schedule(int(round(T / integ.dt)), record_every or integ.record_every)
     u1 = np.broadcast_to(np.asarray(u1_0, complex), (n_pairs, params.M)).copy()
     high = np.broadcast_to(
@@ -220,7 +208,7 @@ def pinned_contraction_run(
     J[0] = fn.j_functional(u1, project_low(u1, N) + high, consts)
     nxt = 1
     for z, recorded in steps(source, rec_idx[-1], rec_idx):
-        u1, high = guard.admit((u1, high), pair.step(u1, high, z))
+        u1, high = guard.admit((u1, high), _pinned_step(stepper, u1, high, z, N))
         if recorded:
             J[nxt] = fn.j_functional(u1, project_low(u1, N) + high, consts)
             nxt += 1
@@ -296,6 +284,32 @@ def _admit_member(stepper: Stepper, a, h2, h1sq, consts: FunctionalConstants, mo
             stepper.drift(a, field) if more else None)
 
 
+def _weighted_run(stepper: Stepper, guard: BlowUpGuard, pair: tuple, drifts: tuple, e4: tuple,
+                  offset, source: EnsembleNoise, n_steps: int, consts: FunctionalConstants,
+                  record_steps=()):
+    """The weighted pair-step loop of the bridge and the coupled segments.
+
+    pair is (u1, w, log weight, cost) and drifts the members' drifts.  Step
+    `done` is _weighted_step with w's low modes offset(done) off u1's; the
+    guard admits the new pair on u1; each admitted member is synthesised once
+    for its Phi and its next drift (_admit_member), and the E_4 accumulators
+    e4 take the two Phis, over dt or, for an excluded pair, over 0.  After
+    each step yields (done, recorded, pair, ph1, ph2, dt_live).
+    """
+    dt = stepper.integ.dt
+    for done, (z, recorded) in enumerate(steps(source, n_steps, record_steps), start=1):
+        pair = guard.admit(pair, _weighted_step(stepper, *drifts, *pair[2:], z, offset(done)))
+        del drifts  # spent; freed before the next drifts are built
+        more = done < n_steps
+        phis, drifts = zip(
+            _admit_member(stepper, pair[0], guard.h2, guard.h1sq, consts, more),
+            _admit_member(stepper, pair[1], *fn.norms_h_h1_sq(pair[1]), consts, more))
+        dt_live = guard.hold(0.0, dt)  # an excluded pair's budgets stop integrating
+        for acc, ph in zip(e4, phis):
+            acc.push(ph, dt_live)
+        yield done, recorded, pair, *phis, dt_live
+
+
 @dataclass
 class GirsanovReport:
     state: CoupledState
@@ -332,9 +346,9 @@ def girsanov_attempt(
         raise ValueError("dt must divide t1 for the bridge to close exactly")
 
     u1 = np.broadcast_to(np.asarray(u1, complex), (n_attempts, params.M)).copy()
-    u2 = np.broadcast_to(np.asarray(u2, complex), (n_attempts, params.M)).copy()
-    delta0 = (u2 - u1)[..., : cfg.N]
-    w = u2.copy()  # candidate composite path, starts at u2 exactly
+    # the candidate composite path starts at u2 exactly
+    w = np.broadcast_to(np.asarray(u2, complex), (n_attempts, params.M)).copy()
+    delta0 = (w - u1)[..., : cfg.N]
     ids = traj_ids if traj_ids is not None else np.arange(n_attempts)
     source = EnsembleNoise(seed, ids, spec.N)
 
@@ -346,22 +360,15 @@ def girsanov_attempt(
     e4_1.reset(phi1_0)
     e4_2.reset(phi2_0)
 
-    logw = np.zeros(n_attempts)
-    cost = np.zeros(n_attempts)
-    for s, (z, _) in enumerate(steps(source, n_steps)):
-        # exact bridge: X_hat(next) = P_N u1(next) + zeta_next * delta0
-        zeta_next = (cfg.t1 - (s + 1) * dt) / cfg.t1
-        u1, w, logw, cost = guard.admit(
-            (u1, w, logw, cost),
-            _weighted_step(stepper, lin1, linw, logw, cost, z, zeta_next * delta0),
-        )
-        del lin1, linw  # spent; freed before the next drifts are built
-        more = s + 1 < n_steps
-        ph1, lin1 = _admit_member(stepper, u1, guard.h2, guard.h1sq, consts, more)
-        ph2, linw = _admit_member(stepper, w, *fn.norms_h_h1_sq(w), consts, more)
-        dt_live = guard.hold(0.0, dt)  # an excluded pair's E_4 stops integrating
-        e4_1.push(ph1, dt_live)
-        e4_2.push(ph2, dt_live)
+    pair = (u1, w, np.zeros(n_attempts), np.zeros(n_attempts))
+    # exact bridge: X_hat(done) = P_N u1(done) + zeta(done) * delta0
+    loop = _weighted_run(stepper, guard, pair, (lin1, linw), (e4_1, e4_2),
+                         lambda done: (cfg.t1 - done * dt) / cfg.t1 * delta0,
+                         source, n_steps, consts)
+    del u1, w, lin1, linw  # the loop frees each once it is spent
+    for _, _, pair, *_ in loop:
+        pass
+    u1, w, logw, cost = pair
 
     allow_1 = phi1_0**4 + cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
     allow_2 = phi2_0**4 + cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
@@ -420,21 +427,12 @@ def coupled_segment(
     source = EnsembleNoise(seed, ids, spec.N)
     rec_idx = record_schedule(n_steps, record_every or max(1, n_steps // 64))
 
-    u1 = state.u1.copy()
-    w = state.u2_composite(cfg.N)
-    logw, cost = state.log_weight, state.girsanov_cost
-    budget_int = state.budget_integral.copy()
-    e4_1, e4_2 = state.e4_1, state.e4_2
-    e4_1.alpha = params.alpha
-    e4_2.alpha = params.alpha
-
+    out = copy.deepcopy(state)  # the input state, accumulators included, stays as it is
+    out.e4_1.alpha = out.e4_2.alpha = params.alpha
     elapsed0 = state.k * cfg.T
     budget_cap = cfg.rho2 * np.exp(-0.25 * params.alpha * state.k * cfg.T)
-    e4_crossed = state.e4_crossed.copy()
-    budget_crossed = state.budget_crossed.copy()
-    guard = BlowUpGuard(integ, u1)
-    guard.excluded |= state.excluded
-    lin1, linw = stepper.drift(u1), stepper.drift(w)
+    pair = (out.u1, out.u2_composite(cfg.N), out.log_weight, out.girsanov_cost)
+    guard = BlowUpGuard(integ, out.u1, excluded=out.excluded)
 
     n_rec = len(rec_idx)
     rec = SegmentRecord(
@@ -445,55 +443,34 @@ def coupled_segment(
     )
 
     def snap(i):
-        rec.e4_1[i] = e4_1.value()
-        rec.e4_2[i] = e4_2.value()
-        rec.budget_integral[i] = budget_int
+        rec.e4_1[i] = out.e4_1.value()
+        rec.e4_2[i] = out.e4_2.value()
+        rec.budget_integral[i] = out.budget_integral
 
     snap(0)
     nxt = 1
-    for done, (z, recorded) in enumerate(steps(source, n_steps, rec_idx), start=1):
-        u1, w, logw, cost = guard.admit(
-            (u1, w, logw, cost), _weighted_step(stepper, lin1, linw, logw, cost, z, 0.0)
-        )
-        del lin1, linw  # spent; freed before the next drifts are built
-        more = done < n_steps
-        ph1, lin1 = _admit_member(stepper, u1, guard.h2, guard.h1sq, consts, more)
-        ph2, linw = _admit_member(stepper, w, *fn.norms_h_h1_sq(w), consts, more)
-        dt_live = guard.hold(0.0, dt)  # an excluded pair's budgets stop integrating
-        e4_1.push(ph1, dt_live)
-        e4_2.push(ph2, dt_live)
-        budget_int += (1.0 + ph1**4 + ph2**4) * fn.norm_hr_sq(u1 - w, 1.0) * dt_live
+    for done, recorded, pair, ph1, ph2, dt_live in _weighted_run(
+            stepper, guard, pair, (stepper.drift(pair[0]), stepper.drift(pair[1])),
+            (out.e4_1, out.e4_2), lambda done: 0.0, source, n_steps, consts, rec_idx):
+        out.budget_integral += ((1.0 + ph1**4 + ph2**4) * fn.norm_hr_sq(pair[0] - pair[1], 1.0)
+                                * dt_live)
         cap = cfg.e4_budget(elapsed0 + done * dt)
-        e4_crossed |= (e4_1.value() > cap) | (e4_2.value() > cap)
-        budget_crossed |= budget_int > budget_cap
+        out.e4_crossed |= (out.e4_1.value() > cap) | (out.e4_2.value() > cap)
+        out.budget_crossed |= out.budget_integral > budget_cap
         if recorded:
             snap(nxt)
             nxt += 1
-
-    new_ell = state.ell.copy()
-    decoupled = e4_crossed | budget_crossed
-    new_ell[decoupled & (new_ell != UNCOUPLED)] = UNCOUPLED
-    if np.any(logw < -30.0):
+    out.u1, w, out.log_weight, out.girsanov_cost = pair
+    out.u2_high = project_high(w, cfg.N)
+    out.ell[out.e4_crossed | out.budget_crossed] = UNCOUPLED
+    out.k += 1
+    out.excluded = guard.excluded
+    if np.any(out.log_weight < -30.0):
         warnings.warn(
-            f"{int(np.sum(logw < -30.0))} pair(s) below log-weight -30; "
+            f"{int(np.sum(out.log_weight < -30.0))} pair(s) below log-weight -30; "
             "importance weights are collapsing",
             RuntimeWarning,
         )
-    out = replace(
-        state,
-        u1=u1,
-        u2_high=project_high(w, cfg.N),
-        ell=new_ell,
-        k=state.k + 1,
-        log_weight=logw,
-        girsanov_cost=cost,
-        e4_1=e4_1,
-        e4_2=e4_2,
-        e4_crossed=e4_crossed,
-        budget_crossed=budget_crossed,
-        budget_integral=budget_int,
-        excluded=guard.excluded,
-    )
     return out, rec
 
 
@@ -555,6 +532,8 @@ def estimate_pilot_constants(
     t = rec.times
     e4 = rec.energy.E4  # (n_rec, B)
     phi0 = float(fn.phi(u0, consts))
+    if t[-1] < 1.0:
+        raise ValueError(f"c4_hat is fitted over t >= 1, but the pilot ends at t = {t[-1]:g}")
     late = t >= 1.0
     ratios = (e4[late] - phi0**4) / t[late][:, None]
     c4 = float(np.quantile(ratios, 0.99))

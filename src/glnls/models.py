@@ -19,24 +19,17 @@ Two one-step schemes are provided:
     order in dt deterministically, and mass-exact up to spectral truncation,
     which is what the conservation-law checks below rely on.
 
-    The stepping drivers run it first-same-as-last (FSAL; Strang 1968,
-    Hairer-Lubich-Wanner, Geometric Numerical Integration, II.5): step n's
-    closing half-kick and step n+1's opening one are merged into one full
-    kick, so a step makes one synthesis, two analyses and one phase
+    The stepping engine ``run`` steps it first-same-as-last (FSAL; Strang
+    1968, Hairer-Lubich-Wanner, Geometric Numerical Integration, II.5):
+    step n's closing half-kick and step n+1's opening one are merged into
+    one full kick, so a step makes one synthesis, two analyses and one phase
     (a cosine and a sine of |v|^2 written into one complex array) instead
-    of two of each.  Each driver carries the
-    half-kicked state c next to the Strang state a; records, the blow-up
-    guard, the mass integrals and the final state all read a, which is the
-    exact Strang state of the step from c.  A step whose a nothing reads
-    skips its analysis (``Stepper.advance(..., strang_state=False)``):
-    ``simulate_ensemble`` forms a only on record steps unless it tracks the
-    mass integrals or per-step Phi, and ``mixing_curve`` only on its
-    record steps, which spares one of the step's three transforms.  The
-    merged kick drops the
-    projection between the two half-kicks, so a trajectory differs from
-    repeated ``Stepper.step`` calls by that projection alone: 2e-14
-    relative after 200 steps at M = 64, dt = 5e-3 for fields of size 0.08,
-    2e-13 for fields of size 1.3.  Batch bit-identity is kept, since every
+    of two of each.  The engine carries the half-kicked state c next to the
+    Strang state a, the exact Strang state of the step from c, which is
+    what callers read.  The merged kick drops the projection between the
+    two half-kicks, so a trajectory differs from repeated ``Stepper.step``
+    calls by that projection alone: 2e-14 relative after 200 steps at
+    M = 64, dt = 5e-3 for fields of size 0.08, 2e-13 for fields of size 1.3.  Batch bit-identity is kept, since every
     operation is elementwise or one product per field.
     ``pinned_contraction_run`` stays on ``step``, because its pinning
     rewrites the low modes after every step.
@@ -47,15 +40,17 @@ Two one-step schemes are provided:
     Used by the coupling machinery, whose drift-shift bookkeeping wants the
     noise to enter linearly.
 
-    Its drivers synthesise each admitted state once per step.
+    The engine synthesises each admitted state once per step.
     ``functionals.physical_field`` gives (v, |v|^2) on 2M points; that
-    one field feeds the state's Phi, through ||u||_{L^4}^4 =
-    sum |v|^4/(K+1) (``functionals.field_energy``), and the next step's drift
-    (``Stepper.drift(a, field)``).  The guard's squared H and H^1 norms of
+    one field feeds the next step's drift (``Stepper.drift(a, field)``)
+    and the caller's Phi, through ||u||_{L^4}^4 = sum |v|^4/(K+1)
+    (``functionals.field_energy``).  The guard's squared H and H^1 norms of
     the admitted state (``BlowUpGuard.h2`` and ``.h1sq``, from one |a|^2)
     are Phi's other two terms.  Under FSAL Strang the kick synthesises
     decay c + noise, not the Strang state a, so Phi and records there make
-    a synthesis of their own.
+    a synthesis of their own.  The weighted pairs of ``coupling`` step the
+    same way in a loop of their own, since their second member's step is
+    not the one-step map.
 
 The cubic term is evaluated pseudo-spectrally on the 2M interior points of
 ``functionals.physical_field``, the one grid the package samples fields on.
@@ -71,24 +66,31 @@ uses exactly 2M nodes.  At M = 64, for order-one fields
 size) differs from one on 128 nodes by 3.0e-9 relative, far above the 1e-10
 agreement with the direct-sum one-step oracle that the benchmark checks.
 
-Every stepping loop of the package leaves three decisions to this module.
-Noise blocks: ``steps`` alone calls ``EnsembleNoise.next_block``, for
-``BLOCK_STEPS`` steps at a time (a Philox stream continues across blocks,
-so the block size never changes a result).  The record schedule:
-``record_schedule`` gives step 0, the multiples of the stride and the last
-step, always.  The blow-up guard: ``BlowUpGuard`` alone reads
-``blowup_guard``.  A row whose H^1 norm after a step is above the guard or
-not finite is excluded for the rest of the run: it stays at its last
-admitted state, is left out of means and is reported in an ``excluded``
-output, never dropped.  A caller may link rows (the members of a pair, a
-pair and its reference) so that they are excluded together.
+The step decision lives in this module.  ``run`` alone opens the carried
+state, advances it, chooses when to form the Strang state and applies the
+blow-up guard; ``simulate_ensemble``, ``stats.mixing_curve`` and
+``stats.inviscid_curve`` read what it yields.  Noise blocks: ``steps``
+alone calls ``EnsembleNoise.next_block``, for ``BLOCK_STEPS`` steps at a
+time (a Philox stream continues across blocks, so the block size never
+changes a result).  The record schedule: ``record_schedule`` gives step 0,
+the multiples of the stride and the last step, always.  The blow-up guard:
+``BlowUpGuard`` alone reads ``blowup_guard``.  A row whose H^1 norm after a
+step is above the guard or not finite is excluded for the rest of the run:
+it stays at its last admitted state, is left out of means and is reported
+in an ``excluded`` output, never dropped.  The guard's row-link rule
+``link`` excludes linked rows together: the two members of a mixing pair,
+a viscous row and its gamma = 0 reference row.
 
-On an FSAL step that forms no Strang state the guard reads c_next: a row
-whose c_next has an H^1 norm above the guard or not finite is excluded at
-that step.  Its c stays at its last admitted value and its a at the last
-Strang state formed for it, which is what it is recorded and returned as,
-with that a's H^1 norm.  Rows that never cross are bit-identical to a run
-that forms a on every step, since the c chain is the same.
+The engine forms the Strang state a on record steps, or on every step when
+the caller reads every step (per-step Phi, the mass integrals, the
+inviscid sup); a step whose a nothing reads skips that analysis
+(``Stepper.advance(..., strang_state=False)``), one of the step's three
+transforms.  There the guard reads c_next: a row whose c_next has an H^1
+norm above the guard or not finite is excluded at that step.  Its c stays
+at its last admitted value and its a at the last Strang state formed for
+it, which is what it is recorded and returned as, with that a's H^1 norm.
+Rows that never cross are bit-identical to a run that forms a on every
+step, since the c chain is the same.
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ class Stepper:
     what keeps trajectories bit-reproducible across batching choices.  The
     exponential-Euler step is drift(a) + noise(z).
 
-    The stepping drivers run the FSAL form instead: c = open(a), then
+    The engine ``run`` steps the FSAL form instead: c = open(a), then
     a, c = advance(c, z) per step, where a is the Strang state and c the
     carried, half-kicked one (see the module docstring).
     advance(open(a), z)[0] equals step(a, z) bit for bit.
@@ -371,16 +373,20 @@ def steps(source: EnsembleNoise, n_steps: int, record_steps=()) -> Iterator[tupl
 class BlowUpGuard:
     """The exclusion rule for the rows (fields) of a stepped batch.
 
-    check(a) excludes every row of a past the guard; hold(old, new) keeps
-    the excluded rows of new at old.  Rows are linked by or-ing into
-    ``excluded`` between the two calls.  admit does both and keeps ``h2``
+    check(a) excludes every row of a past the guard, and every row that the
+    row-link rule ``link`` (excluded -> excluded) ties to one; hold(old, new)
+    keeps the excluded rows of new at old.  admit does both and keeps ``h2``
     and ``h1sq``, the squared H and H^1 norms of the admitted rows from one
-    |a|^2, which a frozen row holds at its frozen state's.
+    |a|^2, which a frozen row holds at its frozen state's.  ``excluded``
+    starts as the rows already frozen, none by default.
     """
 
-    def __init__(self, integ: IntegratorConfig, a: np.ndarray):
+    def __init__(self, integ: IntegratorConfig, a: np.ndarray, link=None, excluded=None):
         self.limit = integ.blowup_guard**2
+        self.link = link
         self.excluded = np.zeros(np.shape(a)[:-1], dtype=bool)
+        if excluded is not None:
+            self.excluded |= excluded
         self.h2, self.h1sq = fn.norms_h_h1_sq(a)
 
     def check(self, a: np.ndarray) -> None:
@@ -388,6 +394,8 @@ class BlowUpGuard:
 
     def _exclude(self, h1sq: np.ndarray) -> None:
         self.excluded |= ~(h1sq <= self.limit)
+        if self.link is not None:
+            self.excluded = self.link(self.excluded)
 
     def hold(self, old, new):
         """new, with every excluded row kept at old (per-row arrays or scalars)."""
@@ -403,6 +411,34 @@ class BlowUpGuard:
         self._exclude(h1sq)
         self.h2, self.h1sq = self.hold(self.h2, h2), self.hold(self.h1sq, h1sq)
         return tuple(self.hold(o, n) for o, n in zip(old, new))
+
+
+def run(stepper: Stepper, guard: BlowUpGuard, a: np.ndarray, source: EnsembleNoise,
+        n_steps: int, record_steps=(), every_step: bool = False,
+        field: tuple | None = None) -> Iterator[tuple]:
+    """Step the batch a n_steps times; after each step yield (recorded, a, field).
+
+    a is the admitted Strang state after the step, recorded whether the
+    step is in record_steps.  The FSAL Strang step forms a only on record
+    steps, or on every step with every_step; on the others the guard reads
+    c_next and a stays at the last state formed (see the module docstring).
+    Under exponential Euler field is fn.physical_field(a), which the next
+    step's drift reads too, so a is synthesised once per step; otherwise it
+    is None.  field, when given, is fn.physical_field(a) of the initial a.
+    """
+    expeuler = stepper.integ.scheme == "expeuler"
+    if expeuler and field is None:
+        field = fn.physical_field(a)
+    c = stepper.open(a)
+    for z, recorded in steps(source, n_steps, record_steps):
+        new, c_new = stepper.advance(c, z, field, strang_state=recorded or every_step)
+        if new is None:  # no Strang state formed: the guard reads c_next
+            guard.check(c_new)
+            c = guard.hold(c, c_new)
+        else:
+            a, c = guard.admit((a, c), (new, c_new))
+        field = fn.physical_field(a) if expeuler else None
+        yield recorded, a, field
 
 
 # ---------------------------------------------------------------------------
@@ -476,20 +512,9 @@ def simulate_ensemble(
     int_h1 = np.zeros(B)
 
     a = u0.copy()
-    c = stepper.open(a)
     guard = BlowUpGuard(integ, a)
-
-    def measure(a):
-        """(field, ||u||_{L^4}^4, Psi, Phi) of the admitted states a.
-
-        The next exponential-Euler drift reads the field, so that scheme
-        keeps it and synthesises a once per step; under Strang it is None.
-        """
-        field = fn.physical_field(a)
-        return (field if integ.scheme == "expeuler" else None,
-                *fn.field_energy(field, guard.h2, guard.h1sq, consts))
-
-    field, l4, ps, ph = measure(a)
+    field = fn.physical_field(a)
+    l4, ps, ph = fn.field_energy(field, guard.h2, guard.h1sq, consts)
     e1 = fn.EnAccumulator(1, params.alpha)
     e4 = fn.EnAccumulator(4, params.alpha)
     e1.reset(ph)
@@ -511,18 +536,13 @@ def simulate_ensemble(
 
     record(0)
     i_rec = 0
-    every_step = track_phi_every_step or track_mass_integrals
-    for z, recorded in steps(source, n_steps, rec_idx):
-        prev_h, prev_h1 = guard.h2, guard.h1sq
-        new, c_new = stepper.advance(c, z, field, strang_state=recorded or every_step)
-        if new is None:  # no Strang state formed: the guard reads c_next
-            guard.check(c_new)
-            c = guard.hold(c, c_new)
-        else:
-            a, c = guard.admit((a, c), (new, c_new))
-        field = None
+    prev_h, prev_h1 = guard.h2, guard.h1sq
+    for recorded, a, field in run(stepper, guard, a, source, n_steps, rec_idx,
+                                  track_phi_every_step or track_mass_integrals, field):
         if track_phi_every_step or recorded:
-            field, l4, ps, ph = measure(a)
+            # under Strang the engine hands over no field: Phi synthesises a
+            l4, ps, ph = fn.field_energy(fn.physical_field(a) if field is None else field,
+                                         guard.h2, guard.h1sq, consts)
         # left-endpoint E_n pushes and trapezoid mass integrals
         if track_phi_every_step:
             e1.push(ph, integ.dt)
@@ -530,6 +550,7 @@ def simulate_ensemble(
         if track_mass_integrals:
             int_h += 0.5 * (prev_h + guard.h2) * integ.dt
             int_h1 += 0.5 * (prev_h1 + guard.h1sq) * integ.dt
+            prev_h, prev_h1 = guard.h2, guard.h1sq
         if recorded:
             i_rec += 1
             if not track_phi_every_step:

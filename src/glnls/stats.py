@@ -35,7 +35,7 @@ import numpy as np
 from . import functionals as fn
 from .functionals import FunctionalConstants
 from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, decay_factors,
-                     record_schedule, simulate_ensemble, steps)
+                     record_schedule, run, simulate_ensemble)
 from .noise import EnsembleNoise, NoiseSpec, traces
 from .spectral import eigenvalues
 
@@ -377,8 +377,8 @@ def mixing_curve(
     pair = np.stack([
         np.broadcast_to(np.asarray(u, complex), (ensemble_size, params.M)) for u in (u1, u2)
     ])
-    c = stepper.open(pair)
-    guard = BlowUpGuard(integ, pair)
+    # a pair falls with either member
+    guard = BlowUpGuard(integ, pair, link=lambda ex: ex | ex.any(axis=0))
     dual_steps = set(rec_steps[
         np.linspace(1, len(rec_steps) - 1, min(dual_checkpoints, len(rec_steps) - 1))
         .astype(int)
@@ -397,14 +397,8 @@ def mixing_curve(
 
     observe(0)
     n_steps = int(rec_steps.max(initial=0))
-    for done, (z, recorded) in enumerate(steps(source, n_steps, rec_steps.tolist()), start=1):
-        # between records only the guard reads the step, through c_next
-        new, c_new = stepper.advance(c, z, strang_state=recorded)
-        guard.check(c_new if new is None else new)
-        guard.excluded[:] = guard.excluded.any(axis=0)  # a pair falls with either member
-        c = guard.hold(c, c_new)
-        if new is not None:
-            pair = guard.hold(pair, new)
+    for done, (recorded, pair, _) in enumerate(
+            run(stepper, guard, pair, source, n_steps, rec_steps.tolist()), start=1):
         if recorded:
             observe(done)
 
@@ -479,13 +473,9 @@ def inviscid_curve(
     source = EnsembleNoise(seed, np.arange(E), spec.N)
     a = np.broadcast_to(np.asarray(u0, complex), (1 + len(viscous), E, M)).copy()
     sup = np.zeros((1 + len(viscous), E))  # block 0 compares the reference with itself
-    c = stepper.open(a)
-    guard = BlowUpGuard(integ, a)
-    for z, _ in steps(source, n_steps):
-        a_new, c_new = stepper.advance(c, z)
-        guard.check(a_new)
-        guard.excluded[1:] |= guard.excluded[0]  # a pair falls with its reference row
-        a, c = guard.hold(a, a_new), guard.hold(c, c_new)
+    # a pair falls with its reference row
+    guard = BlowUpGuard(integ, a, link=lambda ex: ex | ex[0])
+    for _, a, _ in run(stepper, guard, a, source, n_steps, every_step=True):
         sup = np.maximum(sup, fn.norm_h_sq(a - a[0]))
     bad = guard.excluded
 
@@ -646,7 +636,12 @@ def tail_experiment(
     blowup_guard: float = IntegratorConfig.blowup_guard,
 ) -> TailReport:
     """Frequencies of sup_{[0,T]} (E_n(t) - (C_n - 1) t) >= Phi(u0)^n + rho sqrt(T)
-    against rho, overlaid with the fitted K/rho^p envelope."""
+    against rho, overlaid with the fitted K/rho^p envelope.
+
+    Trajectories frozen by the blow-up guard are left out of the
+    frequencies and of c_n_hat, which are NaN when none is left.  c_n_hat,
+    when not given, is fitted over t >= 1, so T must reach 1.
+    """
     consts = consts or FunctionalConstants()
     integ = IntegratorConfig(dt=dt, record_every=record_every, blowup_guard=blowup_guard)
     rec = simulate_ensemble(
@@ -654,16 +649,20 @@ def tail_experiment(
         traj_ids=np.arange(ensemble_size), consts=consts,
     )
     t = rec.times
-    en = fn.accumulate_en(np.maximum(rec.energy.phi, 0.0),
+    en = fn.accumulate_en(np.maximum(rec.energy.phi[:, ~rec.excluded], 0.0),
                           record_schedule(int(round(T / dt)), record_every), dt, n,
                           params.alpha)
     phi0 = float(fn.phi(np.asarray(u0, complex), consts))
     if c_n_hat is None:
+        if t[-1] < 1.0:
+            raise ValueError(f"c_n_hat is fitted over t >= 1, but the run ends at t = {t[-1]:g}")
         late = t >= max(1.0, t[1])
-        c_n_hat = float(np.quantile((en[late] - phi0**n) / t[late][:, None], 0.99))
+        c_n_hat = float(np.quantile((en[late] - phi0**n) / t[late][:, None], 0.99)) \
+            if en.size else np.nan
     sup_dev = np.max(en - (c_n_hat - 1.0) * t[:, None], axis=0) - phi0**n
     rho_grid = np.asarray(rho_grid, dtype=float)
-    freq = np.array([np.mean(sup_dev >= r * np.sqrt(T)) for r in rho_grid])
+    freq = np.array([np.mean(sup_dev >= r * np.sqrt(T)) if en.size else np.nan
+                     for r in rho_grid])
     pos = freq > 0
     k_hat = float(np.max(freq[pos] * rho_grid[pos] ** p)) if pos.any() else 0.0
     return TailReport(rho=rho_grid, frequency=freq, envelope_k=k_hat, p=p,

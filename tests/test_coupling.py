@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -51,16 +53,32 @@ class TestPinned:
         params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
         integ = md.IntegratorConfig(dt=1e-3)
         spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
-        pair = cp.PinnedPair(params, integ, spec, N)
+        st = md.Stepper(params, integ, spec)
         rng = nz.trajectory_rng(1, 0)
         u1 = 0.3 * basis_mode(M, 1) + 0.1 * basis_mode(M, 6)
         high = project_high(0.2 * basis_mode(M, 6), N)
         for _ in range(20):
             z = rng.standard_normal((2, N))
-            u1, high = pair.step(u1, high, z)
+            u1, high = cp._pinned_step(st, u1, high, z, N)
             w2 = project_low(u1, N) + high
             # equality by representation, not to tolerance
             assert np.all(w2[..., :N] == u1[..., :N])
+
+    @pytest.mark.parametrize("M, R", [(16, None), (64, None), (64, 0.5)])
+    def test_stacked_step_matches_two_calls(self, M, R):
+        # u1 and the composite share one stacked Stepper.step; each member's
+        # bits are those of a step of its own
+        N, B = 4, 8
+        st = md.Stepper(md.ModelParams(gamma=0.05, alpha=1.0, M=M, truncation=R),
+                        md.IntegratorConfig(dt=1e-3), nz.NoiseSpec.power_profile(N, 0.2, 2.0))
+        zs = nz.EnsembleNoise(3, np.arange(B), N).next_block(30)
+        u1 = np.tile(0.6 * basis_mode(M, 1) + 0.2j * basis_mode(M, 3), (B, 1))
+        high = np.tile(project_high(0.3 * basis_mode(M, 6), N), (B, 1))
+        for s in range(30):
+            w2 = st.step(project_low(u1, N) + high, zs[:, s])
+            u1_ref, high_ref = st.step(u1, zs[:, s]), project_high(w2, N)
+            u1, high = cp._pinned_step(st, u1, high, zs[:, s], N)
+            assert np.array_equal(u1, u1_ref) and np.array_equal(high, high_ref)
 
     def test_linear_pinned_step_exact_decay(self):
         # nonlinearity off: the high-mode difference decays by the exact
@@ -70,14 +88,14 @@ class TestPinned:
         dt = 0.05
         integ = md.IntegratorConfig(dt=dt)
         spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
-        pair = cp.PinnedPair(params, integ, spec, N)
+        st = md.Stepper(params, integ, spec)
         rng = nz.trajectory_rng(2, 0)
         u1 = 0.5 * basis_mode(M, 2)
         # u2 = u1 + diff0 with diff0 supported on high modes
         diff0 = 0.2 * basis_mode(M, 7) + 0.05j * basis_mode(M, 11)
         high = project_high(u1 + diff0, N)
         z = rng.standard_normal((2, N))
-        u1n, highn = pair.step(u1, high, z)
+        u1n, highn = cp._pinned_step(st, u1, high, z, N)
         # with the nonlinearity off both members decay by the same exponential,
         # so (u2 - u1)(dt) = e^{-((gamma+i)alpha_k+alpha) dt} diff0 exactly
         v = (project_low(u1n, N) + highn) - u1n
@@ -252,6 +270,30 @@ class TestCoupledSegments:
         replay = cp.recompute_decoupling(recs[0], cfg, params.alpha, segment_k=0)
         live = state.e4_crossed | state.budget_crossed
         assert np.array_equal(replay, live)
+
+    def test_input_state_unchanged(self):
+        # two segments from one state give the same bits and leave it as it was
+        M, N = 12, 3
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+        spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
+        cfg = small_cfg(N=N, theta=1e6, c4=1e6, T=0.05)
+        integ = md.IntegratorConfig(dt=2e-3, scheme="expeuler", noise_mode="em")
+        u1 = np.broadcast_to(0.3 * basis_mode(M, 1), (4, M))
+        state = cp.make_coupled_state(u1, u1 + 0.1 * basis_mode(M, 5), cfg, CONSTS)
+        before = copy.deepcopy(state)
+        (a, rec_a), (b, rec_b) = (cp.coupled_segment(state, cfg, params, integ, spec, seed=13)
+                                  for _ in range(2))
+
+        def same(x, y):
+            for name, v in vars(x).items():
+                if isinstance(v, fn.EnAccumulator):
+                    same(v, getattr(y, name))
+                else:
+                    assert np.array_equal(v, getattr(y, name), equal_nan=True), name
+
+        same(a, b)
+        same(rec_a, rec_b)
+        same(state, before)
 
     def test_weight_collapse_warning(self):
         M, N = 8, 2

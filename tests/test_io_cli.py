@@ -300,6 +300,16 @@ class TestCLI:
         assert lines[0] == "rho,frequency,envelope"
         assert assert_manifest(tmp_path / "o" / "tails")["trajectory_count"] == 8
 
+    def test_tails_rejects_short_run(self, tmp_path, capsys):
+        # c_n_hat is fitted over t >= 1, so a shorter run is an error that says so
+        text = BASE.format(time="0.5") + (
+            "\n[experiment]\ndriver = tails\nn = 4\np = 1.0\ntime = 0.5\nensemble = 4\n"
+        )
+        cfgp = write(tmp_path, text)
+        assert cli.main(["tails", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "t >= 1" in err["message"]
+
     def test_mixing_driver(self, tmp_path):
         text = BASE.format(time="0.1") + (
             "\n[experiment]\ndriver = mixing\ngammas = 0.05\nt_max = 1.0\n"

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,23 @@ class TestMixing:
         assert np.array_equal(c.upper_d1, up1)
         assert np.array_equal(c.upper_d0, up0)
 
+    def test_pair_falls_with_either_member(self):
+        # u2 crosses the guard in some pairs and u1 in none: exactly those
+        # pairs are excluded, and the means run over the others
+        M, E, dt, n, every = 16, 8, 2e-3, 60, 10
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+        spec = nz.NoiseSpec.power_profile(4, 0.3, 2.0)
+        integ = md.IntegratorConfig(dt=dt, record_every=every, blowup_guard=1.35)
+        u1, u2 = 0.05 * basis_mode(M, 1), 0.4 * basis_mode(M, 1)
+        rec1, rec2 = (md.simulate_ensemble(u, params, integ, spec, n * dt, seed=2,
+                                           traj_ids=np.arange(E)) for u in (u1, u2))
+        c = st.mixing_curve(u1, u2, params, spec, dt * np.array(md.record_schedule(n, every)),
+                            E, seed=2, integ=integ, dual_checkpoints=0)
+        assert not rec1.excluded.any() and 0 < rec2.excluded.sum() < E
+        assert np.array_equal(c.excluded, rec2.excluded)
+        live = ~c.excluded
+        assert c.upper_d1[-1] == np.mean(fn.dist_d1(rec1.final, rec2.final)[live])
+
 
 def inviscid_reference(u0, gammas, T, E, seed, M, spec, R, dt):
     """The per-gamma loop: each gamma re-steps its own gamma = 0 reference."""
@@ -302,6 +321,38 @@ class TestInviscid:
         if times is not None:
             # the stride does not divide N_STEPS; the last step is recorded all the same
             assert np.allclose(times, DT * np.r_[0:N_STEPS:STRIDE, N_STEPS])
+
+    def test_pair_falls_with_its_reference_row(self, monkeypatch):
+        # at this guard the reference row crosses in pairs 0, 1, 3 and 5,
+        # the gamma = 0.1 row in pairs 1 and 5 and the gamma = 0.5 row in
+        # pair 7 alone: pair 7 is excluded for gamma = 0.5 only
+        M, E, dt, n, guard = 8, 8, 0.05, 3, 2.19
+        spec = nz.NoiseSpec.power_profile(2, 1.0, 1.0)
+        gammas = [0.0, 0.1, 0.5]
+        monkeypatch.setattr(st, "IntegratorConfig",
+                            functools.partial(md.IntegratorConfig, blowup_guard=guard))
+        curve = st.inviscid_curve(np.zeros(M, complex), gammas, n * dt, E, seed=9,
+                                  alpha=1.0, M=M, spec=spec, dt=dt)
+        # each gamma's rows stepped on their own, with no guard
+        integ = md.IntegratorConfig(dt=dt, scheme="strang", noise_mode="em")
+        zs = nz.EnsembleNoise(9, np.arange(E), spec.N).next_block(n)
+        rows = {}
+        for g in gammas:
+            stepper = md.Stepper(md.ModelParams(gamma=g, alpha=1.0, M=M), integ, spec)
+            c, states = stepper.open(np.zeros((E, M), complex)), []
+            for s in range(n):
+                a, c = stepper.advance(c, zs[:, s])
+                states.append(a)
+            rows[g] = np.array(states)
+        crossed = {g: np.any(fn.norm_hr_sq(x, 1.0) > guard**2, axis=0) for g, x in rows.items()}
+        assert np.flatnonzero(crossed[0.0]).tolist() == [0, 1, 3, 5]
+        assert np.flatnonzero(crossed[0.1]).tolist() == [1, 5]
+        assert np.flatnonzero(crossed[0.5]).tolist() == [7]
+        assert curve.excluded.tolist() == [4, 4, 5]
+        for i, g in enumerate(gammas[1:], start=1):
+            live = ~(crossed[0.0] | crossed[g])
+            sup = np.max(fn.norm_h_sq(rows[g] - rows[0.0]), axis=0)
+            assert curve.mean_sup_err_sq[i] == np.mean(sup[live])
 
     @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
     def test_nonfinite_pairs_excluded(self):
@@ -423,6 +474,37 @@ class TestTails:
         late = t >= 1.0
         expect = np.quantile(rec.energy.E4[late] / t[late][:, None], 0.99)
         assert rep.c_n_hat == pytest.approx(expect, rel=1e-12)
+
+    def test_frozen_trajectories_left_out(self):
+        # at a guard of 1.3 trajectories 5, 6 and 7 cross: the report is that
+        # of trajectories 0..4 alone; with all of them frozen nothing is left
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=16)
+        spec = nz.NoiseSpec.power_profile(4, 0.1, 2.0)
+        kw = dict(n=4, p=1.0, rho_grid=np.geomspace(1e-3, 10.0, 5), T=1.0, seed=30)
+        u0 = 0.4 * basis_mode(16, 1)
+        rep = st.tail_experiment(params, spec, u0, ensemble_size=8, blowup_guard=1.3, **kw)
+        alone = st.tail_experiment(params, spec, u0, ensemble_size=5, **kw)
+        assert rep.excluded == 3 and alone.excluded == 0
+        assert np.array_equal(rep.frequency, alone.frequency)
+        assert rep.c_n_hat == alone.c_n_hat
+        frozen = st.tail_experiment(params, spec, u0, ensemble_size=8, blowup_guard=0.01, **kw)
+        assert frozen.excluded == 8
+        assert np.all(np.isnan(frozen.frequency)) and np.isnan(frozen.c_n_hat)
+
+    def test_rate_fits_need_t_at_least_one(self):
+        # c_n_hat and the pilot's c4_hat are fitted over t >= 1
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=8)
+        spec = nz.NoiseSpec.power_profile(2, 0.1, 2.0)
+        with pytest.raises(ValueError, match="t >= 1"):
+            st.tail_experiment(params, spec, np.zeros(8, complex), n=4, p=1.0,
+                               rho_grid=[0.1], T=0.5, ensemble_size=2, seed=1)
+        with pytest.raises(ValueError, match="t >= 1"):
+            cp.estimate_pilot_constants(params, spec, fn.FunctionalConstants(), seed=1,
+                                        n_traj=2, T=0.5)
+        # a given c_n_hat needs no fit
+        rep = st.tail_experiment(params, spec, np.zeros(8, complex), n=4, p=1.0,
+                                 rho_grid=[0.1], T=0.5, ensemble_size=2, seed=1, c_n_hat=1.0)
+        assert rep.c_n_hat == 1.0
 
 
 class TestInvariantMeasure:
