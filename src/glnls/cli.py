@@ -16,11 +16,13 @@ index) and writes nothing.  Every other subcommand has a driver
 CSV tables as ``{file name: (header, rows)}`` and its manifest fields
 (``trajectory_count`` and ``excluded_count``, and where it has them
 ``derived_constants`` and ``results``).  ``main`` is the one runner: it
-allocates a fresh run directory (never overwriting an earlier one), times
-the driver, writes each table with 17-significant-digit floats and then
-one manifest.json with the config echo, the wall time, the counts and the
-SHA-256 of every CSV.  Failures exit nonzero with a machine-readable JSON
-error on stderr.
+loads the config for the subcommand (``config.load_config``; --seed and
+--out replace [run] seed and out_dir), allocates a fresh run directory
+(never overwriting an earlier one), times the driver, writes each table
+with 17-significant-digit floats and then one manifest.json with the config
+echo, the wall time, the counts and the SHA-256 of every CSV.  Failures exit
+nonzero with a machine-readable JSON error on stderr (code 2 for a config
+violation).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from . import coupling as cp
 from . import functionals as fn
 from . import models as md
 from . import stats as st
-from .config import ConfigError, RunConfig, default_config, load_config
+from .config import ConfigError, RunConfig, load_config
 from .noise import derive_seed
 from .outputs import allocate_run_dir, write_csv, write_manifest
 
@@ -88,10 +90,6 @@ def run_ensemble(cfg: RunConfig, n_traj: int, workers: int, seed: int):
 # drivers: (cfg, seed, args) -> (tables, manifest fields)
 # ---------------------------------------------------------------------------
 
-def _exp(cfg: RunConfig, key: str, default: str) -> str:
-    return cfg.experiment.get(key, default)
-
-
 def _fit_fields(fit: st.RateFit, exponent: str) -> dict:
     return {exponent: fit.exponent, "r_squared": fit.r_squared,
             "residual": fit.residual, "half_width": fit.half_width}
@@ -99,7 +97,7 @@ def _fit_fields(fit: st.RateFit, exponent: str) -> dict:
 
 def drive_simulate(cfg, seed, args):
     params = cfg.model_params()
-    save_states = cfg.run["save_states"].strip().lower() in ("1", "true", "yes")
+    save_states = cfg.run["save_states"]
     rec = md.simulate_ensemble(
         cfg.u0(), params, cfg.integrator_config(), cfg.noise_spec(), cfg.T, seed,
         traj_ids=np.array([0]), consts=cfg.constants(), record_states=save_states,
@@ -119,7 +117,7 @@ def drive_simulate(cfg, seed, args):
 
 
 def drive_ensemble(cfg, seed, args):
-    n_traj = int(_exp(cfg, "size", "100"))
+    n_traj = cfg.experiment["size"]
     times, H, H1, phi, final, excluded = run_ensemble(cfg, n_traj, args.workers, seed)
     live = ~excluded
     n = max(int(live.sum()), 1)
@@ -138,28 +136,24 @@ def drive_ensemble(cfg, seed, args):
 
 def drive_couple(cfg, seed, args):
     params, spec = cfg.model_params(), cfg.noise_spec()
-    consts = cfg.constants()
-    n_pairs = int(_exp(cfg, "pairs", "64"))
-    n_segments = int(_exp(cfg, "segments", "4"))
-    beta = float(_exp(cfg, "beta", "0.5"))
-    seg_t = float(_exp(cfg, "segment_time", "2.0"))
-    perturb = complex(_exp(cfg, "perturb", "0"))
-    dt = float(_exp(cfg, "dt", cfg.integrator["dt"]))
+    consts, x, i = cfg.constants(), cfg.experiment, cfg.integrator
+    n_pairs, n_segments = x["pairs"], x["segments"]
     pilot = cp.estimate_pilot_constants(
         params, spec, consts, derive_seed(seed, "pilot"),
-        n_traj=int(_exp(cfg, "pilot_traj", "100")),
-        T=float(_exp(cfg, "pilot_time", "10.0")),
+        n_traj=x["pilot_traj"], T=x["pilot_time"],
     )
-    theta = float(_exp(cfg, "theta", str(10.0 * pilot.c4_hat)))
+    theta = 10.0 * pilot.c4_hat if x["theta"] is None else x["theta"]
     ccfg = cp.CouplingConfig(
-        N=spec.N, theta=theta, beta=beta, T=seg_t,
+        N=spec.N, theta=theta, beta=x["beta"], T=x["segment_time"],
         c4_hat=pilot.c4_hat, k41_hat=pilot.k41_hat, consts=consts,
     )
-    integ = md.IntegratorConfig(dt=dt, scheme="expeuler", noise_mode="em")
+    # the Girsanov weights fix exponential Euler with raw increments
+    integ = md.IntegratorConfig(dt=i["dt"], scheme="expeuler", noise_mode="em",
+                                blowup_guard=i["blowup_guard"])
     u1 = cfg.u0()
     u2 = u1.copy()
-    if perturb != 0:
-        u2[params.M - 1] += perturb
+    if x["perturb"] != 0:
+        u2[params.M - 1] += x["perturb"]
     state = cp.make_coupled_state(
         np.broadcast_to(u1, (n_pairs, params.M)).copy(),
         np.broadcast_to(u2, (n_pairs, params.M)).copy(),
@@ -198,11 +192,9 @@ def drive_couple(cfg, seed, args):
 def drive_mixing(cfg, seed, args):
     params0 = cfg.model_params()
     spec = cfg.noise_spec()
-    gammas = [float(x) for x in _exp(cfg, "gammas", cfg.model["gamma"]).split(",")]
-    t_max = float(_exp(cfg, "t_max", "50"))
-    n_points = int(_exp(cfg, "t_points", "51"))
-    ensemble = int(_exp(cfg, "ensemble", "64"))
-    t_grid = np.linspace(0.0, t_max, n_points)
+    x = cfg.experiment
+    gammas, ensemble = x["gammas"], x["ensemble"]
+    t_grid = np.linspace(0.0, x["t_max"], x["t_points"])
     tables, fits, excluded = {}, {}, 0
     for g in gammas:
         curve = st.mixing_curve(
@@ -237,14 +229,13 @@ def _second_state(cfg: RunConfig) -> np.ndarray:
 
 
 def drive_inviscid(cfg, seed, args):
-    params0 = cfg.model_params()
-    gammas = [float(x) for x in _exp(cfg, "gammas", "1e-4,1e-3,1e-2,1e-1").split(",")]
-    pairs = int(_exp(cfg, "pairs", "100"))
+    x, i = cfg.experiment, cfg.integrator
+    gammas, pairs = x["gammas"], x["pairs"]
     curve = st.inviscid_curve(
-        cfg.u0(), gammas, float(_exp(cfg, "time", "1.0")), pairs, seed,
-        alpha=params0.alpha, M=params0.M, spec=cfg.noise_spec(),
-        truncated=_exp(cfg, "truncated", "true").lower() in ("1", "true", "yes"),
-        R=float(_exp(cfg, "radius", "2.0")), dt=float(cfg.integrator["dt"]),
+        cfg.u0(), gammas, x["time"], pairs, seed,
+        alpha=cfg.model["alpha"], M=cfg.model["modes"], spec=cfg.noise_spec(),
+        truncated=x["truncated"], R=x["radius"], dt=i["dt"],
+        blowup_guard=i["blowup_guard"],
     )
     rows = zip(curve.gammas, curve.mean_sup_err, curve.mean_sup_err_sq,
                curve.se_sup_err_sq, curve.excluded)
@@ -261,17 +252,15 @@ def drive_inviscid(cfg, seed, args):
 
 def drive_measures(cfg, seed, args):
     params0 = cfg.model_params()
-    spec, consts = cfg.noise_spec(), cfg.constants()
-    gammas = [float(x) for x in _exp(cfg, "gammas", "0.2,0.1,0.05").split(",")]
-    burn_in = float(_exp(cfg, "burn_in", str(20.0 / params0.alpha)))
-    n_samples = int(_exp(cfg, "samples", "128"))
-    thinning = float(_exp(cfg, "thinning", "1.0"))
+    spec, consts, x = cfg.noise_spec(), cfg.constants(), cfg.experiment
+    gammas = x["gammas"]
+    burn_in = 20.0 / params0.alpha if x["burn_in"] is None else x["burn_in"]
 
     def sample(g, tag):
         return st.invariant_measure_sample(
-            replace(params0, gamma=g), spec, burn_in, n_samples, thinning,
-            derive_seed(seed, tag), dt=float(cfg.integrator["dt"]), consts=consts,
-            blowup_guard=float(cfg.integrator["blowup_guard"]),
+            replace(params0, gamma=g), spec, burn_in, x["samples"], x["thinning"],
+            derive_seed(seed, tag), dt=cfg.integrator["dt"], consts=consts,
+            u0=cfg.u0(), blowup_guard=cfg.integrator["blowup_guard"],
         )
 
     ref, diag0 = sample(0.0, "measure-0")
@@ -294,14 +283,12 @@ def drive_measures(cfg, seed, args):
 
 def drive_tails(cfg, seed, args):
     params, spec = cfg.model_params(), cfg.noise_spec()
-    n = int(_exp(cfg, "n", "4"))
-    p = float(_exp(cfg, "p", "1.0"))
-    T = float(_exp(cfg, "time", "10.0"))
-    ensemble = int(_exp(cfg, "ensemble", "200"))
-    rho_text = _exp(cfg, "rho_grid", "")
-    kw = {"consts": cfg.constants(), "blowup_guard": float(cfg.integrator["blowup_guard"])}
-    if rho_text:
-        rho = np.array([float(x) for x in rho_text.split(",")])
+    x, i = cfg.experiment, cfg.integrator
+    n, p, T, ensemble = x["n"], x["p"], x["time"], x["ensemble"]
+    kw = {"consts": cfg.constants(), "blowup_guard": i["blowup_guard"],
+          "record_every": i["record_every"]}
+    if x["rho_grid"]:
+        rho = np.array(x["rho_grid"])
     else:
         pilot = st.tail_experiment(
             params, spec, cfg.u0(), n, p,
@@ -378,11 +365,9 @@ def main(argv=None) -> int:
         if args.subcommand == "validate":
             results = acceptance.run_all(only=args.only)
             return 0 if all(r.passed for r in results) else 1
-        cfg = load_config(args.config) if args.config else default_config()
-        if args.seed is not None:
-            cfg.run["seed"] = str(args.seed)
-        if args.out is not None:
-            cfg.run["out_dir"] = args.out
+        overrides = {"seed": args.seed, "out_dir": args.out}
+        cfg = load_config(args.config, args.subcommand,
+                          run={k: str(v) for k, v in overrides.items() if v is not None})
         seed = cfg.seed
         run_dir = allocate_run_dir(cfg.run["out_dir"], args.subcommand)
         start = time.perf_counter()

@@ -375,6 +375,7 @@ def girsanov_attempt(
     success = (e4_1.value() <= allow_1) & (e4_2.value() <= allow_2) & ~guard.excluded
 
     state = make_coupled_state(u1, w, cfg, consts)
+    state.e4_1.alpha = state.e4_2.alpha = params.alpha
     state.log_weight = logw
     state.girsanov_cost = cost
     state.excluded = guard.excluded

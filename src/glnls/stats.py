@@ -437,6 +437,7 @@ def inviscid_curve(
     truncated: bool = False,
     R: float | None = None,
     dt: float = 5e-4,
+    blowup_guard: float = IntegratorConfig.blowup_guard,
 ) -> InviscidCurve:
     """Shared-noise comparison of u^gamma with the gamma = 0 dynamics.
 
@@ -451,14 +452,15 @@ def inviscid_curve(
     block.
 
     Pair (gamma, i) is excluded once row i of its block or of the reference
-    block has an H^1 norm above the guard or not finite; its rows are no
+    block has an H^1 norm above ``blowup_guard`` or not finite; its rows are no
     longer updated and it is left out of the means (``excluded`` counts
     them).  Fits log E[sup ||v||_H^2] against log gamma over the positive
     gammas.
     """
     gamma_list = np.asarray(sorted(gamma_list), dtype=float)
     trunc = R if truncated else None
-    integ = IntegratorConfig(dt=dt, scheme="strang", noise_mode="em")
+    integ = IntegratorConfig(dt=dt, scheme="strang", noise_mode="em",
+                             blowup_guard=blowup_guard)
     p0 = ModelParams(gamma=0.0, alpha=alpha, M=M, truncation=trunc)
     # every nonzero gamma, negative or not, passes ModelParams' range check here
     viscous = np.unique(gamma_list[gamma_list != 0])

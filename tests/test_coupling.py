@@ -158,6 +158,27 @@ class TestGirsanov:
         cand = rep.state.u2_composite(2)
         assert np.all(cand[:, :2] == rep.state.u1[:, :2])
 
+    def test_returned_state_e4_starts_at_phi4(self):
+        # the bridge's state carries the run's alpha, so its E_4 reads Phi^4
+        # before any segment; a segment from it gives the bits it gave when
+        # that alpha was left NaN
+        params, spec = self._setup(M=16, N=4)
+        cfg = small_cfg(N=4, t1=0.1, r1=0.5)
+        integ = md.IntegratorConfig(dt=0.002, scheme="expeuler", noise_mode="em")
+        u1, u2 = 0.2 * basis_mode(16, 1), -0.1 * basis_mode(16, 2)
+        state = cp.girsanov_attempt(u1, u2, cfg, params, integ, spec, seed=7,
+                                    n_attempts=3).state
+        for acc, u in ((state.e4_1, state.u1), (state.e4_2, state.u2_composite(4))):
+            assert np.all(np.isfinite(acc.value()))
+            assert np.array_equal(acc.value(), fn.phi(u, CONSTS) ** 4)
+        unset = copy.deepcopy(state)
+        unset.e4_1.alpha = unset.e4_2.alpha = np.nan
+        a, rec_a = cp.coupled_segment(state, cfg, params, integ, spec, seed=8)
+        b, rec_b = cp.coupled_segment(unset, cfg, params, integ, spec, seed=8)
+        for x, y in ((a.u1, b.u1), (a.u2_high, b.u2_high), (a.log_weight, b.log_weight),
+                     (a.e4_1.value(), b.e4_1.value()), (rec_a.e4_2, rec_b.e4_2)):
+            assert np.array_equal(x, y)
+
     def test_unbiased_importance_weights(self):
         # desk-scale configuration (M=2, N=1) against a plain dense ensemble
         M, N = 2, 1

@@ -363,8 +363,8 @@ class TestConstants:
         # alpha = 1 and Tr(QQ*) = 1 bound xi below 0.5 in a run configuration
         def violations(xi):
             cfg = default_config()
-            cfg.model["alpha"], cfg.noise["lambdas"], cfg.functionals["xi"] = "1.0", "1.0", xi
+            cfg.model["alpha"], cfg.noise["lambdas"], cfg.functionals["xi"] = 1.0, (1.0,), xi
             return [v for v in validate(cfg) if "xi" in v]
 
-        assert violations("10.0") and violations("0.5")
-        assert violations("0.4") == []
+        assert violations(10.0) and violations(0.5)
+        assert violations(0.4) == []

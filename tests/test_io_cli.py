@@ -70,6 +70,10 @@ class TestConfig:
         cfg2 = load_config(echoed)
         assert cfg.as_dict() == cfg2.as_dict()
         assert cfg.content_hash() == cfg2.content_hash()
+        for sub in cli.DRIVERS:  # a manifest's echo loads again for its subcommand
+            cfg = default_config(sub)
+            echoed = write(tmp_path, cfg.serialize(), name=f"{sub}.cfg")
+            assert load_config(echoed, sub).as_dict() == cfg.as_dict()
 
     def test_u0_parsing(self, tmp_path):
         cfg = load_config(write(tmp_path, "[run]\nu0_modes = 1:0.5, 3:0.1+0.2j\n"))
@@ -81,9 +85,47 @@ class TestConfig:
     def test_default_config_is_valid(self):
         assert validate(default_config()) == []
 
+    @pytest.mark.parametrize("text, error", [
+        ("[model]\nalpha = 1.0\n[model]\nmodes = 8\n", "DuplicateSectionError"),
+        ("[model]\nalpha = 1.0\nalpha = 2.0\n", "DuplicateOptionError"),
+        ("alpha = 1.0\n[model]\n", "MissingSectionHeaderError"),
+    ], ids=["section", "key", "header"])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, text, error):
+        rc = cli.main(["simulate", "--config", write(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "config" and error in payload["violations"][0]
+        assert not (tmp_path / "o").exists()
+
+    def test_booleans_parse_once(self, tmp_path, capsys):
+        # every boolean takes the same spellings, and a misspelt one stops the run
+        def simulate(flag):
+            text = SIMULATE.format(time="0.02").replace("[run]\n", f"[run]\nsave_states = {flag}\n")
+            return cli.main(["simulate", "--config", write(tmp_path, text),
+                             "--out", str(tmp_path / "o")])
+
+        assert simulate("on") == 0
+        assert (tmp_path / "o" / "simulate" / "states.csv").exists()
+        assert simulate("tru") == 2
+        assert any(v.startswith("[run] save_states: unparseable")
+                   for v in json.loads(capsys.readouterr().err)["violations"])
+        cfg = load_config(write(tmp_path, "[model]\nnonlinear = off\n", name="m.cfg"))
+        assert cfg.model["nonlinear"] is False
+
+    @pytest.mark.parametrize("sub, text, key", [
+        (None, "[noise]\nlambdas = 0.1\nlambda0 = 0.2\n", "[noise] lambda0"),
+        ("inviscid", "[experiment]\ntruncated = false\nradius = 1.0\n", "[experiment] radius"),
+    ], ids=["lambdas", "radius"])
+    def test_key_replaced_by_another_rejected(self, tmp_path, sub, text, key):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, text), sub)
+        assert [v.split(":")[0] for v in err.value.violations] == [key]
+
     def test_unknown_keys_and_sections_rejected(self, tmp_path):
         # a misspelt key, a removed key and a misspelt section: one violation
-        # each, none silently dropped; [experiment] takes any key
+        # each, none silently dropped; loaded without a subcommand,
+        # [experiment] is unchecked
         text = (
             "[model]\nmodse = 32\npad_factor = 3\n"
             "[integrater]\ndt = 1e-3\n"
@@ -97,37 +139,33 @@ class TestConfig:
         assert any("[integrater]" in v for v in bad)
 
     def test_readme_config_loads(self, tmp_path):
-        # the README's example config, inline comments and all, is a valid run
-        # config, so it names no removed key
+        # the README's example config, inline comments and all, is a valid
+        # config for the subcommand it names, so it names no removed key and
+        # sets no key that subcommand ignores
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
         assert len(blocks) == 1
-        cfg = load_config(write(tmp_path, blocks[0]))
+        assert "a `glnls mixing` config" in readme
+        cfg = load_config(write(tmp_path, blocks[0]), "mixing")
         assert cfg.model_params().M == 64 and cfg.model_params().truncation is None
-        assert cfg.experiment["gammas"] == "0.0, 0.01, 0.1"
+        assert cfg.experiment["gammas"] == (0.0, 0.01, 0.1)
         for removed in ("dealias", "pad_factor", "GLNLS_WORKERS", "workers ="):
             assert removed not in readme
 
 
 BASE = """
 [model]
-gamma = 0.05
-alpha = 1.0
 modes = 16
 
 [noise]
 forced_modes = 4
 lambda0 = 0.1
 
-[integrator]
-dt = 1e-3
-time = {time}
-record_every = 10
-
 [run]
 seed = 21
 u0_modes = 1:0.4
 """
+SIMULATE = BASE + "\n[integrator]\ntime = {time}\n"
 
 
 def assert_manifest(run_dir):
@@ -144,15 +182,15 @@ def assert_manifest(run_dir):
     return man
 
 
-MEASURES = BASE.format(time="0.1") + (
-    "\n[experiment]\ndriver = measures\ngammas = 0.1\nburn_in = 1.0\n"
+MEASURES = BASE + (
+    "\n[experiment]\ngammas = 0.1\nburn_in = 1.0\n"
     "samples = 8\nthinning = 0.1\n"
 )
 
 
 class TestCLI:
     def test_simulate_t_zero_single_row(self, tmp_path):
-        cfgp = write(tmp_path, BASE.format(time="0.0"))
+        cfgp = write(tmp_path, SIMULATE.format(time="0.0"))
         rc = cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")])
         assert rc == 0
         csv = (tmp_path / "o" / "simulate" / "energy.csv").read_text().splitlines()
@@ -161,7 +199,7 @@ class TestCLI:
         assert_manifest(tmp_path / "o" / "simulate")
 
     def test_rerun_never_overwrites(self, tmp_path):
-        cfgp = write(tmp_path, BASE.format(time="0.0"))
+        cfgp = write(tmp_path, SIMULATE.format(time="0.0"))
         out = str(tmp_path / "o")
         assert cli.main(["simulate", "--config", cfgp, "--out", out]) == 0
         assert cli.main(["simulate", "--config", cfgp, "--out", out]) == 0
@@ -171,7 +209,7 @@ class TestCLI:
             assert (tmp_path / "o" / d / "manifest.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfgp = write(tmp_path, BASE.format(time="0.05"))
+        cfgp = write(tmp_path, SIMULATE.format(time="0.05"))
         out = str(tmp_path / "o")
         cli.main(["simulate", "--config", cfgp, "--out", out])
         cli.main(["simulate", "--config", cfgp, "--out", out])
@@ -180,7 +218,7 @@ class TestCLI:
         assert a == b
 
     def test_seed_override_changes_output(self, tmp_path):
-        cfgp = write(tmp_path, BASE.format(time="0.05"))
+        cfgp = write(tmp_path, SIMULATE.format(time="0.05"))
         out = str(tmp_path / "o")
         cli.main(["simulate", "--config", cfgp, "--out", out])
         cli.main(["simulate", "--config", cfgp, "--out", out, "--seed", "99"])
@@ -189,7 +227,7 @@ class TestCLI:
         assert a != b
 
     def test_manifest_hashes_outputs(self, tmp_path):
-        cfgp = write(tmp_path, BASE.format(time="0.02"))
+        cfgp = write(tmp_path, SIMULATE.format(time="0.02"))
         out = str(tmp_path / "o")
         cli.main(["simulate", "--config", cfgp, "--out", out])
         man = assert_manifest(tmp_path / "o" / "simulate")
@@ -200,7 +238,7 @@ class TestCLI:
     def test_ensemble_workers_equivalence(self, tmp_path):
         # 600 trajectories on the 32-point kick grid pass numpy's 256 KiB
         # temporary-reuse size in one batch and stay below it in two halves
-        text = BASE.format(time="0.05") + "\n[experiment]\ndriver = ensemble\nsize = 600\n"
+        text = SIMULATE.format(time="0.05") + "\n[experiment]\nsize = 600\n"
         cfgp = write(tmp_path, text)
         out = str(tmp_path / "o")
         assert cli.main(["ensemble", "--config", cfgp, "--out", out,
@@ -213,7 +251,7 @@ class TestCLI:
         assert assert_manifest(tmp_path / "o" / "ensemble")["trajectory_count"] == 600
 
     def test_workers_rejected_outside_ensemble(self, tmp_path, capsys):
-        cfgp = write(tmp_path, BASE.format(time="0.1"))
+        cfgp = write(tmp_path, BASE)
         with pytest.raises(SystemExit) as exit_:
             cli.main(["mixing", "--config", cfgp, "--workers", "2"])
         assert exit_.value.code != 0
@@ -262,9 +300,10 @@ class TestCLI:
         assert "--only" in err and named in err
 
     def test_couple_driver_csv(self, tmp_path):
-        text = BASE.format(time="0.1") + (
-            "\n[experiment]\ndriver = couple\npairs = 3\nsegments = 2\n"
-            "segment_time = 0.1\ndt = 2e-3\npilot_traj = 8\npilot_time = 2.0\n"
+        text = BASE + (
+            "\n[integrator]\ndt = 2e-3\n"
+            "\n[experiment]\npairs = 3\nsegments = 2\n"
+            "segment_time = 0.1\npilot_traj = 8\npilot_time = 2.0\n"
         )
         cfgp = write(tmp_path, text)
         out = str(tmp_path / "o")
@@ -276,8 +315,8 @@ class TestCLI:
         assert man["trajectory_count"] == 6 and "c4_hat" in man["derived_constants"]
 
     def test_inviscid_driver(self, tmp_path):
-        text = BASE.format(time="0.1") + (
-            "\n[experiment]\ndriver = inviscid\ngammas = 1e-2,1e-1\n"
+        text = BASE + (
+            "\n[experiment]\ngammas = 1e-2,1e-1\n"
             "time = 0.1\npairs = 4\n"
         )
         cfgp = write(tmp_path, text)
@@ -289,8 +328,8 @@ class TestCLI:
         assert assert_manifest(tmp_path / "o" / "inviscid")["trajectory_count"] == 12
 
     def test_tails_driver(self, tmp_path):
-        text = BASE.format(time="1.0") + (
-            "\n[experiment]\ndriver = tails\nn = 4\np = 1.0\ntime = 1.0\n"
+        text = BASE + (
+            "\n[experiment]\nn = 4\np = 1.0\ntime = 1.0\n"
             "ensemble = 8\nrho_grid = 0.1,1,10\n"
         )
         cfgp = write(tmp_path, text)
@@ -302,8 +341,8 @@ class TestCLI:
 
     def test_tails_rejects_short_run(self, tmp_path, capsys):
         # c_n_hat is fitted over t >= 1, so a shorter run is an error that says so
-        text = BASE.format(time="0.5") + (
-            "\n[experiment]\ndriver = tails\nn = 4\np = 1.0\ntime = 0.5\nensemble = 4\n"
+        text = BASE + (
+            "\n[experiment]\nn = 4\np = 1.0\ntime = 0.5\nensemble = 4\n"
         )
         cfgp = write(tmp_path, text)
         assert cli.main(["tails", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
@@ -311,8 +350,8 @@ class TestCLI:
         assert err["error"] == "ValueError" and "t >= 1" in err["message"]
 
     def test_mixing_driver(self, tmp_path):
-        text = BASE.format(time="0.1") + (
-            "\n[experiment]\ndriver = mixing\ngammas = 0.05\nt_max = 1.0\n"
+        text = BASE + (
+            "\n[experiment]\ngammas = 0.05\nt_max = 1.0\n"
             "t_points = 3\nensemble = 4\n"
         )
         cfgp = write(tmp_path, text)
@@ -338,8 +377,7 @@ class TestCLI:
     ], ids=["mixing", "measures", "tails"])
     def test_excluded_count(self, tmp_path, name, experiment, excluded):
         # a blow-up guard every trajectory crosses: the manifest counts each
-        text = BASE.format(time="0.1").replace(
-            "record_every = 10\n", "record_every = 10\nblowup_guard = 0.01\n")
+        text = BASE + "\n[integrator]\nblowup_guard = 0.01\n"
         cfgp = write(tmp_path, text + "\n[experiment]\n" + experiment)
         out = str(tmp_path / "o")
         assert cli.main([name, "--config", cfgp, "--out", out]) == 0
