@@ -120,12 +120,13 @@ def drive_ensemble(cfg, seed, args):
     n_traj = cfg.experiment["size"]
     times, H, H1, phi, final, excluded = run_ensemble(cfg, n_traj, args.workers, seed)
     live = ~excluded
-    n = max(int(live.sum()), 1)
+    n = int(live.sum())
+
+    def mean_se(x):  # NaN when no trajectory is live, with no empty-slice mean
+        return (x.mean(), x.std() / np.sqrt(n)) if n else (np.nan, np.nan)
+
     rows = (
-        (times[i],
-         H[i, live].mean(), H[i, live].std() / np.sqrt(n),
-         H1[i, live].mean(), H1[i, live].std() / np.sqrt(n),
-         phi[i, live].mean(), phi[i, live].std() / np.sqrt(n))
+        (times[i], *mean_se(H[i, live]), *mean_se(H1[i, live]), *mean_se(phi[i, live]))
         for i in range(len(times))
     )
     header = ("t", "mean_H", "se_H", "mean_H1", "se_H1", "mean_phi", "se_phi")
@@ -282,28 +283,16 @@ def drive_measures(cfg, seed, args):
 
 
 def drive_tails(cfg, seed, args):
-    params, spec = cfg.model_params(), cfg.noise_spec()
     x, i = cfg.experiment, cfg.integrator
-    n, p, T, ensemble = x["n"], x["p"], x["time"], x["ensemble"]
-    kw = {"consts": cfg.constants(), "blowup_guard": i["blowup_guard"],
-          "record_every": i["record_every"]}
-    if x["rho_grid"]:
-        rho = np.array(x["rho_grid"])
-    else:
-        pilot = st.tail_experiment(
-            params, spec, cfg.u0(), n, p,
-            np.geomspace(1e-3, 1e3, 7), T, ensemble_size=32,
-            seed=derive_seed(seed, "tails-pilot"), **kw,
-        )
-        hi = max(pilot.c_n_hat * np.sqrt(T), 1.0)
-        rho = np.geomspace(hi * 1e-4, hi, 12)
     rep = st.tail_experiment(
-        params, spec, cfg.u0(), n, p, rho, T, ensemble_size=ensemble,
-        seed=seed, **kw,
+        cfg.model_params(), cfg.noise_spec(), cfg.u0(), x["n"], x["p"], x["time"],
+        rho_grid=x["rho_grid"] or None, ensemble_size=x["ensemble"], seed=seed,
+        consts=cfg.constants(), blowup_guard=i["blowup_guard"],
+        record_every=i["record_every"],
     )
     rows = zip(rep.rho, rep.frequency, rep.envelope_k / rep.rho**rep.p)
     return {"tails.csv": (("rho", "frequency", "envelope"), rows)}, {
-        "trajectory_count": ensemble, "excluded_count": rep.excluded,
+        "trajectory_count": x["ensemble"], "excluded_count": rep.excluded,
         "derived_constants": {"c_n_hat": rep.c_n_hat, "envelope_k": rep.envelope_k},
     }
 

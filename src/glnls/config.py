@@ -11,7 +11,7 @@ reports them together, naming the violated bound.  A violation is a file
 that does not parse, a value its parser rejects, an unknown section or key,
 or a key the subcommand does not read (``UNREAD``; [noise] forced_modes,
 lambda0 and decay are not read when lambdas is set, nor inviscid's radius
-when truncated is false).
+when truncated is false, nor couple's perturb when every mode is forced).
 
 Sections and keys::
 
@@ -310,6 +310,10 @@ def load_config(path: str | None = None, subcommand: str | None = None,
                                     "not read, [noise] lambdas is read in its place"))
     if subcommand == "inviscid" and not sections["experiment"]["truncated"]:
         unread["experiment.radius"] = "not read, [experiment] truncated is false"
+    forced = len(sections["noise"]["lambdas"]) or sections["noise"]["forced_modes"]
+    if subcommand == "couple" and forced == sections["model"]["modes"]:
+        # perturb moves mode M, which the coupled pair pins to u1's when every mode is forced
+        unread["experiment.perturb"] = "not read, every mode is forced and so pinned"
     bad += [f"[{name}]: unknown section" for name in given if name not in keys]
     unknown = f"unknown key for {subcommand}" if subcommand else "unknown key"
     for name, sec in given.items():

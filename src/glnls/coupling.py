@@ -59,6 +59,7 @@ from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, record
                      simulate_ensemble, steps)
 from .noise import EnsembleNoise, NoiseSpec, increments_from_normals
 from .spectral import project_high, project_low
+from .stats import tail_fit
 
 
 @dataclass(frozen=True)
@@ -516,12 +517,15 @@ def estimate_pilot_constants(
     record_every: int = 25,
     rho_grid: np.ndarray | None = None,
 ) -> PilotConstants:
-    """Pilot ensemble estimates of the tail-bound constants.
+    """Pilot ensemble estimates of the tail-bound constants, by
+    ``stats.tail_fit`` of the per-step-Phi E_4 of the live trajectories.
 
-    C4_hat is the 99th percentile over trajectories and t in [1, T] of
-    (E_4(t) - Phi(u0)^4)/t; K41_hat the smallest K making
+    C4_hat is the fit's c_n_hat, the 99th percentile over trajectories and
+    t in [1, T] of (E_4(t) - Phi(u0)^4)/t; K41_hat is its envelope over
+    Phi(u0)^4 + 1, the smallest K making
     P(sup (E_4 - (C4-1)t) >= Phi(u0)^4 + rho sqrt(T)) <= K (Phi(u0)^4+1)/rho
-    hold on a rho grid.
+    hold on the rho grid (1 when no frequency is positive).  Trajectories
+    frozen by the blow-up guard are left out; with none live it raises.
     """
     u0 = np.zeros(params.M, complex) if u0 is None else np.asarray(u0, complex)
     integ = IntegratorConfig(dt=dt, scheme="expeuler", noise_mode="em",
@@ -530,19 +534,9 @@ def estimate_pilot_constants(
         u0, params, integ, spec, T, seed,
         traj_ids=np.arange(n_traj), consts=consts, track_phi_every_step=True,
     )
-    t = rec.times
-    e4 = rec.energy.E4  # (n_rec, B)
-    phi0 = float(fn.phi(u0, consts))
-    if t[-1] < 1.0:
-        raise ValueError(f"c4_hat is fitted over t >= 1, but the pilot ends at t = {t[-1]:g}")
-    late = t >= 1.0
-    ratios = (e4[late] - phi0**4) / t[late][:, None]
-    c4 = float(np.quantile(ratios, 0.99))
-    sup_dev = np.max(e4 - (c4 - 1.0) * t[:, None], axis=0) - phi0**4
-    if rho_grid is None:
-        pos = sup_dev[sup_dev > 0]
-        hi = np.quantile(pos, 0.999) if pos.size else 1.0
-        rho_grid = np.geomspace(max(hi * 1e-3, 1e-12), max(hi, 1e-9), 12) / np.sqrt(T)
-    freq = np.array([np.mean(sup_dev >= r * np.sqrt(T)) for r in rho_grid])
-    k41 = float(np.max(freq * rho_grid / (phi0**4 + 1.0))) if np.any(freq > 0) else 1.0
-    return PilotConstants(c4_hat=c4, k41_hat=max(k41, 1e-6))
+    if rec.excluded.all():
+        raise ValueError(f"the blow-up guard froze all {n_traj} pilot trajectories")
+    base = float(fn.phi(u0, consts)) ** 4
+    fit = tail_fit(rec.energy.E4[:, ~rec.excluded], rec.times, base, T, rho_grid)
+    k41 = fit.envelope_k / (base + 1.0) if fit.envelope_k > 0 else 1.0
+    return PilotConstants(c4_hat=fit.c_n_hat, k41_hat=max(k41, 1e-6))

@@ -3,15 +3,13 @@ truncated ground costs, dual Kantorovich lower bounds, and the experiment
 drivers (mixing curves, inviscid curves, moment and tail experiments,
 invariant-measure sampling) with least-squares rate fits.
 
-Optimal transport is solved exactly on desk-scale inputs: the transport LP
-between weighted empirical measures is handed to HiGHS and the returned
-equality-constraint marginals give the dual potentials, so every evaluation
-carries a primal-dual certificate gap.  Uniform equal-size problems can also
-go through the assignment solver (same value, no certificate).  Beyond the
-sample cap the estimate is an average over subsample replicates with the
-replicate scatter reported, never silently.  scipy.optimize (HiGHS and the
-assignment solver) and scipy.sparse are imported by the call that solves,
-so the drivers that solve no transport problem never load them.
+Optimal transport is solved exactly at every sample size.  A uniform
+equal-size pair of more than 64 samples goes to the assignment solver; every
+other pair is handed to HiGHS as the transport LP, whose equality-constraint
+marginals give the dual potentials, so its value carries a primal-dual
+certificate gap.  scipy.optimize (HiGHS and the assignment solver) and
+scipy.sparse are imported by the call that solves, so the drivers that solve
+no transport problem never load them.
 
 The costs come from the differences a_i - b_j themselves (``pairwise_hk``),
 with no BLAS call: a measure is at distance exactly 0 from itself in every
@@ -131,11 +129,8 @@ def cost_matrix(
 @dataclass
 class OTResult:
     value: float
-    gap: float | None = None
-    method: str = "lp"
+    gap: float | None = None  # the LP's certificate gap; None from the assignment solver
     plan: np.ndarray | None = None
-    subsampled: bool = False
-    replicate_std: float = 0.0
 
     def __float__(self):
         return self.value
@@ -158,10 +153,8 @@ def _solve_lp(C: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> OTResult:
         raise RuntimeError(f"transport LP failed: {res.message}")
     duals = np.asarray(res.eqlin.marginals)
     dual_value = float(duals[:n] @ wa + duals[n:] @ wb[:-1])
-    plan = res.x.reshape(n, m)
-    return OTResult(
-        value=float(res.fun), gap=abs(float(res.fun) - dual_value), method="lp", plan=plan
-    )
+    return OTResult(value=float(res.fun), gap=abs(float(res.fun) - dual_value),
+                    plan=res.x.reshape(n, m))
 
 
 def wasserstein(
@@ -169,43 +162,19 @@ def wasserstein(
     emp_b: EmpiricalMeasure,
     ground: str = "d0",
     xi: float | None = None,
-    cap: int = 512,
-    method: str = "auto",
-    rng: np.random.Generator | None = None,
-    replicates: int = 8,
 ) -> OTResult:
     """Exact transport cost between two weighted empirical measures.
 
-    Below the cap the LP is solved exactly with its dual certificate gap; a
-    uniform equal-size pair may instead use the assignment solver.  Above
-    the cap the value is the mean over weighted subsample replicates and
-    the replicate standard deviation is declared in the result.
+    A uniform equal-size pair of more than 64 samples goes to the assignment
+    solver; every other pair to the LP, which also returns its dual
+    certificate gap.
     """
-    if max(emp_a.n, emp_b.n) > cap:
-        rng = rng or np.random.default_rng(0)
-        vals = []
-        for _ in range(replicates):
-            ia = rng.choice(emp_a.n, size=cap, p=emp_a.weights)
-            ib = rng.choice(emp_b.n, size=cap, p=emp_b.weights)
-            sub_a = EmpiricalMeasure(emp_a.samples[ia])
-            sub_b = EmpiricalMeasure(emp_b.samples[ib])
-            vals.append(wasserstein(sub_a, sub_b, ground, xi, cap, "assignment").value)
-        return OTResult(
-            value=float(np.mean(vals)),
-            gap=None,
-            method="subsampled-assignment",
-            subsampled=True,
-            replicate_std=float(np.std(vals)),
-        )
     C = cost_matrix(emp_a, emp_b, ground, xi)
-    uniform_square = emp_a.n == emp_b.n and emp_a.is_uniform() and emp_b.is_uniform()
-    if method == "assignment" or (method == "auto" and uniform_square and emp_a.n > 64):
-        if not uniform_square:
-            raise ValueError("assignment route needs uniform equal-size measures")
+    if emp_a.n == emp_b.n > 64 and emp_a.is_uniform() and emp_b.is_uniform():
         from scipy.optimize import linear_sum_assignment
 
         ri, cj = linear_sum_assignment(C)
-        return OTResult(value=float(C[ri, cj].mean()), gap=None, method="assignment")
+        return OTResult(value=float(C[ri, cj].mean()))
     return _solve_lp(C, emp_a.weights, emp_b.weights)
 
 
@@ -618,7 +587,37 @@ class TailReport:
     envelope_k: float
     p: float
     c_n_hat: float
-    excluded: int  # trajectories frozen by the blow-up guard
+    excluded: int = 0  # trajectories frozen by the blow-up guard
+
+
+def tail_fit(en: np.ndarray, t: np.ndarray, base: float, T: float,
+             rho_grid: np.ndarray | None = None, p: float = 1.0) -> TailReport:
+    """Fit of the tail bound P(sup_t (E_n - (C_n - 1) t) >= base + rho sqrt(T))
+    <= K / rho^p to E_n records ``en`` (n_rec, B) at times ``t`` (base is
+    Phi(u0)^n).
+
+    c_n_hat is the 0.99 quantile over trajectories and t >= 1 of
+    (E_n(t) - base)/t, so t must reach 1.  The frequencies are taken on
+    ``rho_grid``, by default 12 geometric points from 1e-3 hi to hi over
+    sqrt(T), hi the 0.999 quantile of the positive sup deviations.  K is
+    the envelope max freq rho^p (0 when no frequency is positive).  With no
+    trajectory c_n_hat and the frequencies are NaN.
+    """
+    if t[-1] < 1.0:
+        raise ValueError(f"c_n_hat is fitted over t >= 1, but the run ends at t = {t[-1]:g}")
+    late = t >= 1.0
+    c_n = float(np.quantile((en[late] - base) / t[late][:, None], 0.99)) if en.size else np.nan
+    sup_dev = np.max(en - (c_n - 1.0) * t[:, None], axis=0) - base
+    if rho_grid is None:
+        pos = sup_dev[sup_dev > 0]
+        hi = np.quantile(pos, 0.999) if pos.size else 1.0
+        rho_grid = np.geomspace(max(hi * 1e-3, 1e-12), max(hi, 1e-9), 12) / np.sqrt(T)
+    rho_grid = np.asarray(rho_grid, dtype=float)
+    freq = np.array([np.mean(sup_dev >= r * np.sqrt(T)) if en.size else np.nan
+                     for r in rho_grid])
+    pos = freq > 0
+    k_hat = float(np.max(freq[pos] * rho_grid[pos] ** p)) if pos.any() else 0.0
+    return TailReport(rho=rho_grid, frequency=freq, envelope_k=k_hat, p=p, c_n_hat=c_n)
 
 
 def tail_experiment(
@@ -627,22 +626,21 @@ def tail_experiment(
     u0: np.ndarray,
     n: int,
     p: float,
-    rho_grid: np.ndarray,
     T: float,
+    rho_grid: np.ndarray | None = None,
     ensemble_size: int = 256,
     seed: int = 0,
     dt: float = 2e-3,
     record_every: int = 10,
-    c_n_hat: float | None = None,
     consts: FunctionalConstants | None = None,
     blowup_guard: float = IntegratorConfig.blowup_guard,
 ) -> TailReport:
     """Frequencies of sup_{[0,T]} (E_n(t) - (C_n - 1) t) >= Phi(u0)^n + rho sqrt(T)
-    against rho, overlaid with the fitted K/rho^p envelope.
+    against rho, overlaid with the fitted K/rho^p envelope (``tail_fit``).
 
-    Trajectories frozen by the blow-up guard are left out of the
-    frequencies and of c_n_hat, which are NaN when none is left.  c_n_hat,
-    when not given, is fitted over t >= 1, so T must reach 1.
+    E_n accumulates the recorded Phi, clamped at 0, of the trajectories the
+    blow-up guard left live; the frozen ones are left out of the fit.  With
+    no ``rho_grid`` the grid spans the run's own deviations.
     """
     consts = consts or FunctionalConstants()
     integ = IntegratorConfig(dt=dt, record_every=record_every, blowup_guard=blowup_guard)
@@ -650,25 +648,12 @@ def tail_experiment(
         u0, params, integ, spec, T, seed,
         traj_ids=np.arange(ensemble_size), consts=consts,
     )
-    t = rec.times
     en = fn.accumulate_en(np.maximum(rec.energy.phi[:, ~rec.excluded], 0.0),
                           record_schedule(int(round(T / dt)), record_every), dt, n,
                           params.alpha)
     phi0 = float(fn.phi(np.asarray(u0, complex), consts))
-    if c_n_hat is None:
-        if t[-1] < 1.0:
-            raise ValueError(f"c_n_hat is fitted over t >= 1, but the run ends at t = {t[-1]:g}")
-        late = t >= max(1.0, t[1])
-        c_n_hat = float(np.quantile((en[late] - phi0**n) / t[late][:, None], 0.99)) \
-            if en.size else np.nan
-    sup_dev = np.max(en - (c_n_hat - 1.0) * t[:, None], axis=0) - phi0**n
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    freq = np.array([np.mean(sup_dev >= r * np.sqrt(T)) if en.size else np.nan
-                     for r in rho_grid])
-    pos = freq > 0
-    k_hat = float(np.max(freq[pos] * rho_grid[pos] ** p)) if pos.any() else 0.0
-    return TailReport(rho=rho_grid, frequency=freq, envelope_k=k_hat, p=p,
-                      c_n_hat=c_n_hat, excluded=int(rec.excluded.sum()))
+    return replace(tail_fit(en, rec.times, phi0**n, T, rho_grid, p),
+                   excluded=int(rec.excluded.sum()))
 
 
 def invariant_measure_sample(

@@ -50,7 +50,8 @@ RUNS = {
                                  "thinning": "0.01"}},
                  {"gammas": "0.2", "burn_in": "0.06", "samples": "4", "thinning": "0.02"},
                  {"sample": "4"}),
-    # noise strong enough that the pilot's c_n_hat, not the floor of 1, sets rho
+    # noise strong enough that the sup deviations are positive, so the default
+    # rho grid spans them and moves with every key that moves the run
     "tails": ({"noise": {"lambda0": "1.0"}, "experiment": {"time": "1.0", "ensemble": "4"}},
               {"n": "2", "p": "2.0", "time": "1.1", "ensemble": "5", "rho_grid": "0.1, 1"},
               {"ensembles": "5"}),
@@ -115,3 +116,12 @@ def test_table_covers_every_declared_key():
     assert {sub: set(exp) for sub, (_, exp, _) in RUNS.items()} == \
         {sub: set(keys) for sub, keys in config.EXPERIMENT.items()}
     assert set(RUNS) == set(cli.DRIVERS)
+
+
+def test_couple_rejects_perturb_when_every_mode_is_forced(tmp_path, capsys):
+    # perturb moves mode M, which the coupled pair pins to u1's when N = M
+    own = RUNS["couple"][0]
+    for i, noise in enumerate(({"forced_modes": "10"}, {"lambdas": ", ".join(["0.1"] * 10)})):
+        kind, got = outcome(tmp_path / str(i), capsys, "couple", {**COMMON, **own, "noise": noise})
+        assert kind == "rejected"
+        assert any(v.startswith("[experiment] perturb: not read") for v in got), got

@@ -1,4 +1,5 @@
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from glnls import coupling as cp
 from glnls import functionals as fn
 from glnls import models as md
 from glnls import noise as nz
+from glnls import stats as st
 from glnls.spectral import basis_mode, eigenvalues, project_high, project_low
 
 CONSTS = fn.FunctionalConstants()
@@ -35,6 +37,51 @@ class TestConfig:
         cfg = small_cfg(theta=2.0, beta=0.5, c4=3.0)
         assert cfg.e4_budget(0.0) == pytest.approx(2.0 + 0.5**4)
         assert cfg.e4_budget(1.0) == pytest.approx(2.0 + 0.5**4 + 3.0)
+
+
+class TestPilot:
+    """The pilot's constants are stats.tail_fit of its own live E_4 records."""
+
+    M = 16
+
+    def _run(self, monkeypatch, guard=None):
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=self.M)
+        spec = nz.NoiseSpec.power_profile(4, 1.0, 2.0)
+        seen = {}
+
+        def capture(*args, **kwargs):
+            seen["rec"] = md.simulate_ensemble(*args, **kwargs)
+            return seen["rec"]
+
+        monkeypatch.setattr(cp, "simulate_ensemble", capture)
+        if guard is not None:
+            monkeypatch.setattr(cp, "IntegratorConfig",
+                                functools.partial(md.IntegratorConfig, blowup_guard=guard))
+        pilot = cp.estimate_pilot_constants(params, spec, CONSTS, seed=5, n_traj=8, T=1.2)
+        return pilot, seen["rec"]
+
+    @staticmethod
+    def _expect(rec, rows):
+        base = float(fn.phi(np.zeros(TestPilot.M, complex), CONSTS)) ** 4
+        fit = st.tail_fit(rec.energy.E4[:, rows], rec.times, base, 1.2)
+        k41 = fit.envelope_k / (base + 1.0) if fit.envelope_k > 0 else 1.0
+        return fit.c_n_hat, max(k41, 1e-6)
+
+    def test_constants_are_the_tail_fit(self, monkeypatch):
+        pilot, rec = self._run(monkeypatch)
+        assert not rec.excluded.any()
+        assert (pilot.c4_hat, pilot.k41_hat) == self._expect(rec, ~rec.excluded)
+
+    def test_frozen_rows_left_out(self, monkeypatch):
+        # a guard of 3 freezes 6 of the 8 trajectories; the fit is the 2 live ones'
+        pilot, rec = self._run(monkeypatch, guard=3.0)
+        assert rec.excluded.sum() == 6
+        assert (pilot.c4_hat, pilot.k41_hat) == self._expect(rec, ~rec.excluded)
+        assert (pilot.c4_hat, pilot.k41_hat) != self._expect(rec, slice(None))
+
+    def test_raises_when_none_is_live(self, monkeypatch):
+        with pytest.raises(ValueError, match="froze all 8"):
+            self._run(monkeypatch, guard=1.0)
 
 
 class TestPinned:

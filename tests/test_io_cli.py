@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,19 @@ class TestCLI:
         assert a == b
         assert assert_manifest(tmp_path / "o" / "ensemble")["trajectory_count"] == 600
 
+    def test_ensemble_all_excluded_gives_nan_rows(self, tmp_path):
+        # a guard every trajectory crosses: NaN means and errors, no warning
+        text = (BASE + "\n[integrator]\ntime = 0.05\nblowup_guard = 1e-6\n"
+                "\n[experiment]\nsize = 4\n")
+        cfgp = write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["ensemble", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "ensemble" / "ensemble_mean.csv").read_text().splitlines()
+        assert len(lines) > 2
+        assert all(line.split(",")[1:] == ["nan"] * 6 for line in lines[1:])
+        assert assert_manifest(tmp_path / "o" / "ensemble")["excluded_count"] == 4
+
     def test_workers_rejected_outside_ensemble(self, tmp_path, capsys):
         cfgp = write(tmp_path, BASE)
         with pytest.raises(SystemExit) as exit_:
@@ -338,6 +352,16 @@ class TestCLI:
         lines = (tmp_path / "o" / "tails" / "tails.csv").read_text().splitlines()
         assert lines[0] == "rho,frequency,envelope"
         assert assert_manifest(tmp_path / "o" / "tails")["trajectory_count"] == 8
+
+    def test_tails_default_grid_spans_the_deviations(self, tmp_path):
+        # with no rho_grid the grid runs up to the largest deviations: the
+        # frequencies fall from (nearly) every trajectory to at most a tenth
+        text = BASE + "\n[experiment]\ntime = 2\nensemble = 50\n"
+        assert cli.main(["tails", "--config", write(tmp_path, text),
+                         "--out", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "tails" / "tails.csv").read_text().splitlines()[1:]
+        freq = [float(line.split(",")[1]) for line in lines]
+        assert len(freq) == 12 and freq[0] >= 0.5 and freq[-1] <= 0.1
 
     def test_tails_rejects_short_run(self, tmp_path, capsys):
         # c_n_hat is fitted over t >= 1, so a shorter run is an error that says so

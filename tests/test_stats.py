@@ -77,7 +77,7 @@ class TestWasserstein:
         got = st.wasserstein(st.EmpiricalMeasure(A), st.EmpiricalMeasure(B), "d0")
         assert got.value == pytest.approx(manual, rel=1e-12)
 
-    def test_lp_matches_enumeration_and_assignment(self):
+    def test_lp_matches_enumeration(self):
         rng = np.random.default_rng(2)
         for trial in range(25):
             n = int(rng.integers(1, 7))
@@ -90,9 +90,6 @@ class TestWasserstein:
             lp = st.wasserstein(ea, eb, "d0")
             assert abs(lp.value - bf) < 1e-10
             assert lp.gap < 1e-8
-            if ea.is_uniform() and eb.is_uniform() and ea.n == eb.n:
-                asg = st.wasserstein(ea, eb, "d0", method="assignment")
-                assert asg.value == pytest.approx(lp.value, abs=1e-12)
 
     def test_dual_never_exceeds_primal(self):
         rng = np.random.default_rng(3)
@@ -126,15 +123,38 @@ class TestWasserstein:
                 ac = st.wasserstein(a, c, ground).value
                 assert ac <= ab + bc + 1e-9
 
-    def test_subsampling_declares_variance(self):
+    @pytest.mark.parametrize("na, nb, weighted", [(64, 64, False), (7, 9, False),
+                                                  (65, 65, True), (65, 66, False)])
+    def test_lp_route(self, na, nb, weighted):
+        # at most 64 samples, a weighted pair or unequal sizes: the LP, with its gap
+        rng = np.random.default_rng(7)
+        ea, eb = rand_measure(rng, na, weighted=weighted), rand_measure(rng, nb)
+        got = st.wasserstein(ea, eb, "d0")
+        ref = st._solve_lp(st.cost_matrix(ea, eb, "d0"), ea.weights, eb.weights)
+        assert got.value == ref.value and got.gap == ref.gap < 1e-8
+        assert np.array_equal(got.plan, ref.plan)
+
+    @pytest.mark.parametrize("n", [65, 100])
+    def test_assignment_route(self, n):
+        # a uniform equal-size pair above 64 samples: the assignment solver
+        rng = np.random.default_rng(8)
+        ea, eb = rand_measure(rng, n), rand_measure(rng, n)
+        got = st.wasserstein(ea, eb, "d0")
+        ref = st._solve_lp(st.cost_matrix(ea, eb, "d0"), ea.weights, eb.weights)
+        assert got.gap is None and got.plan is None
+        assert got.value == pytest.approx(ref.value, abs=1e-12)
+
+    def test_exact_above_512_samples(self):
+        # 520 against 520 is solved whole, not estimated from subsamples
+        from scipy.optimize import linear_sum_assignment
+
         rng = np.random.default_rng(5)
-        big_a = rand_measure(rng, 80)
-        big_b = rand_measure(rng, 80)
-        res = st.wasserstein(big_a, big_b, "d0", cap=32, rng=rng, replicates=4)
-        assert res.subsampled and res.method == "subsampled-assignment"
-        assert res.replicate_std >= 0.0
-        full = st.wasserstein(big_a, big_b, "d0", cap=128).value
-        assert abs(res.value - full) < 0.3  # replicate mean is in the ballpark
+        ea, eb = (st.EmpiricalMeasure(0.1 * rand_measure(rng, 520, M=4).samples)
+                  for _ in range(2))  # costs well below the cap of 1
+        C = st.cost_matrix(ea, eb, "d0")
+        ri, cj = linear_sum_assignment(C)
+        assert st.wasserstein(ea, eb, "d0").value == C[ri, cj].mean()
+        assert st.wasserstein(ea, ea, "d0").value == 0.0
 
     def test_d0xi_cost_and_gap(self):
         rng = np.random.default_rng(6)
@@ -498,10 +518,6 @@ class TestTails:
         with pytest.raises(ValueError, match="t >= 1"):
             cp.estimate_pilot_constants(params, spec, fn.FunctionalConstants(), seed=1,
                                         n_traj=2, T=0.5)
-        # a given c_n_hat needs no fit
-        rep = st.tail_experiment(params, spec, np.zeros(8, complex), n=4, p=1.0,
-                                 rho_grid=[0.1], T=0.5, ensemble_size=2, seed=1, c_n_hat=1.0)
-        assert rep.c_n_hat == 1.0
 
 
 class TestInvariantMeasure:
