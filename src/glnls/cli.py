@@ -166,7 +166,7 @@ def drive_couple(cfg, seed, args):
             state, ccfg, params, integ, spec, derive_seed(seed, f"segment-{k}"),
         )
         flags = state.e4_crossed.astype(int) + 2 * state.budget_crossed.astype(int)
-        j = fn.j_functional(state.u1, state.u2_composite(ccfg.N), consts)
+        j = fn.j_functional(state.u1, state.u2, consts)
         for pair in range(n_pairs):
             rows.append((
                 pair, state.k, state.ell[pair], j[pair],

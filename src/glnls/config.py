@@ -8,8 +8,10 @@ selects a working run.  ``load_config(path, subcommand)`` parses each key
 once, and the drivers read the typed values.  Every key a file sets either
 reaches the run or stops it: validation collects every violation and
 reports them together, naming the violated bound.  A violation is a file
-that does not parse, a value its parser rejects, an unknown section or key,
-or a key the subcommand does not read (``UNREAD``; [noise] forced_modes,
+that does not parse, a value its parser rejects or finds out of range (an
+[experiment] count below 1, t_points below 2, a duration that is not
+positive, a tail-fitted run shorter than 1), an unknown section or key, or
+a key the subcommand does not read (``UNREAD``; [noise] forced_modes,
 lambda0 and decay are not read when lambdas is set, nor inviscid's radius
 when truncated is false, nor couple's perturb when every mode is forced).
 
@@ -65,6 +67,25 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+class _OutOfRange(ValueError):
+    """A value that parses but lies outside its key's bound."""
+
+
+def _bounded(parse, low, strict=False):
+    """``parse``, then require value >= low (> low when strict); None (unset) passes."""
+    def bounded(text: str):
+        value = parse(text)
+        if value is not None and (value <= low if strict else value < low):
+            raise _OutOfRange(f"{value} is out of range, need {'>' if strict else '>='} {low}")
+        return value
+    return bounded
+
+
+_count = _bounded(int, 1)
+_duration = _bounded(float, 0.0, strict=True)
+_fit_time = _bounded(float, 1.0)  # stats.tail_fit's window starts at t = 1
+
+
 def _modes(text: str) -> tuple[tuple[int, complex], ...]:
     """'k:coeff' pairs, e.g. '1:0.5, 2:0.3+0.1j'; empty text is ()."""
     items = text.split(",") if text.strip() else ()
@@ -112,20 +133,21 @@ _KEYS = {
 # each subcommand's [experiment] keys; an empty default is worked out by the driver
 EXPERIMENT = {
     "simulate": {},
-    "ensemble": {"size": ("100", int)},
-    "couple": {"pairs": ("64", int), "segments": ("4", int), "beta": ("0.5", float),
-               "segment_time": ("2.0", float), "perturb": ("0", complex),
-               "pilot_traj": ("100", int), "pilot_time": ("10.0", float),
+    "ensemble": {"size": ("100", _count)},
+    "couple": {"pairs": ("64", _count), "segments": ("4", _count), "beta": ("0.5", float),
+               "segment_time": ("2.0", _duration), "perturb": ("0", complex),
+               "pilot_traj": ("100", _count), "pilot_time": ("10.0", _fit_time),
                "theta": ("", _opt_float)},
-    "mixing": {"gammas": ("0.05", _floats), "t_max": ("50", float), "t_points": ("51", int),
-               "ensemble": ("64", int)},
-    "inviscid": {"gammas": ("1e-4,1e-3,1e-2,1e-1", _floats), "pairs": ("100", int),
-                 "time": ("1.0", float), "truncated": ("true", _bool),
+    "mixing": {"gammas": ("0.05", _floats), "t_max": ("50", _duration),
+               "t_points": ("51", _bounded(int, 2)), "ensemble": ("64", _count)},
+    "inviscid": {"gammas": ("1e-4,1e-3,1e-2,1e-1", _floats), "pairs": ("100", _count),
+                 "time": ("1.0", _duration), "truncated": ("true", _bool),
                  "radius": ("2.0", float)},
-    "measures": {"gammas": ("0.2,0.1,0.05", _floats), "burn_in": ("", _opt_float),
-                 "samples": ("128", int), "thinning": ("1.0", float)},
-    "tails": {"n": ("4", int), "p": ("1.0", float), "time": ("10.0", float),
-              "ensemble": ("200", int), "rho_grid": ("", _floats)},
+    "measures": {"gammas": ("0.2,0.1,0.05", _floats),
+                 "burn_in": ("", _bounded(_opt_float, 0.0, strict=True)),
+                 "samples": ("128", _count), "thinning": ("1.0", _duration)},
+    "tails": {"n": ("4", int), "p": ("1.0", float), "time": ("10.0", _fit_time),
+              "ensemble": ("200", _count), "rho_grid": ("", _floats)},
 }
 
 # the shared keys each subcommand does not read: a file that sets one is rejected
@@ -301,7 +323,8 @@ def load_config(path: str | None = None, subcommand: str | None = None,
             try:
                 sections[name][key] = parse(given.get(name, {}).get(key, default))
             except ValueError as exc:
-                bad.append(f"[{name}] {key}: unparseable ({exc})")
+                why = exc if isinstance(exc, _OutOfRange) else f"unparseable ({exc})"
+                bad.append(f"[{name}] {key}: {why}")
                 sections[name][key] = parse(default)
     unread = dict.fromkeys(UNREAD[subcommand].split(), f"not read by {subcommand}") \
         if subcommand else {}

@@ -2,11 +2,11 @@
 Girsanov coupling on [0, t1], and drift-corrected coupled segments with
 decoupling bookkeeping.
 
-Pinning.  While a pair is coupled its second member stores only high modes;
-the low modes are u1's by representation, so P_N u1 = P_N u2 holds exactly,
-not to tolerance.  One pinned step advances u1 by the full dynamics and the
-composite w2 = P_N u1 + Q_N u2 by the same one-step map with the same noise,
-keeping only its high part.
+Pinning.  A pair is stored as two whole states (u1, u2).  While it is
+coupled, u2's first N modes are assigned from u1's after every step, so
+P_N u1 = P_N u2 holds bit for bit, not to tolerance.  One pinned step
+advances u1 and u2 by the same one-step map with the same noise, as one
+stacked batch, and then makes that assignment.
 
 Weights.  Where the construction distorts the second member's law (the
 interpolation bridge on [0, t1], the pinned low modes over a segment), the
@@ -38,11 +38,11 @@ pair-step thus makes two syntheses and two analyses, and the loop carries
 the drifts, not the larger fields.
 
 Exclusion.  A pair whose u1 crosses the blow-up guard (see ``models``) is
-excluded from the step that crossed on: its members, log weight, Girsanov
-cost, E_4 budgets and budget integral all keep their values from before
-that step.  Its frozen weight is therefore the likelihood ratio of a path
-that stopped, not of the continued dynamics, so weighted means are taken
-over the live pairs; an excluded bridge attempt is never a success.
+excluded from the step that crossed on: its members, log weight, E_4
+budgets and budget integral all keep their values from before that step.
+Its frozen weight is therefore the likelihood ratio of a path that
+stopped, not of the continued dynamics, so weighted means are taken over
+the live pairs; an excluded bridge attempt is never a success.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .functionals import FunctionalConstants
 from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, record_schedule,
                      simulate_ensemble, steps)
 from .noise import EnsembleNoise, NoiseSpec, increments_from_normals
-from .spectral import project_high, project_low
 from .stats import tail_fit
 
 
@@ -110,69 +109,56 @@ UNCOUPLED = -1  # sentinel for ell = infinity (never / no longer coupled)
 
 @dataclass
 class CoupledState:
-    """Batch of coupled pairs: u1 full, u2 as high modes (low pinned to u1).
+    """Batch of coupled pairs, both members whole; u2's first N modes equal
+    u1's bit for bit.
 
     ``ell`` is the coupling epoch index of the decoupling bookkeeping
-    (UNCOUPLED when the pair has decoupled), ``log_weight`` the running
-    Girsanov log density, ``girsanov_cost`` the accumulated
-    int ||Q^{-1}F||^2 dt, ``excluded`` the pairs frozen by the blow-up
-    guard.
+    (UNCOUPLED when the pair has decoupled), ``k`` the number of segments
+    run, ``log_weight`` the running Girsanov log density, ``excluded`` the
+    pairs frozen by the blow-up guard.
     """
 
     u1: np.ndarray
-    u2_high: np.ndarray
+    u2: np.ndarray
     ell: np.ndarray
-    k: int = 0
-    log_weight: np.ndarray | None = None
-    girsanov_cost: np.ndarray | None = None
-    e4_1: fn.EnAccumulator | None = None
-    e4_2: fn.EnAccumulator | None = None
-    e4_crossed: np.ndarray | None = None
-    budget_crossed: np.ndarray | None = None
-    budget_integral: np.ndarray | None = None
-    excluded: np.ndarray | None = None
-
-    def u2_composite(self, N: int) -> np.ndarray:
-        """Reconstruct u2 = P_N u1 + stored high modes."""
-        return project_low(self.u1, N) + self.u2_high
+    k: int
+    log_weight: np.ndarray
+    e4_1: fn.EnAccumulator
+    e4_2: fn.EnAccumulator
+    e4_crossed: np.ndarray
+    budget_crossed: np.ndarray
+    budget_integral: np.ndarray
+    excluded: np.ndarray
 
 
 def make_coupled_state(
     u1: np.ndarray, u2: np.ndarray, cfg: CouplingConfig, consts: FunctionalConstants
 ) -> CoupledState:
-    """Pair entering the coupled regime now: low modes of u2 snap to u1's."""
-    u1 = np.atleast_2d(np.asarray(u1, dtype=np.complex128))
-    u2 = np.atleast_2d(np.asarray(u2, dtype=np.complex128))
+    """Pair entering the coupled regime now: copies of u1 and u2, with u2's
+    first N modes assigned from u1's; the caller's arrays are left as they are."""
+    u1, u2 = (np.atleast_2d(np.array(u, dtype=np.complex128)) for u in (u1, u2))
+    u2[..., :cfg.N] = u1[..., :cfg.N]
     B = u1.shape[0]
-    high = project_high(u2, cfg.N)
     e4_1 = fn.EnAccumulator(4, alpha=np.nan)  # alpha set by the evolver
     e4_2 = fn.EnAccumulator(4, alpha=np.nan)
     e4_1.reset(fn.phi(u1, consts))
-    e4_2.reset(fn.phi(project_low(u1, cfg.N) + high, consts))
-    return CoupledState(
-        u1=u1.copy(),
-        u2_high=high,
-        ell=np.zeros(B, dtype=int),
-        log_weight=np.zeros(B),
-        girsanov_cost=np.zeros(B),
-        e4_1=e4_1,
-        e4_2=e4_2,
-        e4_crossed=np.zeros(B, dtype=bool),
-        budget_crossed=np.zeros(B, dtype=bool),
-        budget_integral=np.zeros(B),
-        excluded=np.zeros(B, dtype=bool),
-    )
+    e4_2.reset(fn.phi(u2, consts))
+    return CoupledState(u1=u1, u2=u2, ell=np.zeros(B, dtype=int), k=0, log_weight=np.zeros(B),
+                        e4_1=e4_1, e4_2=e4_2, e4_crossed=np.zeros(B, dtype=bool),
+                        budget_crossed=np.zeros(B, dtype=bool), budget_integral=np.zeros(B),
+                        excluded=np.zeros(B, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
 # pinned evolution (Foias-Prodi dynamics, no weights)
 # ---------------------------------------------------------------------------
 
-def _pinned_step(stepper: Stepper, u1: np.ndarray, high: np.ndarray, z: np.ndarray, N: int):
-    """One pinned step: u1 and the composite w2 = P_N u1 + high take the same
-    step as one stacked batch; w2's high part is kept."""
-    u1, w2 = stepper.step(np.stack([u1, project_low(u1, N) + high]), z)
-    return u1, project_high(w2, N)
+def _pinned_step(stepper: Stepper, u1: np.ndarray, u2: np.ndarray, z: np.ndarray, N: int):
+    """One pinned step: u1 and u2 take the same step as one stacked batch,
+    then u2's first N modes are assigned from u1's."""
+    u1, u2 = stepper.step(np.stack([u1, u2]), z)
+    u2[..., :N] = u1[..., :N]
+    return u1, u2
 
 
 def pinned_contraction_run(
@@ -199,19 +185,18 @@ def pinned_contraction_run(
     stepper = Stepper(params, integ, spec)
     rec_idx = record_schedule(int(round(T / integ.dt)), record_every or integ.record_every)
     u1 = np.broadcast_to(np.asarray(u1_0, complex), (n_pairs, params.M)).copy()
-    high = np.broadcast_to(
-        project_high(np.asarray(u2_0, complex), N), (n_pairs, params.M)
-    ).copy()
+    u2 = np.broadcast_to(np.asarray(u2_0, complex), (n_pairs, params.M)).copy()
+    u2[:, :N] = u1[:, :N]
     source = EnsembleNoise(seed, np.arange(n_pairs), spec.N)
     guard = BlowUpGuard(integ, u1)
     times = np.array(rec_idx, dtype=float) * integ.dt
     J = np.empty((len(rec_idx), n_pairs))
-    J[0] = fn.j_functional(u1, project_low(u1, N) + high, consts)
+    J[0] = fn.j_functional(u1, u2, consts)
     nxt = 1
     for z, recorded in steps(source, rec_idx[-1], rec_idx):
-        u1, high = guard.admit((u1, high), _pinned_step(stepper, u1, high, z, N))
+        u1, u2 = guard.admit((u1, u2), _pinned_step(stepper, u1, u2, z, N))
         if recorded:
-            J[nxt] = fn.j_functional(u1, project_low(u1, N) + high, consts)
+            J[nxt] = fn.j_functional(u1, u2, consts)
             nxt += 1
     return times, J, guard.excluded
 
@@ -221,15 +206,15 @@ def pinned_contraction_run(
 # ---------------------------------------------------------------------------
 
 def _shift_logweight(delta: np.ndarray, dw: np.ndarray, lam: np.ndarray, dt: float):
-    """Log RN factor and cost for shifting lambda*dW by complex delta (low modes).
+    """Log RN factor for shifting lambda*dW by complex delta (low modes).
 
     The shift on dW itself is m = delta/lambda; each real component of dW is
-    N(0, dt).  Returns (log-weight increment, ||Q^{-1}F||^2 dt increment).
+    N(0, dt).  Returns the log-weight increment -<m, dW>/dt - |m|^2/(2 dt).
     """
     m = delta / lam
     quad = np.sum(np.abs(m) ** 2, axis=-1)
     inner = np.sum(m.real * dw.real + m.imag * dw.imag, axis=-1)
-    return -inner / dt - quad / (2.0 * dt), quad / dt
+    return -inner / dt - quad / (2.0 * dt)
 
 
 def _weighted_stepper(
@@ -254,24 +239,22 @@ def _weighted_stepper(
     return Stepper(params, integ, spec)
 
 
-def _weighted_step(stepper: Stepper, lin1, linw, logw, cost, z, offset):
-    """One step of a weighted pair from its drifts; returns the new (u1, w, logw, cost).
+def _weighted_step(stepper: Stepper, lin1, linw, logw, z, offset):
+    """One step of a weighted pair from its drifts; returns the new (u1, w, logw).
 
     u1 takes the exponential-Euler step, its drift lin1 plus the noise; w
     takes it with the same noise, except that its low modes land exactly on
     u1's plus ``offset`` (the bridge's interpolation term, 0 on a coupled
     segment).  The noise moves the N forced modes alone, so w's other modes
     are its drift's.  The Gaussian shift of w's low-mode increments that
-    does this is charged to the log weight and the cost.
+    does this is charged to the log weight.
     """
     N, dt = stepper.spec.N, stepper.integ.dt
     u1n, wn = stepper.add_noise(lin1.copy(), z), linw.copy()
     wn[..., :N] = u1n[..., :N] + offset
     delta = lin1[..., :N] - linw[..., :N] + offset
-    dlw, dcost = _shift_logweight(
-        delta, increments_from_normals(z, dt), stepper.spec.lambdas, dt
-    )
-    return u1n, wn, logw + dlw, cost + dcost
+    dlw = _shift_logweight(delta, increments_from_normals(z, dt), stepper.spec.lambdas, dt)
+    return u1n, wn, logw + dlw
 
 
 def _admit_member(stepper: Stepper, a, h2, h1sq, consts: FunctionalConstants, more=True):
@@ -290,7 +273,7 @@ def _weighted_run(stepper: Stepper, guard: BlowUpGuard, pair: tuple, drifts: tup
                   record_steps=()):
     """The weighted pair-step loop of the bridge and the coupled segments.
 
-    pair is (u1, w, log weight, cost) and drifts the members' drifts.  Step
+    pair is (u1, w, log weight) and drifts the members' drifts.  Step
     `done` is _weighted_step with w's low modes offset(done) off u1's; the
     guard admits the new pair on u1; each admitted member is synthesised once
     for its Phi and its next drift (_admit_member), and the E_4 accumulators
@@ -299,7 +282,7 @@ def _weighted_run(stepper: Stepper, guard: BlowUpGuard, pair: tuple, drifts: tup
     """
     dt = stepper.integ.dt
     for done, (z, recorded) in enumerate(steps(source, n_steps, record_steps), start=1):
-        pair = guard.admit(pair, _weighted_step(stepper, *drifts, *pair[2:], z, offset(done)))
+        pair = guard.admit(pair, _weighted_step(stepper, *drifts, pair[2], z, offset(done)))
         del drifts  # spent; freed before the next drifts are built
         more = done < n_steps
         phis, drifts = zip(
@@ -316,8 +299,6 @@ class GirsanovReport:
     state: CoupledState
     success: np.ndarray
     log_weight: np.ndarray
-    cost: np.ndarray
-    excluded: np.ndarray
 
 
 def girsanov_attempt(
@@ -347,7 +328,7 @@ def girsanov_attempt(
         raise ValueError("dt must divide t1 for the bridge to close exactly")
 
     u1 = np.broadcast_to(np.asarray(u1, complex), (n_attempts, params.M)).copy()
-    # the candidate composite path starts at u2 exactly
+    # the candidate second path starts at u2 exactly
     w = np.broadcast_to(np.asarray(u2, complex), (n_attempts, params.M)).copy()
     delta0 = (w - u1)[..., : cfg.N]
     ids = traj_ids if traj_ids is not None else np.arange(n_attempts)
@@ -361,7 +342,7 @@ def girsanov_attempt(
     e4_1.reset(phi1_0)
     e4_2.reset(phi2_0)
 
-    pair = (u1, w, np.zeros(n_attempts), np.zeros(n_attempts))
+    pair = (u1, w, np.zeros(n_attempts))
     # exact bridge: X_hat(done) = P_N u1(done) + zeta(done) * delta0
     loop = _weighted_run(stepper, guard, pair, (lin1, linw), (e4_1, e4_2),
                          lambda done: (cfg.t1 - done * dt) / cfg.t1 * delta0,
@@ -369,7 +350,7 @@ def girsanov_attempt(
     del u1, w, lin1, linw  # the loop frees each once it is spent
     for _, _, pair, *_ in loop:
         pass
-    u1, w, logw, cost = pair
+    u1, w, logw = pair
 
     allow_1 = phi1_0**4 + cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
     allow_2 = phi2_0**4 + cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
@@ -378,15 +359,8 @@ def girsanov_attempt(
     state = make_coupled_state(u1, w, cfg, consts)
     state.e4_1.alpha = state.e4_2.alpha = params.alpha
     state.log_weight = logw
-    state.girsanov_cost = cost
     state.excluded = guard.excluded
-    return GirsanovReport(
-        state=state,
-        success=success,
-        log_weight=logw,
-        cost=cost,
-        excluded=guard.excluded,
-    )
+    return GirsanovReport(state=state, success=success, log_weight=logw)
 
 
 @dataclass
@@ -412,7 +386,7 @@ def coupled_segment(
 ) -> tuple[CoupledState, SegmentRecord]:
     """Advance a coupled batch one segment of length T with the F2 correction.
 
-    u2's low modes stay equal to u1's by representation; the per-step shift
+    u2's low modes are assigned from u1's after every step; the per-step shift
     (the nonlinearity mismatch) accumulates into the log weight.  At the end
     the epoch conditions are evaluated: pairs whose E_4 left
     theta + beta^4 + C4(t - lT), or whose Girsanov budget integral passed
@@ -433,7 +407,7 @@ def coupled_segment(
     out.e4_1.alpha = out.e4_2.alpha = params.alpha
     elapsed0 = state.k * cfg.T
     budget_cap = cfg.rho2 * np.exp(-0.25 * params.alpha * state.k * cfg.T)
-    pair = (out.u1, out.u2_composite(cfg.N), out.log_weight, out.girsanov_cost)
+    pair = (out.u1, out.u2, out.log_weight)
     guard = BlowUpGuard(integ, out.u1, excluded=out.excluded)
 
     n_rec = len(rec_idx)
@@ -462,8 +436,7 @@ def coupled_segment(
         if recorded:
             snap(nxt)
             nxt += 1
-    out.u1, w, out.log_weight, out.girsanov_cost = pair
-    out.u2_high = project_high(w, cfg.N)
+    out.u1, out.u2, out.log_weight = pair
     out.ell[out.e4_crossed | out.budget_crossed] = UNCOUPLED
     out.k += 1
     out.excluded = guard.excluded
@@ -515,7 +488,6 @@ def estimate_pilot_constants(
     T: float = 20.0,
     dt: float = 2e-3,
     record_every: int = 25,
-    rho_grid: np.ndarray | None = None,
 ) -> PilotConstants:
     """Pilot ensemble estimates of the tail-bound constants, by
     ``stats.tail_fit`` of the per-step-Phi E_4 of the live trajectories.
@@ -537,6 +509,6 @@ def estimate_pilot_constants(
     if rec.excluded.all():
         raise ValueError(f"the blow-up guard froze all {n_traj} pilot trajectories")
     base = float(fn.phi(u0, consts)) ** 4
-    fit = tail_fit(rec.energy.E4[:, ~rec.excluded], rec.times, base, T, rho_grid)
+    fit = tail_fit(rec.energy.E4[:, ~rec.excluded], rec.times, base, T)
     k41 = fit.envelope_k / (base + 1.0) if fit.envelope_k > 0 else 1.0
     return PilotConstants(c4_hat=fit.c_n_hat, k41_hat=max(k41, 1e-6))

@@ -244,31 +244,8 @@ def to_spectral_direct(values: np.ndarray, M: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# projections and padding
+# padding
 # ---------------------------------------------------------------------------
-
-def _check_cutoff(M: int, N: int):
-    if not 1 <= N <= M:
-        raise DimensionMismatchError(f"projection cutoff N={N} outside 1..{M}")
-
-
-def project_low(a: np.ndarray, N: int) -> np.ndarray:
-    """P_N: keep modes k <= N, zero the rest."""
-    a = np.asarray(a)
-    _check_cutoff(a.shape[-1], N)
-    out = a.copy()
-    out[..., N:] = 0.0
-    return out
-
-
-def project_high(a: np.ndarray, N: int) -> np.ndarray:
-    """Q_N = I - P_N: keep modes k > N."""
-    a = np.asarray(a)
-    _check_cutoff(a.shape[-1], N)
-    out = a.copy()
-    out[..., :N] = 0.0
-    return out
-
 
 def pad_modes(a: np.ndarray, K: int) -> np.ndarray:
     """Extend the coefficient vector with zeros up to K modes."""

@@ -680,16 +680,16 @@ def invariant_measure_sample(
     consts = consts or FunctionalConstants()
     u0 = np.zeros(params.M, complex) if u0 is None else np.asarray(u0, complex)
     stride = max(1, int(round(thinning / dt)))
-    T = burn_in + n_samples * stride * dt
+    # the samples: the first n_samples records past the burn-in; the run ends on the last
+    first = int(round(burn_in / dt)) // stride + 1
+    n_steps = (first + n_samples - 1) * stride
     integ = IntegratorConfig(dt=dt, record_every=stride, blowup_guard=blowup_guard)
     rec = simulate_ensemble(
-        u0, params, integ, spec, T, seed, traj_ids=np.array([0]),
+        u0, params, integ, spec, n_steps * dt, seed, traj_ids=np.array([0]),
         consts=consts, record_states=True,
     )
-    mask = rec.times > burn_in
-    states = rec.states[mask, 0]
-    states = states[-n_samples:]
-    phis = rec.energy.phi[mask, 0][-n_samples:]
+    states = rec.states[first:, 0]
+    phis = rec.energy.phi[first:, 0]
     diag = {
         "phi_sample_mean": float(np.mean(phis)),
         "n_samples": int(states.shape[0]),

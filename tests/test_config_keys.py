@@ -2,7 +2,8 @@
 
 For each subcommand and each key, a value other than the default must change
 a CSV or the manifest's counts, results or derived constants, or make the
-run exit 2 with a violation that names the key.  The runs are tiny (M = 10,
+run exit 2 with a violation that names the key.  An out-of-range count or
+duration must make it exit 2 with a violation that names the key.  The runs are tiny (M = 10,
 a few steps)."""
 
 import json
@@ -57,6 +58,26 @@ RUNS = {
               {"ensembles": "5"}),
 }
 
+# an out-of-range value for every count and duration key of [experiment];
+# each must stop the run with a violation that names the key
+OUT_OF_RANGE = {
+    "ensemble": {"size": "-3"},
+    "couple": {"pairs": "0", "segments": "0", "segment_time": "0", "pilot_traj": "0",
+               "pilot_time": "0.5"},
+    "mixing": {"t_max": "-1", "t_points": "1", "ensemble": "0"},
+    "inviscid": {"pairs": "0", "time": "0"},
+    "measures": {"burn_in": "0", "samples": "0", "thinning": "-0.1"},
+    "tails": {"time": "0.5", "ensemble": "0"},
+}
+COUNTS_AND_DURATIONS = {
+    "ensemble": {"size"},
+    "couple": {"pairs", "segments", "pilot_traj", "segment_time", "pilot_time"},
+    "mixing": {"ensemble", "t_points", "t_max"},
+    "inviscid": {"pairs", "time"},
+    "measures": {"samples", "burn_in", "thinning"},
+    "tails": {"ensemble", "time"},
+}
+
 
 def ini(sections):
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
@@ -109,6 +130,21 @@ def test_every_key_changes_the_run_or_is_rejected(tmp_path, capsys):
     assert not failures, "\n".join(failures)
 
 
+def test_out_of_range_values_are_rejected(tmp_path, capsys):
+    failures = []
+    for sub, keys in OUT_OF_RANGE.items():
+        base = {**COMMON, **RUNS[sub][0]}
+        for key, value in keys.items():
+            kind, got = outcome(tmp_path / f"{sub}-{key}", capsys, sub,
+                                with_key(base, "experiment", key, value))
+            if kind != "rejected":
+                failures.append(f"{sub} [experiment] {key} = {value}: accepted")
+            elif not any(v.startswith(f"[experiment] {key}: {value}")
+                         and "out of range" in v for v in got):
+                failures.append(f"{sub} [experiment] {key} = {value}: rejected for {got}")
+    assert not failures, "\n".join(failures)
+
+
 def test_table_covers_every_declared_key():
     shared = {(name, key) for name, keys in SHARED.items() for key in keys}
     assert shared | EXEMPT == {(name, key) for name, keys in config._KEYS.items()
@@ -116,6 +152,7 @@ def test_table_covers_every_declared_key():
     assert {sub: set(exp) for sub, (_, exp, _) in RUNS.items()} == \
         {sub: set(keys) for sub, keys in config.EXPERIMENT.items()}
     assert set(RUNS) == set(cli.DRIVERS)
+    assert {sub: set(keys) for sub, keys in OUT_OF_RANGE.items()} == COUNTS_AND_DURATIONS
 
 
 def test_couple_rejects_perturb_when_every_mode_is_forced(tmp_path, capsys):

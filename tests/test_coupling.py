@@ -9,7 +9,7 @@ from glnls import functionals as fn
 from glnls import models as md
 from glnls import noise as nz
 from glnls import stats as st
-from glnls.spectral import basis_mode, eigenvalues, project_high, project_low
+from glnls.spectral import basis_mode, eigenvalues
 
 CONSTS = fn.FunctionalConstants()
 
@@ -103,29 +103,28 @@ class TestPinned:
         st = md.Stepper(params, integ, spec)
         rng = nz.trajectory_rng(1, 0)
         u1 = 0.3 * basis_mode(M, 1) + 0.1 * basis_mode(M, 6)
-        high = project_high(0.2 * basis_mode(M, 6), N)
+        u2 = 0.3 * basis_mode(M, 1) + 0.2 * basis_mode(M, 6)
         for _ in range(20):
             z = rng.standard_normal((2, N))
-            u1, high = cp._pinned_step(st, u1, high, z, N)
-            w2 = project_low(u1, N) + high
-            # equality by representation, not to tolerance
-            assert np.all(w2[..., :N] == u1[..., :N])
+            u1, u2 = cp._pinned_step(st, u1, u2, z, N)
+            # equality by assignment, not to tolerance
+            assert u2[..., :N].tobytes() == u1[..., :N].tobytes()
 
     @pytest.mark.parametrize("M, R", [(16, None), (64, None), (64, 0.5)])
     def test_stacked_step_matches_two_calls(self, M, R):
-        # u1 and the composite share one stacked Stepper.step; each member's
-        # bits are those of a step of its own
+        # u1 and u2 share one stacked Stepper.step; each member's bits are
+        # those of a step of its own, u2's first N modes then set from u1's
         N, B = 4, 8
         st = md.Stepper(md.ModelParams(gamma=0.05, alpha=1.0, M=M, truncation=R),
                         md.IntegratorConfig(dt=1e-3), nz.NoiseSpec.power_profile(N, 0.2, 2.0))
         zs = nz.EnsembleNoise(3, np.arange(B), N).next_block(30)
         u1 = np.tile(0.6 * basis_mode(M, 1) + 0.2j * basis_mode(M, 3), (B, 1))
-        high = np.tile(project_high(0.3 * basis_mode(M, 6), N), (B, 1))
+        u2 = u1 + 0.3 * basis_mode(M, 6)
         for s in range(30):
-            w2 = st.step(project_low(u1, N) + high, zs[:, s])
-            u1_ref, high_ref = st.step(u1, zs[:, s]), project_high(w2, N)
-            u1, high = cp._pinned_step(st, u1, high, zs[:, s], N)
-            assert np.array_equal(u1, u1_ref) and np.array_equal(high, high_ref)
+            u1_ref, u2_ref = st.step(u1, zs[:, s]), st.step(u2, zs[:, s])
+            u2_ref[:, :N] = u1_ref[:, :N]
+            u1, u2 = cp._pinned_step(st, u1, u2, zs[:, s], N)
+            assert np.array_equal(u1, u1_ref) and np.array_equal(u2, u2_ref)
 
     def test_linear_pinned_step_exact_decay(self):
         # nonlinearity off: the high-mode difference decays by the exact
@@ -140,12 +139,11 @@ class TestPinned:
         u1 = 0.5 * basis_mode(M, 2)
         # u2 = u1 + diff0 with diff0 supported on high modes
         diff0 = 0.2 * basis_mode(M, 7) + 0.05j * basis_mode(M, 11)
-        high = project_high(u1 + diff0, N)
         z = rng.standard_normal((2, N))
-        u1n, highn = cp._pinned_step(st, u1, high, z, N)
+        u1n, u2n = cp._pinned_step(st, u1, u1 + diff0, z, N)
         # with the nonlinearity off both members decay by the same exponential,
         # so (u2 - u1)(dt) = e^{-((gamma+i)alpha_k+alpha) dt} diff0 exactly
-        v = (project_low(u1n, N) + highn) - u1n
+        v = u2n - u1n
         expected = np.exp(-((0.1 + 1j) * eigenvalues(M) + 0.8) * dt) * diff0
         assert np.max(np.abs(v - expected)) < 1e-14
 
@@ -191,7 +189,6 @@ class TestGirsanov:
         u = 0.1 * basis_mode(8, 1)
         rep = cp.girsanov_attempt(u, u, cfg, params, integ, spec, seed=5, n_attempts=8)
         assert np.max(np.abs(rep.log_weight)) < 1e-12
-        assert np.max(rep.cost) < 1e-12
         assert rep.success.all()
 
     def test_low_mode_equality_at_t1(self):
@@ -202,8 +199,7 @@ class TestGirsanov:
         u2 = -0.1 * basis_mode(8, 2) + 0.05 * basis_mode(8, 5)
         rep = cp.girsanov_attempt(u1, u2, cfg, params, integ, spec, seed=6,
                                   n_attempts=16)
-        cand = rep.state.u2_composite(2)
-        assert np.all(cand[:, :2] == rep.state.u1[:, :2])
+        assert np.all(rep.state.u2[:, :2] == rep.state.u1[:, :2])
 
     def test_returned_state_e4_starts_at_phi4(self):
         # the bridge's state carries the run's alpha, so its E_4 reads Phi^4
@@ -215,14 +211,14 @@ class TestGirsanov:
         u1, u2 = 0.2 * basis_mode(16, 1), -0.1 * basis_mode(16, 2)
         state = cp.girsanov_attempt(u1, u2, cfg, params, integ, spec, seed=7,
                                     n_attempts=3).state
-        for acc, u in ((state.e4_1, state.u1), (state.e4_2, state.u2_composite(4))):
+        for acc, u in ((state.e4_1, state.u1), (state.e4_2, state.u2)):
             assert np.all(np.isfinite(acc.value()))
             assert np.array_equal(acc.value(), fn.phi(u, CONSTS) ** 4)
         unset = copy.deepcopy(state)
         unset.e4_1.alpha = unset.e4_2.alpha = np.nan
         a, rec_a = cp.coupled_segment(state, cfg, params, integ, spec, seed=8)
         b, rec_b = cp.coupled_segment(unset, cfg, params, integ, spec, seed=8)
-        for x, y in ((a.u1, b.u1), (a.u2_high, b.u2_high), (a.log_weight, b.log_weight),
+        for x, y in ((a.u1, b.u1), (a.u2, b.u2), (a.log_weight, b.log_weight),
                      (a.e4_1.value(), b.e4_1.value()), (rec_a.e4_2, rec_b.e4_2)):
             assert np.array_equal(x, y)
 
@@ -239,7 +235,7 @@ class TestGirsanov:
         rep = cp.girsanov_attempt(u1, u2, cfg, params, integ, spec, seed=7,
                                   n_attempts=B)
         w = np.exp(rep.log_weight)
-        cand = rep.state.u2_composite(1)
+        cand = rep.state.u2
         ref = md.simulate_ensemble(u2, params, integ, spec, cfg.t1, seed=99,
                                    traj_ids=np.arange(B)).final
         for f in (
@@ -271,21 +267,6 @@ class TestGirsanov:
         est = w.mean()
         se = w.std() / np.sqrt(len(w))
         assert est >= 0.5 - 3 * se
-
-    def test_cost_bound_shape(self):
-        # fit C(N) times the cost bracket on half the attempts, check the
-        # bound on the other half
-        params, spec = self._setup(M=8, N=2, lam0=1.0)
-        cfg = small_cfg(N=2, t1=0.02, r1=0.01, c4=10.0)
-        integ = md.IntegratorConfig(dt=0.001, scheme="expeuler", noise_mode="em")
-        u1 = 0.02 * basis_mode(8, 1)
-        u2 = 0.01 * basis_mode(8, 2)
-        rep = cp.girsanov_attempt(u1, u2, cfg, params, integ, spec, seed=10,
-                                  n_attempts=400)
-        ok = rep.success
-        cost = rep.cost[ok]
-        half = len(cost) // 2
-        assert np.all(cost[half:] <= 3.0 * np.max(cost[:half]))
 
     def test_rejects_wrong_scheme_and_degenerate_q(self):
         params, spec = self._setup()
@@ -363,6 +344,36 @@ class TestCoupledSegments:
         same(rec_a, rec_b)
         same(state, before)
 
+    def test_make_coupled_state_copies(self):
+        # the state holds copies, u2's first N modes assigned from u1's; the
+        # caller's arrays keep their bits
+        M, N = 12, 3
+        cfg = small_cfg(N=N)
+        rng = np.random.default_rng(40)
+        u1, u2 = (rng.standard_normal((4, M)) + 1j * rng.standard_normal((4, M))
+                  for _ in range(2))
+        before = u1.copy(), u2.copy()
+        state = cp.make_coupled_state(u1, u2, cfg, CONSTS)
+        assert np.array_equal(u1, before[0]) and np.array_equal(u2, before[1])
+        assert state.u2[:, :N].tobytes() == u1[:, :N].tobytes()
+        assert np.array_equal(state.u1, u1) and np.array_equal(state.u2[:, N:], u2[:, N:])
+        assert not np.shares_memory(state.u1, u1) and not np.shares_memory(state.u2, u2)
+
+    def test_low_modes_pinned_after_segments(self):
+        # after one segment and after two chained ones u2's first N modes are
+        # u1's bit for bit, while the high modes still differ
+        M, N = 12, 3
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+        spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
+        cfg = small_cfg(N=N, theta=1e6, c4=1e6, T=0.05)
+        integ = md.IntegratorConfig(dt=2e-3, scheme="expeuler", noise_mode="em")
+        u1 = np.broadcast_to(0.3 * basis_mode(M, 1), (4, M))
+        state = cp.make_coupled_state(u1, u1 + 0.1 * basis_mode(M, 5), cfg, CONSTS)
+        for k in range(2):
+            state, _ = cp.coupled_segment(state, cfg, params, integ, spec, seed=14 + k)
+            assert state.u2[:, :N].tobytes() == state.u1[:, :N].tobytes()
+            assert not np.any(state.u2[:, N:] == state.u1[:, N:])
+
     def test_weight_collapse_warning(self):
         M, N = 8, 2
         params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
@@ -416,7 +427,7 @@ class TestBlowUpGuard:
         state, ref = out
         assert np.array_equal(state.excluded, self.crossing) and not ref.excluded.any()
         live = ~state.excluded
-        for name in ("u1", "u2_high", "log_weight", "girsanov_cost", "budget_integral"):
+        for name in ("u1", "u2", "log_weight", "budget_integral"):
             assert np.array_equal(getattr(state, name)[live], getattr(ref, name)[live]), name
         assert np.array_equal(state.u1[~live], u1[~live])
         assert np.all(state.log_weight[~live] == 0.0)
@@ -427,9 +438,9 @@ class TestBlowUpGuard:
         cfg = small_cfg(N=self.N, t1=0.02, r1=0.5)
         rep, ref = [cp.girsanov_attempt(u1, u2, cfg, params, self._integ(g), spec, seed=23,
                                         n_attempts=8) for g in (1.0, None)]
-        assert np.array_equal(rep.excluded, self.crossing) and not ref.excluded.any()
-        assert np.array_equal(rep.state.excluded, rep.excluded)
-        live = ~rep.excluded
+        assert np.array_equal(rep.state.excluded, self.crossing)
+        assert not ref.state.excluded.any()
+        live = ~rep.state.excluded
         assert np.array_equal(rep.log_weight[live], ref.log_weight[live])
         assert np.array_equal(rep.state.u1[live], ref.state.u1[live])
         assert np.array_equal(rep.success[live], ref.success[live])
@@ -507,10 +518,9 @@ class TestSharedFieldReference:
         noise = st.add_noise(np.zeros_like(lin1), z)  # 0 above the forced modes
         u1n, wn = lin1 + noise, linw + noise
         wn[:, :N] = u1n[:, :N] + offset
-        dlw, dcost = cp._shift_logweight(lin1[:, :N] - linw[:, :N] + offset,
-                                         nz.increments_from_normals(z, dt),
-                                         st.spec.lambdas, dt)
-        return u1n, wn, dlw, dcost
+        dlw = cp._shift_logweight(lin1[:, :N] - linw[:, :N] + offset,
+                                  nz.increments_from_normals(z, dt), st.spec.lambdas, dt)
+        return u1n, wn, dlw
 
     @staticmethod
     def _close(x, y, rel=1e-12):
@@ -528,26 +538,26 @@ class TestSharedFieldReference:
         zs = nz.EnsembleNoise(32, np.arange(n), spec.N).next_block(50)
         a, w = u1.copy(), u2.copy()
         delta0 = (u2 - u1)[:, :self.N]
-        logw, cost = np.zeros(n), np.zeros(n)
+        logw = np.zeros(n)
         phi1_0, phi2_0 = fn.phi(a, CONSTS), fn.phi(w, CONSTS)
         e1, e2 = fn.EnAccumulator(4, params.alpha), fn.EnAccumulator(4, params.alpha)
         e1.reset(phi1_0)
         e2.reset(phi2_0)
         for s in range(50):
             zeta = (cfg.t1 - (s + 1) * integ.dt) / cfg.t1
-            a, w, dlw, dcost = self._ref_step(st, a, w, zs[:, s], zeta * delta0)
-            logw, cost = logw + dlw, cost + dcost
+            a, w, dlw = self._ref_step(st, a, w, zs[:, s], zeta * delta0)
+            logw += dlw
             e1.push(fn.phi(a, CONSTS), integ.dt)
             e2.push(fn.phi(w, CONSTS), integ.dt)
         slack = cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
         success = (e1.value() <= phi1_0**4 + slack) & (e2.value() <= phi2_0**4 + slack)
 
-        assert not rep.excluded.any()
+        assert not rep.state.excluded.any()
         assert 0 < success.sum() < n  # the budgets bind on some pairs, not all
         assert np.array_equal(rep.state.u1, a)
-        assert np.array_equal(rep.state.u2_high, project_high(w, self.N))
+        w[:, :self.N] = a[:, :self.N]  # the coupled state starts pinned
+        assert np.array_equal(rep.state.u2, w)
         assert np.array_equal(rep.log_weight, logw)
-        assert np.array_equal(rep.cost, cost)
         assert np.array_equal(rep.success, success)
 
     def test_chained_segments(self):
@@ -557,8 +567,8 @@ class TestSharedFieldReference:
         integ = md.IntegratorConfig(dt=1e-3, scheme="expeuler", noise_mode="em")
         st = md.Stepper(params, integ, spec)
         state = cp.make_coupled_state(u1, u2, cfg, CONSTS)
-        a, w = state.u1.copy(), state.u2_composite(self.N)
-        logw, cost, budget = np.zeros(len(a)), np.zeros(len(a)), np.zeros(len(a))
+        a, w = state.u1.copy(), state.u2.copy()
+        logw, budget = np.zeros(len(a)), np.zeros(len(a))
         e1, e2 = fn.EnAccumulator(4, params.alpha), fn.EnAccumulator(4, params.alpha)
         e1.reset(fn.phi(a, CONSTS))
         e2.reset(fn.phi(w, CONSTS))
@@ -570,8 +580,8 @@ class TestSharedFieldReference:
             zs = nz.EnsembleNoise(seed, np.arange(len(a)), spec.N).next_block(25)
             cap_k = cfg.rho2 * np.exp(-0.25 * params.alpha * k * cfg.T)
             for s in range(25):
-                a, w, dlw, dcost = self._ref_step(st, a, w, zs[:, s], 0.0)
-                logw, cost = logw + dlw, cost + dcost
+                a, w, dlw = self._ref_step(st, a, w, zs[:, s], 0.0)
+                logw += dlw
                 ph1, ph2 = fn.phi(a, CONSTS), fn.phi(w, CONSTS)
                 e1.push(ph1, integ.dt)
                 e2.push(ph2, integ.dt)
@@ -581,9 +591,8 @@ class TestSharedFieldReference:
                 bud_bad |= budget > cap_k
             assert not state.excluded.any()
             assert np.array_equal(state.u1, a)
-            assert np.array_equal(state.u2_high, project_high(w, self.N))
+            assert np.array_equal(state.u2, w)
             assert np.array_equal(state.log_weight, logw)
-            assert np.array_equal(state.girsanov_cost, cost)
             assert np.array_equal(state.e4_crossed, e4_bad)
             assert np.array_equal(state.budget_crossed, bud_bad)
             assert np.array_equal(state.ell == cp.UNCOUPLED, e4_bad | bud_bad)
@@ -650,9 +659,9 @@ class TestSharedFieldReference:
         rep, state = run([0, 1, 2, 3])
         for i in range(4):
             rep_i, state_i = run([i])
-            for name in ("log_weight", "cost", "success"):
+            for name in ("log_weight", "success"):
                 assert np.array_equal(getattr(rep_i, name)[0], getattr(rep, name)[i])
-            for name in ("u1", "u2_high", "log_weight", "girsanov_cost", "budget_integral",
+            for name in ("u1", "u2", "log_weight", "budget_integral",
                          "e4_crossed", "budget_crossed", "ell"):
                 assert np.array_equal(getattr(state_i, name)[0], getattr(state, name)[i]), name
             assert state_i.e4_1.value()[0] == state.e4_1.value()[i]

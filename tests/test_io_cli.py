@@ -364,14 +364,14 @@ class TestCLI:
         assert len(freq) == 12 and freq[0] >= 0.5 and freq[-1] <= 0.1
 
     def test_tails_rejects_short_run(self, tmp_path, capsys):
-        # c_n_hat is fitted over t >= 1, so a shorter run is an error that says so
+        # c_n_hat is fitted over t >= 1, so a shorter run is rejected at load
         text = BASE + (
             "\n[experiment]\nn = 4\np = 1.0\ntime = 0.5\nensemble = 4\n"
         )
         cfgp = write(tmp_path, text)
-        assert cli.main(["tails", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+        assert cli.main(["tails", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "t >= 1" in err["message"]
+        assert err["violations"] == ["[experiment] time: 0.5 is out of range, need >= 1.0"]
 
     def test_mixing_driver(self, tmp_path):
         text = BASE + (

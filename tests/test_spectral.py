@@ -144,37 +144,6 @@ class TestEigtable:
         assert np.all(np.diff(al) > 0)
 
 
-class TestProjections:
-    def test_p1_definition(self):
-        a = np.array([1.0, 2.0, 3.0], dtype=complex)
-        assert np.allclose(sp.project_low(a, 1), [1, 0, 0])
-
-    def test_qn_full_is_zero(self):
-        rng = np.random.default_rng(3)
-        a = random_field(rng, 6)
-        assert np.all(sp.project_high(a, 6) == 0)
-
-    def test_low_plus_high_is_identity(self):
-        rng = np.random.default_rng(4)
-        a = random_field(rng, 10)
-        for N in (1, 3, 10):
-            assert np.allclose(sp.project_low(a, N) + sp.project_high(a, N), a)
-
-    def test_parseval_split(self):
-        rng = np.random.default_rng(5)
-        a = random_field(rng, 32)
-        for N in (1, 7, 32):
-            low = np.sum(np.abs(sp.project_low(a, N)) ** 2)
-            high = np.sum(np.abs(sp.project_high(a, N)) ** 2)
-            assert low + high == pytest.approx(np.sum(np.abs(a) ** 2), rel=1e-12)
-
-    def test_cutoff_out_of_range(self):
-        a = np.zeros(4, complex)
-        for bad in (0, 5):
-            with pytest.raises(sp.DimensionMismatchError):
-                sp.project_low(a, bad)
-
-
 class TestInvariants:
     def test_parseval_against_grid_quadrature(self):
         # ||u||_H^2 in coefficients equals the interior quadrature of |u|^2

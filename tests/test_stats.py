@@ -561,3 +561,18 @@ class TestInvariantMeasure:
         w_big = st.wasserstein(measure(0.3, "g3")[0], ref, "d0").value
         w_small = st.wasserstein(measure(0.02, "g02")[0], ref, "d0").value
         assert w_small < w_big
+
+    def test_samples_one_thinning_apart(self):
+        # a burn-in off the stride grid: the samples are the first five
+        # records after it, 0.05 apart (steps 120, 130, ..., 160), and the run
+        # ends on the last of them rather than one half-stride later
+        M, dt, stride = 16, 5e-3, 10
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+        spec = nz.NoiseSpec.power_profile(4, 0.2, 2.0)
+        emp, diag = st.invariant_measure_sample(params, spec, burn_in=0.575, n_samples=5,
+                                                thinning=stride * dt, seed=20, dt=dt)
+        full = md.simulate_ensemble(
+            np.zeros(M, complex), params, md.IntegratorConfig(dt=dt, record_every=1), spec,
+            160 * dt, 20, traj_ids=np.array([0]), consts=CONSTS, record_states=True)
+        assert np.array_equal(emp.samples, full.states[120:161:stride, 0])
+        assert diag["n_samples"] == 5 and diag["thinning"] == stride * dt
