@@ -149,10 +149,10 @@ def bench_weighted_step(M: int = 32, pairs: int = 256):
     def shared():
         lin = [cp._admit_member(st, x, *norms, consts)[1]
                for x, norms in ((u1, norms1), (w, fn.norms_h_h1_sq(w)))]
-        cp._weighted_step(st, *lin, zero, zero, z, 0.0)
+        cp._weighted_step(st, *lin, zero, z, 0.0)
 
     def unshared():
-        cp._weighted_step(st, st.drift(u1), st.drift(w), zero, zero, z, 0.0)
+        cp._weighted_step(st, st.drift(u1), st.drift(w), zero, z, 0.0)
         fn.phi(u1, consts)
         fn.phi(w, consts)
 

@@ -17,12 +17,12 @@ CSV tables as ``{file name: (header, rows)}`` and its manifest fields
 (``trajectory_count`` and ``excluded_count``, and where it has them
 ``derived_constants`` and ``results``).  ``main`` is the one runner: it
 loads the config for the subcommand (``config.load_config``; --seed and
---out replace [run] seed and out_dir), allocates a fresh run directory
-(never overwriting an earlier one), times the driver, writes each table
-with 17-significant-digit floats and then one manifest.json with the config
-echo, the wall time, the counts and the SHA-256 of every CSV.  Failures exit
-nonzero with a machine-readable JSON error on stderr (code 2 for a config
-violation).
+--out replace [run] seed and out_dir), times the driver, allocates a fresh
+run directory (never overwriting an earlier one, and none for a driver
+that raised), writes each table with 17-significant-digit floats and then
+one manifest.json with the config echo, the wall time, the counts and the
+SHA-256 of every CSV.  Failures exit nonzero with a machine-readable JSON
+error on stderr (code 2 for a config violation).
 """
 
 from __future__ import annotations
@@ -358,10 +358,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.subcommand,
                           run={k: str(v) for k, v in overrides.items() if v is not None})
         seed = cfg.seed
-        run_dir = allocate_run_dir(cfg.run["out_dir"], args.subcommand)
         start = time.perf_counter()
         tables, fields = DRIVERS[args.subcommand](cfg, seed, args)
         wall_time_s = time.perf_counter() - start
+        # allocated only now, so that a failed run leaves no directory behind
+        run_dir = allocate_run_dir(cfg.run["out_dir"], args.subcommand)
         files = [write_csv(run_dir / name, header, rows)
                  for name, (header, rows) in tables.items()]
         fields = {"derived_constants": {}, "results": {}, **fields}

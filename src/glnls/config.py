@@ -8,12 +8,16 @@ selects a working run.  ``load_config(path, subcommand)`` parses each key
 once, and the drivers read the typed values.  Every key a file sets either
 reaches the run or stops it: validation collects every violation and
 reports them together, naming the violated bound.  A violation is a file
-that does not parse, a value its parser rejects or finds out of range (an
-[experiment] count below 1, t_points below 2, a duration that is not
-positive, a tail-fitted run shorter than 1), an unknown section or key, or
-a key the subcommand does not read (``UNREAD``; [noise] forced_modes,
-lambda0 and decay are not read when lambdas is set, nor inviscid's radius
-when truncated is false, nor couple's perturb when every mode is forced).
+that does not parse, a value its parser rejects or finds outside the key's
+own bound (a count below 1, a step, duration, amplitude or constant that is
+not positive, a viscosity outside [0, 1), a scheme not in ``SCHEMES``; a
+list is bounded element by element), a broken rule that ties keys together
+(``validate``: forced modes at most modes, the C_Q and xi bounds, u0_modes
+indices in 1..modes, measures' thinning a whole number of dt steps), an
+unknown section or key, or a key the subcommand does not read (``UNREAD``;
+[noise] forced_modes, lambda0 and decay are not read when lambdas is set,
+nor inviscid's radius when truncated is false, nor couple's perturb when
+every mode is forced).
 
 Sections and keys::
 
@@ -71,19 +75,36 @@ class _OutOfRange(ValueError):
     """A value that parses but lies outside its key's bound."""
 
 
-def _bounded(parse, low, strict=False):
-    """``parse``, then require value >= low (> low when strict); None (unset) passes."""
+def _bounded(parse, low, strict=False, high=None):
+    """``parse``, then require value >= low (> low when strict) and, given
+    ``high``, value < high, of the value or of each element of a tuple;
+    None (unset) passes."""
+    need = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and < {high}")
+
     def bounded(text: str):
         value = parse(text)
-        if value is not None and (value <= low if strict else value < low):
-            raise _OutOfRange(f"{value} is out of range, need {'>' if strict else '>='} {low}")
+        for x in value if isinstance(value, tuple) else (value,):
+            if x is not None and not ((x > low if strict else x >= low)
+                                      and (high is None or x < high)):
+                raise _OutOfRange(f"{x} is out of range, need {need}")
         return value
     return bounded
 
 
+def _choice(options):
+    """The text itself, which must be one of ``options``."""
+    def choice(text: str) -> str:
+        if text not in options:
+            raise _OutOfRange(f"{text} is out of range, need one of {', '.join(options)}")
+        return text
+    return choice
+
+
 _count = _bounded(int, 1)
-_duration = _bounded(float, 0.0, strict=True)
+_positive = _bounded(float, 0.0, strict=True)
+_opt_positive = _bounded(_opt_float, 0.0, strict=True)
 _fit_time = _bounded(float, 1.0)  # stats.tail_fit's window starts at t = 1
+_viscosities = _bounded(_floats, 0.0, high=1.0)
 
 
 def _modes(text: str) -> tuple[tuple[int, complex], ...]:
@@ -95,31 +116,31 @@ def _modes(text: str) -> tuple[tuple[int, complex], ...]:
 # every shared key: (default text, parser)
 _KEYS = {
     "model": {
-        "gamma": ("0.05", float),
-        "alpha": ("1.0", float),
-        "modes": ("64", int),
-        "truncation": ("", _opt_float),
+        "gamma": ("0.05", _bounded(float, 0.0, high=1.0)),
+        "alpha": ("1.0", _positive),
+        "modes": ("64", _count),
+        "truncation": ("", _opt_positive),
         "nonlinear": ("true", _bool),
     },
     "noise": {
-        "forced_modes": ("8", int),
-        "lambda0": ("0.05", float),
+        "forced_modes": ("8", _bounded(int, 0)),
+        "lambda0": ("0.05", _positive),
         "decay": ("2.0", float),
-        "lambdas": ("", _floats),
+        "lambdas": ("", _bounded(_floats, 0.0, strict=True)),
         "cq_bound": ("200.0", float),
     },
     "integrator": {
-        "dt": ("1e-3", float),
-        "time": ("1.0", float),
-        "record_every": ("10", int),
-        "scheme": ("strang", str),
-        "noise_mode": ("exact", str),
-        "blowup_guard": ("1e6", float),
+        "dt": ("1e-3", _positive),
+        "time": ("1.0", _bounded(float, 0.0)),
+        "record_every": ("10", _count),
+        "scheme": ("strang", _choice(SCHEMES)),
+        "noise_mode": ("exact", _choice(NOISE_MODES)),
+        "blowup_guard": ("1e6", _positive),
     },
     "functionals": {
-        "kappa": ("1.0", float),
-        "kappa2": ("1.0", float),
-        "xi": ("0.05", float),
+        "kappa": ("1.0", _positive),
+        "kappa2": ("1.0", _positive),
+        "xi": ("0.05", _positive),
     },
     "experiment": {},  # declared per subcommand, in EXPERIMENT
     "run": {
@@ -134,19 +155,19 @@ _KEYS = {
 EXPERIMENT = {
     "simulate": {},
     "ensemble": {"size": ("100", _count)},
-    "couple": {"pairs": ("64", _count), "segments": ("4", _count), "beta": ("0.5", float),
-               "segment_time": ("2.0", _duration), "perturb": ("0", complex),
+    "couple": {"pairs": ("64", _count), "segments": ("4", _count),
+               "beta": ("0.5", _bounded(float, 0.0, strict=True, high=1.0)),
+               "segment_time": ("2.0", _positive), "perturb": ("0", complex),
                "pilot_traj": ("100", _count), "pilot_time": ("10.0", _fit_time),
-               "theta": ("", _opt_float)},
-    "mixing": {"gammas": ("0.05", _floats), "t_max": ("50", _duration),
+               "theta": ("", _opt_positive)},
+    "mixing": {"gammas": ("0.05", _viscosities), "t_max": ("50", _positive),
                "t_points": ("51", _bounded(int, 2)), "ensemble": ("64", _count)},
-    "inviscid": {"gammas": ("1e-4,1e-3,1e-2,1e-1", _floats), "pairs": ("100", _count),
-                 "time": ("1.0", _duration), "truncated": ("true", _bool),
-                 "radius": ("2.0", float)},
-    "measures": {"gammas": ("0.2,0.1,0.05", _floats),
-                 "burn_in": ("", _bounded(_opt_float, 0.0, strict=True)),
-                 "samples": ("128", _count), "thinning": ("1.0", _duration)},
-    "tails": {"n": ("4", int), "p": ("1.0", float), "time": ("10.0", _fit_time),
+    "inviscid": {"gammas": ("1e-4,1e-3,1e-2,1e-1", _viscosities), "pairs": ("100", _count),
+                 "time": ("1.0", _positive), "truncated": ("true", _bool),
+                 "radius": ("2.0", _positive)},
+    "measures": {"gammas": ("0.2,0.1,0.05", _viscosities), "burn_in": ("", _opt_positive),
+                 "samples": ("128", _count), "thinning": ("1.0", _positive)},
+    "tails": {"n": ("4", _count), "p": ("1.0", float), "time": ("10.0", _fit_time),
               "ensemble": ("200", _count), "rho_grid": ("", _floats)},
 }
 
@@ -237,62 +258,34 @@ class RunConfig:
         return hashlib.sha256(self.serialize().encode()).hexdigest()[:16]
 
 
-def validate(cfg: RunConfig, unread=()) -> list[str]:
-    """Collect every bound violation of the parsed values, leaving out the
-    bounds of the ``unread`` keys ("section.key"); empty list means valid."""
+def validate(cfg: RunConfig, unread=(), subcommand: str | None = None) -> list[str]:
+    """Collect every violation of the rules that tie keys together, leaving
+    out the rules on the ``unread`` keys ("section.key"); each key's own
+    bound is its parser's.  Empty list means valid."""
     bad: list[str] = []
-    m, n, i, f, r = cfg.model, cfg.noise, cfg.integrator, cfg.functionals, cfg.run
-
-    gamma, alpha, modes, R = m["gamma"], m["alpha"], m["modes"], m["truncation"]
-    if not 0.0 <= gamma < 1.0:
-        bad.append(f"[model] gamma={gamma} violates 0 <= gamma < 1")
-    if alpha <= 0:
-        bad.append(f"[model] alpha={alpha} violates alpha > 0 (damping is essential)")
-    if modes < 1:
-        bad.append(f"[model] modes={modes} violates modes >= 1")
-    if R is not None and R <= 0:
-        bad.append(f"[model] truncation={R} violates R > 0")
-
-    spec = None
+    modes = cfg.model["modes"]
+    if any(not 1 <= k <= modes for k, _ in cfg.run["u0_modes"]):
+        bad.append(f"[run] u0_modes: a mode index outside 1..{modes}")
+    if subcommand == "measures":
+        # invariant_measure_sample takes its samples a whole number of steps apart
+        thinning, dt = cfg.experiment["thinning"], cfg.integrator["dt"]
+        steps = thinning / dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            bad.append(f"[experiment] thinning: {thinning} is not a whole number of "
+                       f"[integrator] dt = {dt} steps")
     try:
         spec = cfg.noise_spec()
-    except ValueError as exc:
-        bad.append(f"[noise] {exc}")
-    if spec is not None:
-        if spec.N > modes:
-            bad.append(f"[noise] forced_modes={spec.N} exceeds Galerkin modes={modes}")
-        tr32, cq = traces(spec).tr_a32qq, n["cq_bound"]
-        if tr32 >= cq:
-            bad.append(f"[noise] Tr(A^(3/2)QQ*)={tr32:.6g} exceeds the C_Q bound {cq:.6g}")
-
-    if i["dt"] <= 0:
-        bad.append(f"[integrator] dt={i['dt']} violates dt > 0")
-    if i["time"] < 0:
-        bad.append(f"[integrator] time={i['time']} violates time >= 0")
-    if i["record_every"] < 1:
-        bad.append(f"[integrator] record_every={i['record_every']} violates record_every >= 1")
-    if i["scheme"] not in SCHEMES:
-        bad.append(f"[integrator] scheme={i['scheme']!r} not one of {SCHEMES}")
-    if i["noise_mode"] not in NOISE_MODES:
-        bad.append(f"[integrator] noise_mode={i['noise_mode']!r} not one of {NOISE_MODES}")
-
-    kappa, kappa2, xi = f["kappa"], f["kappa2"], f["xi"]
-    if kappa <= 0:
-        bad.append(f"[functionals] kappa={kappa} violates kappa > 0")
-    if kappa2 <= 0:
-        bad.append(f"[functionals] kappa2={kappa2} violates kappa2 > 0")
-    if xi <= 0:
-        bad.append(f"[functionals] xi={xi} violates xi > 0")
-    elif spec is not None and alpha > 0 and "functionals.xi" not in unread:
-        tr = traces(spec).tr_qq
-        if tr > 0 and xi >= alpha / (2.0 * tr):
-            bad.append(
-                f"[functionals] xi={xi} violates xi < alpha/(2 Tr(QQ*)) = "
-                f"{alpha / (2.0 * tr):.6g}"
-            )
-
-    if any(not 1 <= k <= modes for k, _ in r["u0_modes"]):
-        bad.append(f"[run] u0_modes: a mode index outside 1..{modes}")
+    except ValueError as exc:  # lambda0 k^-decay underflows to 0 at some k <= N
+        return bad + [f"[noise] {exc}"]
+    if spec.N > modes:
+        bad.append(f"[noise] forced_modes={spec.N} exceeds Galerkin modes={modes}")
+    tr, cq = traces(spec), cfg.noise["cq_bound"]
+    if not tr.tr_a32qq < cq:
+        bad.append(f"[noise] Tr(A^(3/2)QQ*)={tr.tr_a32qq:.6g} exceeds the C_Q bound {cq:.6g}")
+    xi, alpha = cfg.functionals["xi"], cfg.model["alpha"]
+    if tr.tr_qq > 0 and "functionals.xi" not in unread and xi >= alpha / (2.0 * tr.tr_qq):
+        bad.append(f"[functionals] xi={xi} violates xi < alpha/(2 Tr(QQ*)) = "
+                   f"{alpha / (2.0 * tr.tr_qq):.6g}")
     return bad
 
 
@@ -348,7 +341,7 @@ def load_config(path: str | None = None, subcommand: str | None = None,
     text = {name: {key: given.get(name, {}).get(key, default) for key, (default, _) in
                    decl.items() if f"{name}.{key}" not in unread} for name, decl in keys.items()}
     cfg = RunConfig(**sections, text=text)
-    bad += validate(cfg, unread)
+    bad += validate(cfg, unread, subcommand)
     if bad:
         raise ConfigError(bad)
     return cfg

@@ -570,35 +570,3 @@ def simulate_ensemble(
         mass_int_h=mass_h,
         mass_int_h1=mass_h1,
     )
-
-
-# ---------------------------------------------------------------------------
-# the linear process eta
-# ---------------------------------------------------------------------------
-
-def simulate_eta(
-    spec: NoiseSpec,
-    alpha: float,
-    T: float,
-    dt: float,
-    seed: int,
-    n_traj: int = 1,
-    record_every: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-in-law trajectories of the linear process (gamma = 0, zero data).
-
-    Returns (times, states) with states of shape (n_rec, n_traj, N): the
-    linear exact-noise step applies the exact per-mode decay
-    e^{-(alpha + i alpha_k) dt} and adds the exact stochastic convolution
-    sample.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    # with N = 0 one unforced mode stands in; it stays exactly zero
-    params = ModelParams(gamma=0.0, alpha=alpha, M=max(spec.N, 1), nonlinear=False)
-    rec = simulate_ensemble(
-        np.zeros(params.M, complex), params,
-        IntegratorConfig(dt=dt, record_every=record_every), spec, T, seed,
-        traj_ids=np.arange(n_traj), record_states=True,
-    )
-    return rec.times, rec.states[..., : spec.N]

@@ -1,7 +1,9 @@
 """Ensemble statistics: empirical measures, exact optimal transport under the
 truncated ground costs, dual Kantorovich lower bounds, and the experiment
-drivers (mixing curves, inviscid curves, moment and tail experiments,
-invariant-measure sampling) with least-squares rate fits.
+drivers (mixing curves, inviscid curves, the tail experiment,
+invariant-measure sampling) with least-squares rate fits.  The Ito energy
+balance and the exponential moments have no driver here: acceptance
+checks 4 and 9 form them from ``models.simulate_ensemble``'s records.
 
 Optimal transport is solved exactly at every sample size.  A uniform
 equal-size pair of more than 64 samples goes to the assignment solver; every
@@ -34,7 +36,7 @@ from . import functionals as fn
 from .functionals import FunctionalConstants
 from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, decay_factors,
                      record_schedule, run, simulate_ensemble)
-from .noise import EnsembleNoise, NoiseSpec, traces
+from .noise import EnsembleNoise, NoiseSpec
 from .spectral import eigenvalues
 
 GROUND_COSTS = ("d0", "d1", "d0xi")
@@ -470,113 +472,6 @@ def inviscid_curve(
     return InviscidCurve(
         gammas=gamma_list, mean_sup_err=mean_err, mean_sup_err_sq=mean_sq,
         se_sup_err_sq=se_sq, excluded=excluded, fit=fit,
-    )
-
-
-@dataclass
-class MomentReport:
-    t: np.ndarray
-    mean_h2n: dict
-    mean_phin: dict
-    mean_exp: np.ndarray
-    overflow_flags: int
-    xi: float
-
-
-def moment_experiment(
-    params: ModelParams,
-    spec: NoiseSpec,
-    u0: np.ndarray,
-    T: float,
-    n_list=(1, 2),
-    xi: float | None = None,
-    ensemble_size: int = 256,
-    seed: int = 0,
-    dt: float = 5e-3,
-    record_every: int = 50,
-    consts: FunctionalConstants | None = None,
-) -> MomentReport:
-    """Time series of E||u||_H^{2n}, E Phi^n and E e^{xi ||u||^2}.
-
-    xi defaults to alpha/(4 Tr(QQ*)), half the admissible bound.  Capped
-    exponential samples are counted, never dropped silently.
-    """
-    consts = consts or FunctionalConstants()
-    tr = traces(spec).tr_qq
-    if xi is None:
-        xi = params.alpha / (4.0 * tr) if tr > 0 else 1.0
-    if tr > 0 and not xi < params.alpha / (2.0 * tr):
-        raise ValueError("xi violates xi < alpha/(2 Tr(QQ*))")
-    integ = IntegratorConfig(dt=dt, record_every=record_every)
-    rec = simulate_ensemble(
-        u0, params, integ, spec, T, seed,
-        traj_ids=np.arange(ensemble_size), consts=consts,
-    )
-    H = rec.energy.H          # (n_rec, B) of ||u||^2
-    phv = rec.energy.phi
-    mean_h2n = {n: np.mean(H**n, axis=1) for n in n_list}
-    mean_phin = {n: np.mean(np.maximum(phv, 0.0) ** n, axis=1) for n in n_list}
-    expo = xi * H
-    flagged = int(np.sum(expo > fn.EXP_CAP))
-    evals = np.exp(np.minimum(expo, fn.EXP_CAP))
-    return MomentReport(
-        t=rec.times, mean_h2n=mean_h2n, mean_phin=mean_phin,
-        mean_exp=np.mean(evals, axis=1), overflow_flags=flagged, xi=xi,
-    )
-
-
-@dataclass
-class MassIdentityReport:
-    """Per-checkpoint residual of the integrated mean-energy identity."""
-
-    mean_residual: np.ndarray
-    se_residual: np.ndarray
-    inside_3se: np.ndarray
-
-
-def mass_identity_residuals(
-    params: ModelParams,
-    spec: NoiseSpec,
-    u0: np.ndarray,
-    T: float,
-    n_checkpoints: int,
-    ensemble_size: int,
-    seed: int,
-    dt: float = 5e-3,
-    consts: FunctionalConstants | None = None,
-) -> MassIdentityReport:
-    """Checkpointed residuals of d E||u||^2 = -2 gamma E||u||_{H^1}^2
-    - 2 alpha E||u||^2 + 2 Tr(QQ*), in integrated (martingale-mean-zero) form:
-
-        r = Delta||u||^2 + int (2 gamma ||u||_{H^1}^2 + 2 alpha ||u||^2) ds
-            - 2 Tr(QQ*) Delta t,
-
-    which has mean zero exactly; the per-trajectory residuals give honest
-    standard errors.
-    """
-    steps_per = int(round(T / dt)) // n_checkpoints
-    integ = IntegratorConfig(dt=dt, record_every=steps_per)
-    rec = simulate_ensemble(
-        u0, params, integ, spec, T, seed,
-        traj_ids=np.arange(ensemble_size), consts=consts,
-        track_mass_integrals=True,
-    )
-    H = rec.energy.H
-    t = rec.times
-    ih = rec.mass_int_h
-    ih1 = rec.mass_int_h1
-    tr2 = 2.0 * traces(spec).tr_qq
-    res = (
-        (H[1:] - H[:-1])
-        + 2.0 * params.gamma * (ih1[1:] - ih1[:-1])
-        + 2.0 * params.alpha * (ih[1:] - ih[:-1])
-        - tr2 * (t[1:] - t[:-1])[:, None]
-    )
-    mean = res.mean(axis=1)
-    se = res.std(axis=1) / np.sqrt(res.shape[1])
-    return MassIdentityReport(
-        mean_residual=mean, se_residual=se,
-        inside_3se=np.abs(mean) <= 3.0 * se,
     )
 
 

@@ -2,9 +2,9 @@
 
 For each subcommand and each key, a value other than the default must change
 a CSV or the manifest's counts, results or derived constants, or make the
-run exit 2 with a violation that names the key.  An out-of-range count or
-duration must make it exit 2 with a violation that names the key.  The runs are tiny (M = 10,
-a few steps)."""
+run exit 2 with a violation that names the key.  An out-of-range value of
+every key with a bound of its own must make it exit 2 with a violation that
+names the key.  The runs are tiny (M = 10, a few steps)."""
 
 import json
 
@@ -58,24 +58,33 @@ RUNS = {
               {"ensembles": "5"}),
 }
 
-# an out-of-range value for every count and duration key of [experiment];
-# each must stop the run with a violation that names the key
+# an out-of-range value for every key with a bound of its own, shared keys
+# under "shared"; each must stop the run with a violation that names the key
+# and, for a list, its offending last element
 OUT_OF_RANGE = {
+    "shared": {
+        "model": {"gamma": "1.0", "alpha": "0", "modes": "0", "truncation": "-1"},
+        "noise": {"forced_modes": "-1", "lambda0": "0", "lambdas": "0.1, -0.2"},
+        "integrator": {"dt": "0", "time": "-1", "record_every": "0", "scheme": "euler",
+                       "noise_mode": "milstein", "blowup_guard": "-1.0"},
+        "functionals": {"kappa": "0", "kappa2": "-1", "xi": "0"},
+    },
     "ensemble": {"size": "-3"},
-    "couple": {"pairs": "0", "segments": "0", "segment_time": "0", "pilot_traj": "0",
-               "pilot_time": "0.5"},
-    "mixing": {"t_max": "-1", "t_points": "1", "ensemble": "0"},
-    "inviscid": {"pairs": "0", "time": "0"},
-    "measures": {"burn_in": "0", "samples": "0", "thinning": "-0.1"},
-    "tails": {"time": "0.5", "ensemble": "0"},
+    "couple": {"pairs": "0", "segments": "0", "beta": "1.5", "segment_time": "0",
+               "pilot_traj": "0", "pilot_time": "0.5", "theta": "-1"},
+    "mixing": {"gammas": "0.05, 1.0", "t_max": "-1", "t_points": "1", "ensemble": "0"},
+    "inviscid": {"gammas": "0.1, -0.1", "pairs": "0", "time": "0", "radius": "-1"},
+    "measures": {"gammas": "0.2, 1.5", "burn_in": "0", "samples": "0", "thinning": "-0.1"},
+    "tails": {"n": "0", "time": "0.5", "ensemble": "0"},
 }
-COUNTS_AND_DURATIONS = {
-    "ensemble": {"size"},
-    "couple": {"pairs", "segments", "pilot_traj", "segment_time", "pilot_time"},
-    "mixing": {"ensemble", "t_points", "t_max"},
-    "inviscid": {"pairs", "time"},
-    "measures": {"samples", "burn_in", "thinning"},
-    "tails": {"ensemble", "time"},
+# keys with no bound of their own: cq_bound and u0_modes are checked against
+# other keys' values (config.validate), the rest take any value that parses
+UNBOUNDED = {
+    "shared": {"model": {"nonlinear"}, "noise": {"decay", "cq_bound"},
+               "run": {"seed", "out_dir", "save_states", "u0_modes"}},
+    "couple": {"perturb"},
+    "inviscid": {"truncated"},
+    "tails": {"p", "rho_grid"},
 }
 
 
@@ -131,18 +140,26 @@ def test_every_key_changes_the_run_or_is_rejected(tmp_path, capsys):
 
 
 def test_out_of_range_values_are_rejected(tmp_path, capsys):
+    cases = [("simulate", name, key, value)
+             for name, keys in OUT_OF_RANGE["shared"].items() for key, value in keys.items()]
+    cases += [(sub, "experiment", key, value) for sub, keys in OUT_OF_RANGE.items()
+              if sub != "shared" for key, value in keys.items()]
     failures = []
-    for sub, keys in OUT_OF_RANGE.items():
-        base = {**COMMON, **RUNS[sub][0]}
-        for key, value in keys.items():
-            kind, got = outcome(tmp_path / f"{sub}-{key}", capsys, sub,
-                                with_key(base, "experiment", key, value))
-            if kind != "rejected":
-                failures.append(f"{sub} [experiment] {key} = {value}: accepted")
-            elif not any(v.startswith(f"[experiment] {key}: {value}")
-                         and "out of range" in v for v in got):
-                failures.append(f"{sub} [experiment] {key} = {value}: rejected for {got}")
+    for i, (sub, name, key, value) in enumerate(cases):
+        kind, got = outcome(tmp_path / str(i), capsys, sub,
+                            with_key({**COMMON, **RUNS[sub][0]}, name, key, value))
+        named = f"[{name}] {key}: {value.split(',')[-1].strip()}"
+        if kind != "rejected":
+            failures.append(f"{sub} [{name}] {key} = {value}: accepted")
+        elif not any(v.startswith(named) and "out of range" in v for v in got):
+            failures.append(f"{sub} [{name}] {key} = {value}: rejected for {got}")
     assert not failures, "\n".join(failures)
+
+
+def declared(table):
+    """{(section or subcommand, key)} of a {"shared": {section: keys}, sub: keys} table."""
+    out = {(name, key) for name, keys in table.get("shared", {}).items() for key in keys}
+    return out | {(sub, key) for sub, keys in table.items() if sub != "shared" for key in keys}
 
 
 def test_table_covers_every_declared_key():
@@ -152,7 +169,10 @@ def test_table_covers_every_declared_key():
     assert {sub: set(exp) for sub, (_, exp, _) in RUNS.items()} == \
         {sub: set(keys) for sub, keys in config.EXPERIMENT.items()}
     assert set(RUNS) == set(cli.DRIVERS)
-    assert {sub: set(keys) for sub, keys in OUT_OF_RANGE.items()} == COUNTS_AND_DURATIONS
+    # every declared key is either bounded (with an out-of-range case) or unbounded
+    bounded, unbounded = declared(OUT_OF_RANGE), declared(UNBOUNDED)
+    assert not bounded & unbounded
+    assert bounded | unbounded == declared({"shared": config._KEYS, **config.EXPERIMENT})
 
 
 def test_couple_rejects_perturb_when_every_mode_is_forced(tmp_path, capsys):

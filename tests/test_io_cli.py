@@ -49,6 +49,10 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(write(tmp_path, text))
         assert "C_Q" in str(err.value)
+        # a NaN trace is not below the bound either
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, "[noise]\ndecay = nan\n", name="nan.cfg"))
+        assert err.value.violations == ["[noise] Tr(A^(3/2)QQ*)=nan exceeds the C_Q bound 200"]
 
     def test_all_violations_reported(self, tmp_path):
         text = (
@@ -62,7 +66,22 @@ class TestConfig:
     def test_alpha_zero_rejected_at_config_level(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(write(tmp_path, "[model]\nalpha = 0\n"))
-        assert "damping" in str(err.value)
+        assert err.value.violations == ["[model] alpha: 0.0 is out of range, need > 0.0"]
+
+    @pytest.mark.parametrize("thinning, ok", [
+        ("0.0001", False), ("0.0025", False), ("0.003", True), ("0.1", True),
+    ])
+    def test_thinning_must_be_whole_dt_steps(self, tmp_path, thinning, ok):
+        # measures samples a whole number of dt = 1e-3 steps apart
+        path = write(tmp_path, f"[experiment]\nthinning = {thinning}\n")
+        if ok:
+            assert load_config(path, "measures").experiment["thinning"] == float(thinning)
+            return
+        with pytest.raises(ConfigError) as err:
+            load_config(path, "measures")
+        assert err.value.violations == [
+            f"[experiment] thinning: {thinning} is not a whole number of [integrator] dt = "
+            "0.001 steps"]
 
     def test_roundtrip_idempotent(self, tmp_path):
         path = write(tmp_path, "[model]\ngamma = 0.1\n[run]\nseed = 11\n")
@@ -208,6 +227,21 @@ class TestCLI:
         assert (tmp_path / "o" / "simulate-2").is_dir()
         for d in ("simulate", "simulate-2"):
             assert (tmp_path / "o" / d / "manifest.json").exists()
+
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        def fails(cfg, seed, args):
+            raise RuntimeError("driver failed")
+
+        cfgp = write(tmp_path, SIMULATE.format(time="0.0"))
+        out = tmp_path / "o"
+        monkeypatch.setitem(cli.DRIVERS, "simulate", fails)
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == "driver failed"
+        assert not out.exists()
+        monkeypatch.undo()
+        # so the next good run takes the first name, not a -2 suffix
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["simulate"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfgp = write(tmp_path, SIMULATE.format(time="0.05"))

@@ -459,31 +459,35 @@ class TestSimulate:
         assert max(chats) / min(chats) < 3.0
 
 
+def eta_run(spec, alpha, T, dt, seed, n_traj=1, record_every=1):
+    """The linear process eta: gamma = 0, the cubic off, zero data; one
+    unforced mode stands in when N = 0."""
+    params = md.ModelParams(gamma=0.0, alpha=alpha, M=max(spec.N, 1), nonlinear=False)
+    return md.simulate_ensemble(np.zeros(params.M, complex), params,
+                                md.IntegratorConfig(dt=dt, record_every=record_every), spec,
+                                T, seed, traj_ids=np.arange(n_traj), record_states=True)
+
+
 class TestEta:
     def test_zero_noise(self):
-        times, states = md.simulate_eta(nz.NoiseSpec(np.zeros(0)), 1.0, 1.0, 0.1, seed=15)
-        assert states.size == 0 or np.all(states == 0)
+        rec = eta_run(nz.NoiseSpec(np.zeros(0)), 1.0, 1.0, 0.1, seed=15)
+        assert np.all(rec.states == 0)
 
     def test_stationary_variance(self):
         spec = nz.NoiseSpec.power_profile(4, 0.3, 2.0)
         alpha = 0.8
-        times, states = md.simulate_eta(spec, alpha, T=10 / alpha, dt=0.25, seed=16,
-                                        n_traj=10_000, record_every=10)
-        final = states[-1]
+        rec = eta_run(spec, alpha, T=10 / alpha, dt=0.25, seed=16, n_traj=10_000,
+                      record_every=10)
+        final = rec.states[-1]
         emp = np.mean(np.abs(final) ** 2, axis=0)
         se = np.std(np.abs(final) ** 2, axis=0) / np.sqrt(final.shape[0])
-        theory = nz.ou_mode_variance(spec, alpha, times[-1])
+        theory = nz.ou_mode_variance(spec, alpha, rec.times[-1])
         assert np.all(np.abs(emp - theory) <= 3 * se)
 
     def test_small_ball_frequency_positive(self):
         # P(sup_{[0,2]} ||eta||_{H^2} <= 1.5) observed > 0 at the default profile
         spec = nz.NoiseSpec.power_profile(8, 0.05, 2.0)
-        times, states = md.simulate_eta(spec, 1.0, T=2.0, dt=0.05, seed=17,
-                                        n_traj=400, record_every=1)
-        h2 = fn.norm_hr(states, 2.0)  # (n_rec, n_traj)
+        rec = eta_run(spec, 1.0, T=2.0, dt=0.05, seed=17, n_traj=400)
+        h2 = fn.norm_hr(rec.states, 2.0)  # (n_rec, n_traj)
         sup = h2.max(axis=0)
         assert np.mean(sup <= 1.5) > 0.0
-
-    def test_alpha_guard(self):
-        with pytest.raises(ValueError):
-            md.simulate_eta(nz.NoiseSpec(np.array([1.0])), 0.0, 1.0, 0.1, seed=18)

@@ -267,8 +267,8 @@ def inviscid_reference(u0, gammas, T, E, seed, M, spec, R, dt):
 
 
 N_STEPS, STRIDE, DT = 300, 7, 1e-3
-STEPPING_DRIVERS = ["simulate_ensemble", "simulate_eta", "pinned_contraction_run",
-                    "girsanov_attempt", "coupled_segment", "mixing_curve", "inviscid_curve"]
+STEPPING_DRIVERS = ["simulate_ensemble", "pinned_contraction_run", "girsanov_attempt",
+                    "coupled_segment", "mixing_curve", "inviscid_curve"]
 
 
 def run_stepping_driver(name):
@@ -284,8 +284,6 @@ def run_stepping_driver(name):
     if name == "simulate_ensemble":
         return md.simulate_ensemble(u, params, integ, spec, T, seed=1,
                                     traj_ids=np.arange(2)).times
-    if name == "simulate_eta":
-        return md.simulate_eta(spec, 1.0, T, DT, seed=1, n_traj=2, record_every=STRIDE)[0]
     if name == "pinned_contraction_run":
         return cp.pinned_contraction_run(u, u, params, integ, spec, N=N, T=T, seed=1,
                                          n_pairs=2)[0]
@@ -405,15 +403,15 @@ class TestMoments:
         M = 16
         spec = nz.NoiseSpec.power_profile(4, 0.2, 2.0)
         params = md.ModelParams(gamma=0.0, alpha=1.0, M=M)
-        rep = st.moment_experiment(params, spec, np.zeros(M, complex), T=8.0,
-                                   n_list=(1,), ensemble_size=400, seed=12,
-                                   dt=5e-3, record_every=20)
+        rec = md.simulate_ensemble(np.zeros(M, complex), params,
+                                   md.IntegratorConfig(dt=5e-3, record_every=20), spec, 8.0,
+                                   seed=12, traj_ids=np.arange(400))
         tr = nz.traces(spec).tr_qq
-        m1 = rep.mean_h2n[1]
-        early = rep.t <= 0.2
-        assert np.all(m1[early] <= 2 * tr * np.maximum(rep.t[early], 0) + 1e-9)
+        t, m1 = rec.times, rec.energy.H.mean(axis=1)
+        early = t <= 0.2
+        assert np.all(m1[early] <= 2 * tr * np.maximum(t[early], 0) + 1e-9)
         # closed form at gamma = 0: E||u||^2 = Tr (1 - e^{-2 alpha t})/alpha
-        closed = tr * (1 - np.exp(-2 * rep.t)) / 1.0
+        closed = tr * (1 - np.exp(-2 * t)) / 1.0
         se = closed / np.sqrt(400) * np.sqrt(2.0) + 1e-12
         assert np.all(np.abs(m1 - closed) <= 4 * se + 5e-4)
         assert m1[-1] <= tr / 1.0 * 1.2
@@ -421,41 +419,41 @@ class TestMoments:
     def test_deterministic_decay_to_zero(self):
         M = 16
         params = md.ModelParams(gamma=0.0, alpha=1.0, M=M)
-        rep = st.moment_experiment(params, nz.NoiseSpec(np.zeros(0)),
-                                   0.5 * basis_mode(M, 1), T=10.0, n_list=(1,),
-                                   ensemble_size=2, seed=13, dt=5e-3,
-                                   record_every=100, xi=0.1)
-        assert rep.mean_phin[1][-1] < 1e-4 * rep.mean_phin[1][0]
+        rec = md.simulate_ensemble(0.5 * basis_mode(M, 1), params,
+                                   md.IntegratorConfig(dt=5e-3, record_every=100),
+                                   nz.NoiseSpec(np.zeros(0)), 10.0, seed=13,
+                                   traj_ids=np.arange(2))
+        mean_phi = np.maximum(rec.energy.phi, 0.0).mean(axis=1)
+        assert mean_phi[-1] < 1e-4 * mean_phi[0]
 
-    def test_xi_bound_enforced(self):
-        spec = nz.NoiseSpec(np.array([1.0]))
-        params = md.ModelParams(gamma=0.0, alpha=1.0, M=4)
-        with pytest.raises(ValueError):
-            st.moment_experiment(params, spec, np.zeros(4, complex), T=0.1,
-                                 xi=10.0, ensemble_size=2, seed=14)
+
+def ito_residuals(params, spec, T, n_checkpoints, ensemble_size, seed, dt=5e-3):
+    """Per-trajectory residuals of the integrated mean-energy identity over
+    each checkpoint interval, Delta||u||^2 + int (2 gamma ||u||_H1^2
+    + 2 alpha ||u||^2) ds - 2 Tr(QQ*) Delta t, which has mean zero."""
+    integ = md.IntegratorConfig(dt=dt, record_every=int(round(T / dt)) // n_checkpoints)
+    rec = md.simulate_ensemble(np.zeros(params.M, complex), params, integ, spec, T, seed,
+                               traj_ids=np.arange(ensemble_size), track_mass_integrals=True)
+    return (np.diff(rec.energy.H, axis=0)
+            + 2.0 * params.gamma * np.diff(rec.mass_int_h1, axis=0)
+            + 2.0 * params.alpha * np.diff(rec.mass_int_h, axis=0)
+            - 2.0 * nz.traces(spec).tr_qq * np.diff(rec.times)[:, None])
 
 
 class TestMassIdentity:
     def test_residuals_unbiased(self):
-        M = 32
-        params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=32)
         spec = nz.NoiseSpec.power_profile(4, 0.1, 2.0)
-        rep = st.mass_identity_residuals(params, spec, np.zeros(M, complex),
-                                         T=4.0, n_checkpoints=8,
-                                         ensemble_size=300, seed=15, dt=5e-3)
-        assert np.all(rep.inside_3se)
+        res = ito_residuals(params, spec, T=4.0, n_checkpoints=8, ensemble_size=300, seed=15)
+        se = res.std(axis=1) / np.sqrt(res.shape[1])
+        assert np.all(np.abs(res.mean(axis=1)) <= 3.0 * se)
 
     def test_error_bars_shrink_like_root_n(self):
-        M = 16
-        params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=16)
         spec = nz.NoiseSpec.power_profile(4, 0.1, 2.0)
-        small = st.mass_identity_residuals(params, spec, np.zeros(M, complex),
-                                           T=1.0, n_checkpoints=2,
-                                           ensemble_size=100, seed=16, dt=5e-3)
-        big = st.mass_identity_residuals(params, spec, np.zeros(M, complex),
-                                         T=1.0, n_checkpoints=2,
-                                         ensemble_size=400, seed=16, dt=5e-3)
-        ratio = small.se_residual.mean() / big.se_residual.mean()
+        small, big = (ito_residuals(params, spec, T=1.0, n_checkpoints=2, ensemble_size=n,
+                                    seed=16) for n in (100, 400))
+        ratio = (small.std(axis=1) / np.sqrt(100)).mean() / (big.std(axis=1) / np.sqrt(400)).mean()
         assert ratio == pytest.approx(2.0, rel=0.35)
 
 
