@@ -27,7 +27,10 @@ at K = 1024 as scipy makes it from a complex array (two strided real
 transforms) against the one interleaved call of `spectral._dst_complex`;
 `Stepper.advance` with and without the Strang state at (M, B) = (512, 1)
 and (64, 1000); and `stats.dual_lower_bound` between two 32-sample
-measures at M = 512.
+measures at M = 512.  The gamma-stack row times a check-7-shaped mixing
+curve (M = 64, 64 pairs, gammas 0, 0.01 and 0.1, five time units) as three
+single-gamma `stats.mixing_curve` runs against one run over the gamma
+tuple, in process CPU time.
 
 The start-up rows run each probe in a fresh interpreter and print the
 median over its runs of the probe process's CPU time from interpreter start
@@ -246,6 +249,26 @@ def bench_dual(M: int = 512, n: int = 32):
     print(f"dual_lower_bound {n} x {n} samples M={M}: {_us(t)}   cpu/wall {t[0] / t[1]:4.2f}")
 
 
+def bench_gamma_stack(M: int = 64, pairs: int = 64, T: float = 5.0):
+    """Check 7's mixing curve over three gammas: three single-gamma runs
+    against one run of the stacked (2, 3, pairs, M) batch."""
+    spec = nz.NoiseSpec.power_profile(8, 0.05, 2.0)
+    gammas = (0.0, 0.01, 0.1)
+    t_grid = np.linspace(0.0, T, 6)
+
+    def curve(gamma):
+        return st.mixing_curve(sp.basis_mode(M, 1), sp.basis_mode(M, 2),
+                               md.ModelParams(gamma=gamma, alpha=1.0, M=M), spec, t_grid,
+                               pairs, seed=107, integ=md.IntegratorConfig(dt=5e-3),
+                               dual_checkpoints=2)
+
+    t_loop = cpu_time(lambda: [curve(g) for g in gammas])
+    t_stack = cpu_time(lambda: curve(gammas))
+    print(f"mixing curve M={M} x {pairs} pairs x {len(gammas)} gammas over T={T:g}: "
+          f"per-gamma runs {t_loop:6.2f} s cpu   stacked {t_stack:6.2f} s cpu   "
+          f"ratio {t_loop / t_stack:4.2f}")
+
+
 if __name__ == "__main__":
     bench_startup()
     sizes = [int(x) for x in sys.argv[1:]] or [16, 64, 128, 256, 512, 1024]
@@ -262,3 +285,4 @@ if __name__ == "__main__":
     for M, batch in ((512, 1), (64, 1000)):
         bench_strang_state(M, batch)
     bench_dual()
+    bench_gamma_stack()

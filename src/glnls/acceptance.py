@@ -171,11 +171,11 @@ def check_foias_prodi() -> CheckResult:
     t0 = time.perf_counter()
     M, N = 64, 12
     params = md.ModelParams(gamma=0.02, alpha=1.0, M=M)
-    integ = md.IntegratorConfig(dt=1e-3, scheme="strang")
+    integ = md.IntegratorConfig(dt=1e-3, scheme="strang", record_every=100)
     spec = nz.NoiseSpec.power_profile(N, 0.05, 2.0)
     times, J, excluded = cp.pinned_contraction_run(
         np.zeros(M, complex), 0.1 * basis_mode(M, 15), params, integ, spec,
-        N=N, T=5.0, seed=106, n_pairs=200, record_every=100,
+        N=N, T=5.0, seed=106, n_pairs=200,
     )
     EJ = J[:, ~excluded].mean(axis=1)
     ratio = float(EJ[-1] / EJ[0])
@@ -193,15 +193,12 @@ def check_mixing_uniformity() -> CheckResult:
     t0 = time.perf_counter()
     M = 64
     spec = nz.NoiseSpec.power_profile(8, 0.05, 2.0)
-    t_grid = np.arange(0.0, 51.0, 1.0)
-    rates, finals = [], []
-    for g in (0.0, 0.01, 0.1):
-        params = md.ModelParams(gamma=g, alpha=1.0, M=M)
-        c = st.mixing_curve(basis_mode(M, 1), basis_mode(M, 2), params, spec,
-                            t_grid, ensemble_size=64, seed=107,
-                            integ=md.IntegratorConfig(dt=5e-3), dual_checkpoints=2)
-        finals.append(float(c.upper_d1[-1] / c.upper_d1[0]))
-        rates.append(float(c.fit.exponent))
+    curves = st.mixing_curve(basis_mode(M, 1), basis_mode(M, 2),
+                             md.ModelParams(gamma=(0.0, 0.01, 0.1), alpha=1.0, M=M), spec,
+                             np.arange(0.0, 51.0, 1.0), ensemble_size=64, seed=107,
+                             integ=md.IntegratorConfig(dt=5e-3), dual_checkpoints=2)
+    finals = [float(c.upper_d1[-1] / c.upper_d1[0]) for c in curves]
+    rates = [float(c.fit.exponent) for c in curves]
     spread = max(rates) / min(rates)
     ok = max(finals) <= 0.1 and spread <= 3.0
     return _result(7, "mixing decay, gamma-uniformity", ok,

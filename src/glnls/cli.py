@@ -61,15 +61,8 @@ def run_ensemble(cfg: RunConfig, n_traj: int, workers: int, seed: int):
     """Trajectory ensemble, chunked across workers; order-independent merge."""
     params, spec = cfg.model_params(), cfg.noise_spec()
     integ, consts = cfg.integrator_config(), cfg.constants()
-    ids = np.arange(n_traj)
-    if workers <= 1:
-        chunks = [ids]
-    else:
-        chunks = np.array_split(ids, workers)
-    payloads = [
-        (cfg.u0(), params, integ, spec, cfg.T, seed, c, consts)
-        for c in chunks if len(c)
-    ]
+    payloads = [(cfg.u0(), params, integ, spec, cfg.T, seed, c, consts)
+                for c in np.array_split(np.arange(n_traj), workers) if len(c)]
     if workers <= 1:
         parts = [_ensemble_chunk(p) for p in payloads]
     else:
@@ -77,13 +70,10 @@ def run_ensemble(cfg: RunConfig, n_traj: int, workers: int, seed: int):
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_ensemble_chunk, payloads))
-    times = parts[0][0]
-    H = np.concatenate([p[1] for p in parts], axis=1)
-    H1 = np.concatenate([p[2] for p in parts], axis=1)
-    phi = np.concatenate([p[3] for p in parts], axis=1)
-    final = np.concatenate([p[4] for p in parts], axis=0)
-    excluded = np.concatenate([p[5] for p in parts], axis=0)
-    return times, H, H1, phi, final, excluded
+    # the chunks' records (n_rec, chunk) join on axis 1, their final states and flags on 0
+    H, H1, phi = (np.concatenate([p[i] for p in parts], axis=1) for i in (1, 2, 3))
+    final, excluded = (np.concatenate([p[i] for p in parts]) for i in (4, 5))
+    return parts[0][0], H, H1, phi, final, excluded
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +181,16 @@ def drive_couple(cfg, seed, args):
 
 
 def drive_mixing(cfg, seed, args):
-    params0 = cfg.model_params()
-    spec = cfg.noise_spec()
     x = cfg.experiment
     gammas, ensemble = x["gammas"], x["ensemble"]
-    t_grid = np.linspace(0.0, x["t_max"], x["t_points"])
-    tables, fits, excluded = {}, {}, 0
-    for g in gammas:
-        curve = st.mixing_curve(
-            cfg.u0(), _second_state(cfg), replace(params0, gamma=g), spec, t_grid,
-            ensemble, derive_seed(seed, f"mixing-{g}"), integ=cfg.integrator_config(),
-        )
+    # every gamma in one batch, driven by one stream
+    curves = st.mixing_curve(
+        cfg.u0(), _second_state(cfg), replace(cfg.model_params(), gamma=gammas),
+        cfg.noise_spec(), np.linspace(0.0, x["t_max"], x["t_points"]), ensemble,
+        derive_seed(seed, "mixing"), integ=cfg.integrator_config(),
+    )
+    tables, fits = {}, {}
+    for g, curve in zip(gammas, curves):
         tables[f"mixing_gamma{g:g}.csv"] = (
             ("t", "upper_d1", "upper_d0"),
             zip(curve.t, curve.upper_d1, curve.upper_d0),
@@ -211,9 +200,9 @@ def drive_mixing(cfg, seed, args):
         )
         if curve.fit:
             fits[str(g)] = _fit_fields(curve.fit, "rate")
-        excluded += 2 * int(curve.excluded.sum())  # a pair's two members fall together
     return tables, {
-        "trajectory_count": 2 * ensemble * len(gammas), "excluded_count": excluded,
+        "trajectory_count": 2 * ensemble * len(gammas),  # a pair's members fall together
+        "excluded_count": sum(2 * int(c.excluded.sum()) for c in curves),
         "results": {"fits": fits},
     }
 

@@ -13,11 +13,12 @@ own bound (a count below 1, a step, duration, amplitude or constant that is
 not positive, a viscosity outside [0, 1), a scheme not in ``SCHEMES``; a
 list is bounded element by element), a broken rule that ties keys together
 (``validate``: forced modes at most modes, the C_Q and xi bounds, u0_modes
-indices in 1..modes, measures' thinning a whole number of dt steps), an
-unknown section or key, or a key the subcommand does not read (``UNREAD``;
-[noise] forced_modes, lambda0 and decay are not read when lambdas is set,
-nor inviscid's radius when truncated is false, nor couple's perturb when
-every mode is forced).
+indices in 1..modes, measures' thinning a whole number of dt steps, no gamma
+twice in mixing's or measures' gammas, couple's forced modes at least one and
+beta^10 above 0), an unknown section or key, or a key the subcommand does
+not read (``UNREAD``; [noise] forced_modes, lambda0 and decay are not read
+when lambdas is set, nor inviscid's radius when truncated is false, nor
+couple's perturb when every mode is forced).
 
 Sections and keys::
 
@@ -266,9 +267,14 @@ def validate(cfg: RunConfig, unread=(), subcommand: str | None = None) -> list[s
     modes = cfg.model["modes"]
     if any(not 1 <= k <= modes for k, _ in cfg.run["u0_modes"]):
         bad.append(f"[run] u0_modes: a mode index outside 1..{modes}")
+    x = cfg.experiment
+    if subcommand in ("mixing", "measures") and len(set(x["gammas"])) < len(x["gammas"]):
+        bad.append(f"[experiment] gammas: a repeated value in {x['gammas']}")
+    if subcommand == "couple" and not x["beta"] ** 10 > 0:
+        bad.append(f"[experiment] beta: {x['beta']}^10, couple's t1 and r1, underflows to 0")
     if subcommand == "measures":
         # invariant_measure_sample takes its samples a whole number of steps apart
-        thinning, dt = cfg.experiment["thinning"], cfg.integrator["dt"]
+        thinning, dt = x["thinning"], cfg.integrator["dt"]
         steps = thinning / dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             bad.append(f"[experiment] thinning: {thinning} is not a whole number of "
@@ -279,6 +285,8 @@ def validate(cfg: RunConfig, unread=(), subcommand: str | None = None) -> list[s
         return bad + [f"[noise] {exc}"]
     if spec.N > modes:
         bad.append(f"[noise] forced_modes={spec.N} exceeds Galerkin modes={modes}")
+    if subcommand == "couple" and spec.N == 0:
+        bad.append("[noise] forced_modes: 0, but couple pins the forced modes and needs one")
     tr, cq = traces(spec), cfg.noise["cq_bound"]
     if not tr.tr_a32qq < cq:
         bad.append(f"[noise] Tr(A^(3/2)QQ*)={tr.tr_a32qq:.6g} exceeds the C_Q bound {cq:.6g}")

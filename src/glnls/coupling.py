@@ -56,7 +56,7 @@ import numpy as np
 from . import functionals as fn
 from .functionals import FunctionalConstants
 from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, record_schedule,
-                     simulate_ensemble, steps)
+                     require_one_gamma, simulate_ensemble, steps)
 from .noise import EnsembleNoise, NoiseSpec, increments_from_normals
 from .stats import tail_fit
 
@@ -172,18 +172,18 @@ def pinned_contraction_run(
     seed: int,
     n_pairs: int,
     consts: FunctionalConstants | None = None,
-    record_every: int | None = None,
 ):
     """Ensemble of pinned pairs; returns (times, J values (n_rec, n_pairs),
-    excluded (n_pairs,)).
+    excluded (n_pairs,)), J recorded every ``integ.record_every`` steps.
 
     u2_0's low modes are snapped to u1_0's on entry (exact pinning).  A pair
     whose u1 crosses the blow-up guard is frozen, so its J stays at the
     value of its last admitted state.
     """
+    require_one_gamma(params, "pinned_contraction_run")
     consts = consts or FunctionalConstants()
     stepper = Stepper(params, integ, spec)
-    rec_idx = record_schedule(int(round(T / integ.dt)), record_every or integ.record_every)
+    rec_idx = record_schedule(int(round(T / integ.dt)), integ.record_every)
     u1 = np.broadcast_to(np.asarray(u1_0, complex), (n_pairs, params.M)).copy()
     u2 = np.broadcast_to(np.asarray(u2_0, complex), (n_pairs, params.M)).copy()
     u2[:, :N] = u1[:, :N]
@@ -221,20 +221,16 @@ def _weighted_stepper(
     params: ModelParams, integ: IntegratorConfig, spec: NoiseSpec, N: int
 ) -> Stepper:
     """The exponential-Euler, em-noise Stepper the weighted couplings need."""
+    require_one_gamma(params, "a weighted coupling run")
     if integ.scheme != "expeuler" or integ.noise_mode != "em":
         raise ValueError(
             "weighted coupling runs require scheme='expeuler', noise_mode='em'"
         )
-    if spec.N < N:
-        raise ValueError(
-            f"Q is not invertible on the first {N} modes: only {spec.N} "
-            "are forced; coupling requires lambda_k > 0 for every pinned mode"
-        )
     if spec.N != N:
         raise ValueError(
             "the pinned mode count must equal the number of forced modes "
-            f"(got N={N}, forced={spec.N}); the coupling bookkeeping "
-            "pins exactly the noise-carrying modes"
+            f"(got N={N}, forced={spec.N}); the Girsanov weights invert Q, "
+            "lambda_k > 0, on exactly the pinned modes"
         )
     return Stepper(params, integ, spec)
 

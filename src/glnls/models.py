@@ -81,6 +81,13 @@ in an ``excluded`` output, never dropped.  The guard's row-link rule
 ``link`` excludes linked rows together: the two members of a mixing pair,
 a viscous row and its gamma = 0 reference row.
 
+The gamma block axis.  For a tuple of G viscosities in ``ModelParams.gamma``
+the ``Stepper``'s ``decay`` and, under exact noise, ``noise_scale`` have
+shape (G, 1, .): states (..., G, E, M) take normals (E, 2, N), row i of
+every block trajectory i's, and each block is bit for bit a run with its
+gamma alone.  Only ``stats.mixing_curve`` and ``stats.inviscid_curve`` step
+it; the other drivers take one gamma (``require_one_gamma``).
+
 The engine forms the Strang state a on record steps, or on every step when
 the caller reads every step (per-step Phi, the mass integrals, the
 inviscid sup); a step whose a nothing reads skips that analysis
@@ -121,7 +128,7 @@ NOISE_MODES = ("exact", "em")
 class ModelParams:
     """Equation selector: viscosity, damping, Galerkin dimension, truncation."""
 
-    gamma: float
+    gamma: float | tuple[float, ...]  # a tuple: the gamma block axis (module docstring)
     alpha: float
     M: int
     truncation: float | None = None  # cut-off radius R; None = full dynamics
@@ -133,12 +140,23 @@ class ModelParams:
         # stochastic theory needs.
         if self.alpha < 0:
             raise ValueError("damping alpha must be nonnegative")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("viscosity gamma must lie in [0, 1)")
+        if not self.gammas or not all(0.0 <= g < 1.0 for g in self.gammas):
+            raise ValueError("viscosity gamma must lie in [0, 1), one value or a nonempty tuple")
         if self.M < 1:
             raise ValueError("need at least one Galerkin mode")
         if self.truncation is not None and self.truncation <= 0:
             raise ValueError("truncation radius R must be positive")
+
+    @property
+    def gammas(self) -> tuple[float, ...]:
+        """The viscosities: the tuple gamma, or (gamma,) for one."""
+        return self.gamma if isinstance(self.gamma, tuple) else (self.gamma,)
+
+
+def require_one_gamma(params: ModelParams, caller: str) -> None:
+    """Raise unless params carries one gamma: caller steps no block axis."""
+    if isinstance(params.gamma, tuple):
+        raise ValueError(f"{caller} steps one gamma, not the tuple {params.gamma}")
 
 
 @dataclass(frozen=True)
@@ -244,10 +262,11 @@ def _kick(a: np.ndarray, tau: float, params: ModelParams) -> np.ndarray:
 # one-step maps
 # ---------------------------------------------------------------------------
 
-def decay_factors(params: ModelParams, dt: float) -> np.ndarray:
-    """e^{-((gamma+i) alpha_k + alpha) dt} for k = 1..M."""
-    al = eigenvalues(params.M)
-    return np.exp(-((params.gamma + 1j) * al + params.alpha) * dt)
+def _blocks(params: ModelParams, f) -> np.ndarray:
+    """f(gamma), or for a gamma tuple its f(g) stacked on a block axis (G, 1, ...)."""
+    if isinstance(params.gamma, tuple):
+        return np.stack([f(g) for g in params.gamma])[:, None]
+    return f(params.gamma)
 
 
 class Stepper:
@@ -262,18 +281,19 @@ class Stepper:
     a, c = advance(c, z) per step, where a is the Strang state and c the
     carried, half-kicked one (see the module docstring).
     advance(open(a), z)[0] equals step(a, z) bit for bit.
+    A gamma tuple adds the block axis of the module docstring.
     """
 
     def __init__(self, params: ModelParams, integ: IntegratorConfig, spec: NoiseSpec):
         self.params = params
         self.integ = integ
         self.spec = spec
-        self.decay = decay_factors(params, integ.dt)
+        al, dt = eigenvalues(params.M), integ.dt
+        self.decay = _blocks(params, lambda g: np.exp(-((g + 1j) * al + params.alpha) * dt))
         self.n_forced = min(spec.N, params.M)
         if integ.noise_mode == "exact":
-            self.noise_scale = convolution_std(
-                spec, params.gamma, params.alpha, integ.dt, self.n_forced
-            )
+            self.noise_scale = _blocks(params, lambda g: convolution_std(
+                spec, g, params.alpha, integ.dt, self.n_forced))
         else:
             self.noise_scale = spec.lambdas_padded(self.n_forced)  # times dW
 
@@ -482,6 +502,7 @@ def simulate_ensemble(
     (seed, traj_id) pairs reproduce bit-identical trajectories regardless of
     batch composition.
     """
+    require_one_gamma(params, "simulate_ensemble")
     consts = consts or FunctionalConstants()
     u0 = np.asarray(u0, dtype=np.complex128)
     if u0.ndim == 1:

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import functionals as fn
 from .functionals import FunctionalConstants
-from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, decay_factors,
-                     record_schedule, run, simulate_ensemble)
+from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, record_schedule,
+                     run, simulate_ensemble)
 from .noise import EnsembleNoise, NoiseSpec
 from .spectral import eigenvalues
 
@@ -330,60 +330,63 @@ def mixing_curve(
     seed: int,
     integ: IntegratorConfig | None = None,
     dual_checkpoints: int = 4,
-) -> MixingCurve:
+) -> MixingCurve | list[MixingCurve]:
     """Synchronous-coupling upper estimate of W_{d1}(P_t delta_u1, P_t delta_u2)
     together with the dual lower bound on the same marginal ensembles.
 
+    Every gamma of ``params.gammas`` is stepped in one (2, G, E, M) batch,
+    row i of each member and gamma block on trajectory i's normals; a gamma
+    tuple returns one curve per entry, each that of a call with its gamma alone.
+
     A pair is excluded once either member crosses the blow-up guard (on a
     step between records, once either member's carried state does; see the
-    ``models`` docstring); the means and the dual bound are taken over the
-    live pairs (NaN when none is left).
+    ``models`` docstring), which excludes no pair of another gamma block;
+    the means and the dual bound are taken over the live pairs (NaN when
+    none is left).
     """
     integ = integ or IntegratorConfig(dt=5e-3)
-    t_grid = np.asarray(t_grid, dtype=float)
-    rec_steps = np.unique(np.round(t_grid / integ.dt).astype(int))
-    stepper = Stepper(params, integ, spec)
+    rec_steps = np.unique(np.round(np.asarray(t_grid, dtype=float) / integ.dt).astype(int))
+    gammas = params.gammas
+    stepper = Stepper(replace(params, gamma=gammas), integ, spec)
     source = EnsembleNoise(seed, np.arange(ensemble_size), spec.N)
-    # both members in one (2, E, M) batch; row i of each takes trajectory i's normals
-    pair = np.stack([
-        np.broadcast_to(np.asarray(u, complex), (ensemble_size, params.M)) for u in (u1, u2)
-    ])
+    shape = (len(gammas), ensemble_size, params.M)  # per member: gamma blocks of E rows
+    pair = np.stack([np.broadcast_to(np.asarray(u, complex), shape) for u in (u1, u2)])
     # a pair falls with either member
     guard = BlowUpGuard(integ, pair, link=lambda ex: ex | ex.any(axis=0))
-    dual_steps = set(rec_steps[
-        np.linspace(1, len(rec_steps) - 1, min(dual_checkpoints, len(rec_steps) - 1))
-        .astype(int)
-    ].tolist()) if len(rec_steps) > 1 else set()
-    times, up1, up0, dual_t, dual_v = [], [], [], [], []
+    dual_steps = set(rec_steps[np.linspace(
+        1, len(rec_steps) - 1, min(dual_checkpoints, max(len(rec_steps) - 1, 0))).astype(int)])
+    times = []
+    obs = [([], [], [], []) for _ in gammas]  # per block: upper_d1, upper_d0, dual t, dual
 
     def observe(done):
-        live = ~guard.excluded[0]
         times.append(done * integ.dt)
-        up1.append(float(np.mean(fn.dist_d1(*pair)[live])) if live.any() else np.nan)
-        up0.append(float(np.mean(fn.dist_d0(*pair)[live])) if live.any() else np.nan)
-        if done in dual_steps and live.any():
-            ea, eb = EmpiricalMeasure(pair[0][live]), EmpiricalMeasure(pair[1][live])
-            dual_t.append(done * integ.dt)
-            dual_v.append(dual_lower_bound(ea, eb, "d1"))
+        for ok, d1, d0, m1, m2, (up1, up0, dual_t, dual_v) in zip(
+                ~guard.excluded[0], fn.dist_d1(*pair), fn.dist_d0(*pair), *pair, obs):
+            up1.append(float(np.mean(d1[ok])) if ok.any() else np.nan)
+            up0.append(float(np.mean(d0[ok])) if ok.any() else np.nan)
+            if done in dual_steps and ok.any():
+                dual_t.append(done * integ.dt)
+                dual_v.append(dual_lower_bound(EmpiricalMeasure(m1[ok]),
+                                               EmpiricalMeasure(m2[ok]), "d1"))
 
     observe(0)
-    n_steps = int(rec_steps.max(initial=0))
-    for done, (recorded, pair, _) in enumerate(
-            run(stepper, guard, pair, source, n_steps, rec_steps.tolist()), start=1):
+    loop = run(stepper, guard, pair, source, int(rec_steps.max(initial=0)), rec_steps.tolist())
+    for done, (recorded, pair, _) in enumerate(loop, start=1):
         if recorded:
             observe(done)
 
     times = np.asarray(times)
-    up1 = np.asarray(up1)
-    fit = None
-    window = (up1 < 0.5) & (up1 > 1e-8)
-    if window.sum() >= 3:
-        fit = fit_exponential(times[window], up1[window])
-    return MixingCurve(
-        t=times, upper_d1=up1, upper_d0=np.asarray(up0),
-        dual_t=np.asarray(dual_t), dual_lower=np.asarray(dual_v),
-        fit=fit, excluded=guard.excluded[0],
-    )
+    curves = []
+    for (up1, up0, dual_t, dual_v), excluded in zip(obs, guard.excluded[0]):
+        up1 = np.asarray(up1)
+        window = (up1 < 0.5) & (up1 > 1e-8)
+        curves.append(MixingCurve(
+            t=times, upper_d1=up1, upper_d0=np.asarray(up0),
+            dual_t=np.asarray(dual_t), dual_lower=np.asarray(dual_v),
+            fit=fit_exponential(times[window], up1[window]) if window.sum() >= 3 else None,
+            excluded=excluded,
+        ))
+    return curves if isinstance(params.gamma, tuple) else curves[0]
 
 
 @dataclass
@@ -413,14 +416,11 @@ def inviscid_curve(
     """Shared-noise comparison of u^gamma with the gamma = 0 dynamics.
 
     Every u^gamma and the reference u^0 are driven by the identical Wiener
-    increments ("em" noise mode), one Strang run for the whole curve.  With
-    em noise only the per-mode decay depends on gamma, so the batch has shape
-    (1 + G, E, M): block 0 is the gamma = 0 reference, block 1 + g the
-    g-th distinct positive gamma, each row i of every block driven by
-    trajectory i's normals, and the gamma = 0 stepper advances it with a
-    decay array of shape (1 + G, 1, M).  A gamma = 0 entry of the list reads
-    the reference block, so its error is exactly 0; repeated gammas share a
-    block.
+    increments ("em" noise mode), one Strang run of a (1 + G, E, M) batch on
+    the gamma block axis (``models``): block 0 is the gamma = 0 reference,
+    block 1 + g the g-th distinct positive gamma.  A gamma = 0 entry of the
+    list reads the reference block, so its error is exactly 0; repeated
+    gammas share a block.
 
     Pair (gamma, i) is excluded once row i of its block or of the reference
     block has an H^1 norm above ``blowup_guard`` or not finite; its rows are no
@@ -429,42 +429,30 @@ def inviscid_curve(
     gammas.
     """
     gamma_list = np.asarray(sorted(gamma_list), dtype=float)
-    trunc = R if truncated else None
     integ = IntegratorConfig(dt=dt, scheme="strang", noise_mode="em",
                              blowup_guard=blowup_guard)
-    p0 = ModelParams(gamma=0.0, alpha=alpha, M=M, truncation=trunc)
-    # every nonzero gamma, negative or not, passes ModelParams' range check here
-    viscous = np.unique(gamma_list[gamma_list != 0])
-    stepper = Stepper(p0, integ, spec)
-    stepper.decay = np.stack(
-        [stepper.decay]
-        + [decay_factors(replace(p0, gamma=g), dt) for g in viscous]
-    )[:, None, :]
-    n_steps = int(round(T / dt))
-
+    # the blocks' gammas: 0 then the distinct positive ones; gamma_list[i] reads block[i]
+    levels, block = np.unique(np.r_[0.0, gamma_list], return_inverse=True)
+    block = block[1:]
+    stepper = Stepper(ModelParams(gamma=tuple(levels), alpha=alpha, M=M,
+                                  truncation=R if truncated else None), integ, spec)
     E = ensemble_size
     source = EnsembleNoise(seed, np.arange(E), spec.N)
-    a = np.broadcast_to(np.asarray(u0, complex), (1 + len(viscous), E, M)).copy()
-    sup = np.zeros((1 + len(viscous), E))  # block 0 compares the reference with itself
+    a = np.broadcast_to(np.asarray(u0, complex), (len(levels), E, M)).copy()
+    sup = np.zeros((len(levels), E))  # block 0 compares the reference with itself
     # a pair falls with its reference row
     guard = BlowUpGuard(integ, a, link=lambda ex: ex | ex[0])
-    for _, a, _ in run(stepper, guard, a, source, n_steps, every_step=True):
+    for _, a, _ in run(stepper, guard, a, source, int(round(T / dt)), every_step=True):
         sup = np.maximum(sup, fn.norm_h_sq(a - a[0]))
     bad = guard.excluded
 
-    block = np.searchsorted(viscous, gamma_list) + (gamma_list != 0)
-    excluded = bad[block].sum(axis=1)
-    # a gamma whose pairs were all excluded has no estimate
-    mean_err = np.full(len(gamma_list), np.nan)
-    mean_sq = np.full(len(gamma_list), np.nan)
-    se_sq = np.full(len(gamma_list), np.nan)
-    for gi, b in enumerate(block):
-        v = sup[b, ~bad[b]]
-        if v.size:
-            mean_err[gi] = float(np.mean(np.sqrt(v)))
-            mean_sq[gi] = float(np.mean(v))
-            se_sq[gi] = float(np.std(v) / np.sqrt(v.size))
+    def summary(v):  # of one gamma's live pairs; a gamma with none has no estimate
+        if not v.size:
+            return np.nan, np.nan, np.nan
+        return np.mean(np.sqrt(v)), np.mean(v), np.std(v) / np.sqrt(v.size)
 
+    excluded = bad[block].sum(axis=1)
+    mean_err, mean_sq, se_sq = np.reshape([summary(sup[b, ~bad[b]]) for b in block], (-1, 3)).T
     fit = None
     pos = (gamma_list > 0) & (excluded < E)
     if pos.sum() >= 3:

@@ -9,6 +9,7 @@ names the key.  The runs are tiny (M = 10, a few steps)."""
 import json
 
 from glnls import cli, config
+from glnls import models as md
 
 # a value other than the default (and the base run's) for every shared key
 SHARED = {
@@ -182,3 +183,22 @@ def test_couple_rejects_perturb_when_every_mode_is_forced(tmp_path, capsys):
         kind, got = outcome(tmp_path / str(i), capsys, "couple", {**COMMON, **own, "noise": noise})
         assert kind == "rejected"
         assert any(v.startswith("[experiment] perturb: not read") for v in got), got
+
+
+def test_cross_key_rules_stop_the_run_before_stepping(tmp_path, capsys, monkeypatch):
+    # a repeated gamma (0.05 and 5e-2 parse alike); couple with no forced mode
+    # to pin, or with t1 = r1 = beta^10 underflowing to 0
+    cases = [("mixing", "experiment", "gammas", "0.05, 5e-2"),
+             ("measures", "experiment", "gammas", "0.1, 0.2, 1e-1"),
+             ("couple", "noise", "forced_modes", "0"),
+             ("couple", "experiment", "beta", "1e-40")]
+
+    def no_stepping(*args):
+        raise AssertionError("a stepper was built")
+
+    monkeypatch.setattr(md.Stepper, "__init__", no_stepping)
+    for i, (sub, name, key, value) in enumerate(cases):
+        kind, got = outcome(tmp_path / str(i), capsys, sub,
+                            with_key({**COMMON, **RUNS[sub][0]}, name, key, value))
+        assert kind == "rejected", (sub, key, got)
+        assert any(v.startswith(f"[{name}] {key}:") for v in got), got

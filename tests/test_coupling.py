@@ -153,12 +153,11 @@ class TestPinned:
         # Phi-weight term, which stays small at this noise level)
         M, N, alpha = 24, 4, 1.0
         params = md.ModelParams(gamma=0.0, alpha=alpha, M=M, nonlinear=False)
-        integ = md.IntegratorConfig(dt=2e-3)
+        integ = md.IntegratorConfig(dt=2e-3, record_every=100)
         spec = nz.NoiseSpec.power_profile(N, 0.05, 2.0)
         times, J, _ = cp.pinned_contraction_run(
             0.1 * basis_mode(M, 1), 0.1 * basis_mode(M, 1) + 0.3 * basis_mode(M, 9),
             params, integ, spec, N=N, T=3.0, seed=20, n_pairs=16,
-            record_every=100,
         )
         envelope = J[0] * np.exp(-2 * alpha * times * (1 - 0.05))[:, None]
         assert np.all(J <= envelope + 1e-12)
@@ -166,11 +165,11 @@ class TestPinned:
     def test_contraction_of_high_mode_offset(self):
         M, N = 32, 8
         params = md.ModelParams(gamma=0.02, alpha=1.0, M=M)
-        integ = md.IntegratorConfig(dt=2e-3)
+        integ = md.IntegratorConfig(dt=2e-3, record_every=200)
         spec = nz.NoiseSpec.power_profile(N, 0.05, 2.0)
         times, J, _ = cp.pinned_contraction_run(
             np.zeros(M, complex), 0.1 * basis_mode(M, N + 3), params, integ, spec,
-            N=N, T=2.0, seed=3, n_pairs=32, record_every=200,
+            N=N, T=2.0, seed=3, n_pairs=32,
         )
         EJ = J.mean(axis=1)
         assert EJ[-1] < 0.1 * EJ[0]
@@ -403,14 +402,15 @@ class TestBlowUpGuard:
         u2 = u1 + 0.05 * basis_mode(self.M, 5)
         return params, spec, u1, u2
 
-    def _integ(self, guard=None, dt=2e-3):
+    def _integ(self, guard=None, dt=2e-3, record_every=1):
         kw = {} if guard is None else {"blowup_guard": guard}
-        return md.IntegratorConfig(dt=dt, scheme="expeuler", noise_mode="em", **kw)
+        return md.IntegratorConfig(dt=dt, scheme="expeuler", noise_mode="em",
+                                   record_every=record_every, **kw)
 
     def test_pinned_run(self):
         params, spec, u1, u2 = self._setup()
-        runs = [cp.pinned_contraction_run(u1, u2, params, self._integ(g), spec, N=self.N,
-                                          T=0.1, seed=21, n_pairs=8, record_every=10)
+        runs = [cp.pinned_contraction_run(u1, u2, params, self._integ(g, record_every=10),
+                                          spec, N=self.N, T=0.1, seed=21, n_pairs=8)
                 for g in (1.0, None)]
         (_, J, excluded), (_, J_ref, excluded_ref) = runs
         assert np.array_equal(excluded, self.crossing) and not excluded_ref.any()

@@ -235,6 +235,26 @@ class TestStep:
         assert np.array_equal(got, expect)
         assert np.array_equal(st.step(a, z), expect)
 
+    @pytest.mark.parametrize("noise_mode", md.NOISE_MODES)
+    def test_gamma_tuple_stacks_the_single_gamma_arrays(self, noise_mode):
+        # one (G, 1, .) block per gamma, each the array of a stepper with that gamma alone
+        spec = nz.NoiseSpec.power_profile(4, 0.3, 2.0)
+        ic = md.IntegratorConfig(dt=5e-3, noise_mode=noise_mode)
+        gammas = (0.0, 0.01, 0.1)
+        stacked = md.Stepper(md.ModelParams(gamma=gammas, alpha=1.0, M=8), ic, spec)
+        alone = [md.Stepper(md.ModelParams(gamma=g, alpha=1.0, M=8), ic, spec) for g in gammas]
+        assert np.array_equal(stacked.decay, np.stack([s.decay for s in alone])[:, None])
+        if noise_mode == "exact":
+            assert stacked.noise_scale.shape == (3, 1, 4)
+            assert np.array_equal(stacked.noise_scale[:, 0], [s.noise_scale for s in alone])
+        else:  # em noise does not depend on gamma
+            assert np.array_equal(stacked.noise_scale, alone[0].noise_scale)
+
+    @pytest.mark.parametrize("gamma", [(), (0.1, 1.0), (-0.1,)])
+    def test_gamma_tuple_range(self, gamma):
+        with pytest.raises(ValueError, match="viscosity gamma"):
+            md.ModelParams(gamma=gamma, alpha=1.0, M=8)
+
 
 class TestSimulate:
     def test_t_zero_single_record(self):

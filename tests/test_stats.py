@@ -244,6 +244,52 @@ class TestMixing:
         live = ~c.excluded
         assert c.upper_d1[-1] == np.mean(fn.dist_d1(rec1.final, rec2.final)[live])
 
+    @pytest.mark.parametrize("noise_mode", md.NOISE_MODES)
+    def test_gamma_tuple_matches_per_gamma_calls(self, noise_mode):
+        # 48 pairs at M = 32: the three-gamma kick product (2, 3, 48, 64)
+        # reaches 256 KiB, a single gamma's (2, 48, 64) does not
+        M, E = 32, 48
+        gammas = (0.0, 0.01, 0.1)
+        spec = nz.NoiseSpec.power_profile(8, 0.3, 2.0)
+        integ = md.IntegratorConfig(dt=5e-3, noise_mode=noise_mode)
+        u1 = 0.3 * basis_mode(M, 1)
+        u2 = u1 + 0.01 * basis_mode(M, 2)
+
+        def curve(gamma):
+            return st.mixing_curve(u1, u2, md.ModelParams(gamma=gamma, alpha=1.0, M=M), spec,
+                                   np.linspace(0.0, 0.2, 5), E, seed=12, integ=integ)
+
+        curves = curve(gammas)
+        assert len(curves) == len(gammas)
+        for g, c in zip(gammas, curves):
+            ref = curve(g)
+            assert c.fit is not None and c.fit == ref.fit
+            assert len(c.dual_t) == 4
+            for name in ("t", "upper_d1", "upper_d0", "dual_t", "dual_lower", "excluded"):
+                assert np.array_equal(getattr(c, name), getattr(ref, name)), (g, name)
+
+    def test_guard_crossing_excludes_its_block_only(self):
+        # u2 crosses the guard in pairs 1, 2, 4, 6 and 7 at gamma = 0.05 and
+        # in pairs 1 and 6 at gamma = 0.5: in the stacked run pairs 2, 4 and 7
+        # fall in the first block alone
+        M, E, dt, n, every = 16, 8, 2e-3, 60, 10
+        spec = nz.NoiseSpec.power_profile(4, 0.3, 2.0)
+        integ = md.IntegratorConfig(dt=dt, record_every=every, blowup_guard=1.35)
+        u1, u2 = 0.05 * basis_mode(M, 1), 0.4 * basis_mode(M, 1)
+        t_grid = dt * np.array(md.record_schedule(n, every))
+
+        def curve(gamma):
+            return st.mixing_curve(u1, u2, md.ModelParams(gamma=gamma, alpha=1.0, M=M), spec,
+                                   t_grid, E, seed=2, integ=integ, dual_checkpoints=0)
+
+        stacked = curve((0.05, 0.5))
+        alone = [curve(0.05), curve(0.5)]
+        assert np.flatnonzero(alone[0].excluded).tolist() == [1, 2, 4, 6, 7]
+        assert np.flatnonzero(alone[1].excluded).tolist() == [1, 6]
+        for c, ref in zip(stacked, alone):
+            assert np.array_equal(c.excluded, ref.excluded)
+            assert np.array_equal(c.upper_d1, ref.upper_d1)
+
 
 def inviscid_reference(u0, gammas, T, E, seed, M, spec, R, dt):
     """The per-gamma loop: each gamma re-steps its own gamma = 0 reference."""
@@ -271,11 +317,11 @@ STEPPING_DRIVERS = ["simulate_ensemble", "pinned_contraction_run", "girsanov_att
                     "coupled_segment", "mixing_curve", "inviscid_curve"]
 
 
-def run_stepping_driver(name):
+def run_stepping_driver(name, gamma=0.05):
     """Run one driver for N_STEPS steps at record stride STRIDE; return its
     record times, or None for a driver without records."""
     M, N, T = 8, 2, N_STEPS * DT
-    params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
+    params = md.ModelParams(gamma=gamma, alpha=1.0, M=M)
     spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
     u = 0.3 * basis_mode(M, 1)
     integ = md.IntegratorConfig(dt=DT, record_every=STRIDE)
@@ -338,6 +384,11 @@ class TestInviscid:
         if times is not None:
             # the stride does not divide N_STEPS; the last step is recorded all the same
             assert np.allclose(times, DT * np.r_[0:N_STEPS:STRIDE, N_STEPS])
+
+    @pytest.mark.parametrize("driver", STEPPING_DRIVERS[:4])
+    def test_one_gamma_drivers_reject_a_gamma_tuple(self, driver):
+        with pytest.raises(ValueError, match="steps one gamma, not the tuple"):
+            run_stepping_driver(driver, gamma=(0.05, 0.1))
 
     def test_pair_falls_with_its_reference_row(self):
         # at this guard the reference row crosses in pairs 0, 1, 3 and 5,
