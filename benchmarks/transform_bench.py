@@ -14,9 +14,9 @@ part compares batched ensemble stepping against a per-trajectory Python
 loop at equal trajectory counts.  The coupling part times, per
 trajectory-step, one weighted exponential-Euler step plus Phi of both
 members at (M=32, 256 pairs), the inner loop of `coupled_segment`, once
-with each admitted member synthesised once (the field shared by Phi and
-the next drift, as the package runs it) and once with the drift and
-`functionals.phi` synthesising on their own; and the kick's phase at
+as the package runs it (the stacked pair synthesised once, the field
+shared by both Phis and the next drift) and once with each member's drift
+and `functionals.phi` synthesising on their own; and the kick's phase at
 (64, 128) as `models._phase` writes it (cos + i sin) against
 np.exp(1j theta).  All times are process CPU time, so BLAS or FFT worker
 threads count against the route that starts them.
@@ -145,23 +145,26 @@ def bench_weighted_step(M: int = 32, pairs: int = 256):
     u1 = 0.02 * (rng.standard_normal((pairs, M)) + 1j * rng.standard_normal((pairs, M))) / k**2
     w = u1.copy()
     w[:, 8:] += 0.01 * (rng.standard_normal((pairs, M - 8))) / k[8:]
+    pair = np.stack([u1, w])
     z = rng.standard_normal((pairs, 2, spec.N))
-    zero = np.zeros(pairs)
-    norms1 = fn.norms_h_h1_sq(u1)  # the guard's, which both loops compute
+    drift = st.drift(pair)
 
-    def shared():
-        lin = [cp._admit_member(st, x, *norms, consts)[1]
-               for x, norms in ((u1, norms1), (w, fn.norms_h_h1_sq(w)))]
-        cp._weighted_step(st, *lin, zero, z, 0.0)
+    def stacked():
+        # one step of coupling._weighted_run: the step from the carried drift,
+        # then one synthesis of the stack for both Phis and the next drift
+        new = cp._weighted_step(st, drift, z, 0.0)[0]
+        field = fn.physical_field(new)
+        fn.field_energy(field, *fn.norms_h_h1_sq(new), consts)
+        st.drift(new, field)
 
-    def unshared():
-        cp._weighted_step(st, st.drift(u1), st.drift(w), zero, z, 0.0)
+    def separate():
+        cp._weighted_step(st, np.stack([st.drift(u1), st.drift(w)]), z, 0.0)
         fn.phi(u1, consts)
         fn.phi(w, consts)
 
     per = 1e6 / (2 * pairs)
-    t_s, t_u = cpu_time(shared), cpu_time(unshared)
-    print(f"weighted step + Phi M={M} x {pairs} pairs, per trajectory-step: shared field "
+    t_s, t_u = cpu_time(stacked), cpu_time(separate)
+    print(f"weighted step + Phi M={M} x {pairs} pairs, per trajectory-step: stacked pair "
           f"{t_s * per:6.2f} us   separate syntheses {t_u * per:6.2f} us   "
           f"ratio {t_u / t_s:4.2f}")
 

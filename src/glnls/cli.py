@@ -156,17 +156,16 @@ def drive_couple(cfg, seed, args):
             state, ccfg, params, integ, spec, derive_seed(seed, f"segment-{k}"),
         )
         flags = state.e4_crossed.astype(int) + 2 * state.budget_crossed.astype(int)
-        j = fn.j_functional(state.u1, state.u2, consts)
+        j = fn.j_functional(*state.pair, consts)
         for pair in range(n_pairs):
             rows.append((
                 pair, state.k, state.ell[pair], j[pair],
-                state.log_weight[pair], seg.e4_1[-1, pair],
-                seg.e4_2[-1, pair], flags[pair],
+                state.log_weight[pair], *seg.e4[-1, :, pair], flags[pair],
             ))
     header = ("pair", "k", "ell", "J", "log_weight", "E4_u1", "E4_u2", "stopped_flags")
     return {"coupling.csv": (header, rows)}, {
         "trajectory_count": 2 * n_pairs,
-        "excluded_count": int(state.excluded.sum()),
+        "excluded_count": 2 * int(state.excluded.sum()),  # a pair's members fall together
         "derived_constants": {
             "c4_hat": pilot.c4_hat, "k41_hat": pilot.k41_hat,
             "theta": theta, "t1": ccfg.t1, "r1": ccfg.r1,

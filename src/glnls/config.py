@@ -13,8 +13,9 @@ own bound (a count below 1, a step, duration, amplitude or constant that is
 not positive, a viscosity outside [0, 1), a scheme not in ``SCHEMES``; a
 list is bounded element by element), a broken rule that ties keys together
 (``validate``: forced modes at most modes, the C_Q and xi bounds, u0_modes
-indices in 1..modes, measures' thinning a whole number of dt steps, no gamma
-twice in mixing's or measures' gammas, couple's forced modes at least one and
+indices in 1..modes, measures' thinning a whole number of dt steps, no two
+of mixing's or measures' gammas alike to 6 significant digits (the "{g:g}"
+of mixing's CSV names), couple's forced modes at least one and
 beta^10 above 0), an unknown section or key, or a key the subcommand does
 not read (``UNREAD``; [noise] forced_modes, lambda0 and decay are not read
 when lambdas is set, nor inviscid's radius when truncated is false, nor
@@ -268,8 +269,9 @@ def validate(cfg: RunConfig, unread=(), subcommand: str | None = None) -> list[s
     if any(not 1 <= k <= modes for k, _ in cfg.run["u0_modes"]):
         bad.append(f"[run] u0_modes: a mode index outside 1..{modes}")
     x = cfg.experiment
-    if subcommand in ("mixing", "measures") and len(set(x["gammas"])) < len(x["gammas"]):
-        bad.append(f"[experiment] gammas: a repeated value in {x['gammas']}")
+    gammas = x["gammas"] if subcommand in ("mixing", "measures") else ()
+    if len({f"{g:g}" for g in gammas}) < len(gammas):  # mixing's CSVs are named by {g:g}
+        bad.append(f"[experiment] gammas: two values alike to 6 digits in {gammas}")
     if subcommand == "couple" and not x["beta"] ** 10 > 0:
         bad.append(f"[experiment] beta: {x['beta']}^10, couple's t1 and r1, underflows to 0")
     if subcommand == "measures":

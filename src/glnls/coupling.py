@@ -2,11 +2,12 @@
 Girsanov coupling on [0, t1], and drift-corrected coupled segments with
 decoupling bookkeeping.
 
-Pinning.  A pair is stored as two whole states (u1, u2).  While it is
-coupled, u2's first N modes are assigned from u1's after every step, so
-P_N u1 = P_N u2 holds bit for bit, not to tolerance.  One pinned step
-advances u1 and u2 by the same one-step map with the same noise, as one
-stacked batch, and then makes that assignment.
+Pairs.  Every coupling run stores its pairs as one array ``pair`` of shape
+(2, B, M), members u1 and u2 (the bridge's candidate path w), and steps,
+synthesises and guards it as one batch, as ``stats.mixing_curve`` does;
+each member keeps the bits of a call on it alone.  While a pair is coupled,
+u2's first N modes are assigned from u1's after every step (``_pin``), so
+P_N u1 = P_N u2 holds bit for bit, not to tolerance.
 
 Weights.  Where the construction distorts the second member's law (the
 interpolation bridge on [0, t1], the pinned low modes over a segment), the
@@ -30,19 +31,20 @@ Girsanov budget integral int (1 + Phi_1^4 + Phi_2^4)||u1-u2||_{H^1}^2 passes
 rho2 e^{-alpha k T / 4}.
 
 Cost.  The budgets need Phi of both members at every step.  Each admitted
-member is synthesised once per step (``functionals.physical_field``): the field
-gives its ||u||_{L^4}^4 for Phi and, at once, its drift for the next step.
-Phi's squared H and H^1 norms come from one |a|^2 per member
-(``functionals.norms_h_h1_sq``), u1's by way of the blow-up guard.  A
-pair-step thus makes two syntheses and two analyses, and the loop carries
-the drifts, not the larger fields.
+pair is synthesised once per step (``functionals.physical_field`` of the
+stack): the field gives both members' ||u||_{L^4}^4 for Phi and, at once,
+their drift for the next step, whose cubic term is one analysis of the
+stack.  Phi's squared H and H^1 norms are the blow-up guard's, from one
+|a|^2 of the stack.  A pair-step thus makes one synthesis and one analysis
+call, and the loop carries the drift, not the larger field.
 
-Exclusion.  A pair whose u1 crosses the blow-up guard (see ``models``) is
-excluded from the step that crossed on: its members, log weight, E_4
-budgets and budget integral all keep their values from before that step.
-Its frozen weight is therefore the likelihood ratio of a path that
-stopped, not of the continued dynamics, so weighted means are taken over
-the live pairs; an excluded bridge attempt is never a success.
+Exclusion.  One ``BlowUpGuard`` watches the stacked pair, and a pair falls
+when either member crosses it (``models.either_member``).  It is excluded
+from the step that crossed on: its members, log weight, E_4 budgets and
+budget integral all keep their values from before that step.  Its frozen
+weight is therefore the likelihood ratio of a path that stopped, not of
+the continued dynamics, so weighted means are taken over the live pairs;
+an excluded bridge attempt is never a success.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ import numpy as np
 
 from . import functionals as fn
 from .functionals import FunctionalConstants
-from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, record_schedule,
-                     require_one_gamma, simulate_ensemble, steps)
+from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, either_member,
+                     record_schedule, require_one_gamma, simulate_ensemble, steps)
 from .noise import EnsembleNoise, NoiseSpec, increments_from_normals
 from .stats import tail_fit
 
@@ -109,42 +111,45 @@ UNCOUPLED = -1  # sentinel for ell = infinity (never / no longer coupled)
 
 @dataclass
 class CoupledState:
-    """Batch of coupled pairs, both members whole; u2's first N modes equal
-    u1's bit for bit.
+    """Batch of coupled pairs, stacked: ``pair`` has shape (2, B, M), and
+    member 1's first N modes equal member 0's bit for bit.
 
     ``ell`` is the coupling epoch index of the decoupling bookkeeping
     (UNCOUPLED when the pair has decoupled), ``k`` the number of segments
-    run, ``log_weight`` the running Girsanov log density, ``excluded`` the
-    pairs frozen by the blow-up guard.
+    run, ``log_weight`` the running Girsanov log density, ``e4`` both
+    members' E_4 budgets over (2, B), ``excluded`` the pairs frozen by the
+    blow-up guard.
     """
 
-    u1: np.ndarray
-    u2: np.ndarray
+    pair: np.ndarray
     ell: np.ndarray
     k: int
     log_weight: np.ndarray
-    e4_1: fn.EnAccumulator
-    e4_2: fn.EnAccumulator
+    e4: fn.EnAccumulator
     e4_crossed: np.ndarray
     budget_crossed: np.ndarray
     budget_integral: np.ndarray
     excluded: np.ndarray
 
 
+def _pin(pair: np.ndarray, N: int, offset=0.0) -> None:
+    """Assign member 1's first N modes from member 0's plus offset, in place."""
+    pair[1, ..., :N] = pair[0, ..., :N] + offset
+
+
 def make_coupled_state(
     u1: np.ndarray, u2: np.ndarray, cfg: CouplingConfig, consts: FunctionalConstants
 ) -> CoupledState:
-    """Pair entering the coupled regime now: copies of u1 and u2, with u2's
-    first N modes assigned from u1's; the caller's arrays are left as they are."""
-    u1, u2 = (np.atleast_2d(np.array(u, dtype=np.complex128)) for u in (u1, u2))
-    u2[..., :cfg.N] = u1[..., :cfg.N]
-    B = u1.shape[0]
-    e4_1 = fn.EnAccumulator(4, alpha=np.nan)  # alpha set by the evolver
-    e4_2 = fn.EnAccumulator(4, alpha=np.nan)
-    e4_1.reset(fn.phi(u1, consts))
-    e4_2.reset(fn.phi(u2, consts))
-    return CoupledState(u1=u1, u2=u2, ell=np.zeros(B, dtype=int), k=0, log_weight=np.zeros(B),
-                        e4_1=e4_1, e4_2=e4_2, e4_crossed=np.zeros(B, dtype=bool),
+    """Pair entering the coupled regime now: the stacked copies of u1 and u2,
+    with u2's first N modes assigned from u1's; the caller's arrays are left
+    as they are."""
+    pair = np.stack([np.atleast_2d(np.asarray(u, dtype=np.complex128)) for u in (u1, u2)])
+    _pin(pair, cfg.N)
+    B = pair.shape[1]
+    e4 = fn.EnAccumulator(4, alpha=np.nan)  # alpha set by the evolver
+    e4.reset(fn.phi(pair, consts))
+    return CoupledState(pair=pair, ell=np.zeros(B, dtype=int), k=0, log_weight=np.zeros(B),
+                        e4=e4, e4_crossed=np.zeros(B, dtype=bool),
                         budget_crossed=np.zeros(B, dtype=bool), budget_integral=np.zeros(B),
                         excluded=np.zeros(B, dtype=bool))
 
@@ -152,14 +157,6 @@ def make_coupled_state(
 # ---------------------------------------------------------------------------
 # pinned evolution (Foias-Prodi dynamics, no weights)
 # ---------------------------------------------------------------------------
-
-def _pinned_step(stepper: Stepper, u1: np.ndarray, u2: np.ndarray, z: np.ndarray, N: int):
-    """One pinned step: u1 and u2 take the same step as one stacked batch,
-    then u2's first N modes are assigned from u1's."""
-    u1, u2 = stepper.step(np.stack([u1, u2]), z)
-    u2[..., :N] = u1[..., :N]
-    return u1, u2
-
 
 def pinned_contraction_run(
     u1_0: np.ndarray,
@@ -176,29 +173,32 @@ def pinned_contraction_run(
     """Ensemble of pinned pairs; returns (times, J values (n_rec, n_pairs),
     excluded (n_pairs,)), J recorded every ``integ.record_every`` steps.
 
-    u2_0's low modes are snapped to u1_0's on entry (exact pinning).  A pair
-    whose u1 crosses the blow-up guard is frozen, so its J stays at the
-    value of its last admitted state.
+    u2_0's low modes are snapped to u1_0's on entry (exact pinning).  Both
+    members take the same Stepper.step as one stacked batch, then u2's low
+    modes are assigned from u1's.  A pair whose u1 or u2 crosses the blow-up
+    guard is frozen, so its J stays at the value of its last admitted state.
     """
     require_one_gamma(params, "pinned_contraction_run")
     consts = consts or FunctionalConstants()
     stepper = Stepper(params, integ, spec)
     rec_idx = record_schedule(int(round(T / integ.dt)), integ.record_every)
-    u1 = np.broadcast_to(np.asarray(u1_0, complex), (n_pairs, params.M)).copy()
-    u2 = np.broadcast_to(np.asarray(u2_0, complex), (n_pairs, params.M)).copy()
-    u2[:, :N] = u1[:, :N]
+    pair = np.stack([np.broadcast_to(np.asarray(u, complex), (n_pairs, params.M))
+                     for u in (u1_0, u2_0)])
+    _pin(pair, N)
     source = EnsembleNoise(seed, np.arange(n_pairs), spec.N)
-    guard = BlowUpGuard(integ, u1)
+    guard = BlowUpGuard(integ, pair, link=either_member)
     times = np.array(rec_idx, dtype=float) * integ.dt
     J = np.empty((len(rec_idx), n_pairs))
-    J[0] = fn.j_functional(u1, u2, consts)
+    J[0] = fn.j_functional(*pair, consts)
     nxt = 1
     for z, recorded in steps(source, rec_idx[-1], rec_idx):
-        u1, u2 = guard.admit((u1, u2), _pinned_step(stepper, u1, u2, z, N))
+        new = stepper.step(pair, z)
+        _pin(new, N)
+        (pair,) = guard.admit((pair,), (new,))
         if recorded:
-            J[nxt] = fn.j_functional(u1, u2, consts)
+            J[nxt] = fn.j_functional(*pair, consts)
             nxt += 1
-    return times, J, guard.excluded
+    return times, J, guard.excluded[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,59 +235,53 @@ def _weighted_stepper(
     return Stepper(params, integ, spec)
 
 
-def _weighted_step(stepper: Stepper, lin1, linw, logw, z, offset):
-    """One step of a weighted pair from its drifts; returns the new (u1, w, logw).
+def _weighted_step(stepper: Stepper, drift: np.ndarray, z, offset):
+    """One step of a weighted pair from its drift (2, B, M); returns the new
+    pair and its log-weight increment.
 
-    u1 takes the exponential-Euler step, its drift lin1 plus the noise; w
-    takes it with the same noise, except that its low modes land exactly on
-    u1's plus ``offset`` (the bridge's interpolation term, 0 on a coupled
-    segment).  The noise moves the N forced modes alone, so w's other modes
-    are its drift's.  The Gaussian shift of w's low-mode increments that
+    Both members take the exponential-Euler step, their drift plus the same
+    noise, and then member 1's low modes land exactly on member 0's plus
+    ``offset`` (the bridge's interpolation term, 0 on a coupled segment).
+    The noise moves the N forced modes alone, so member 1's other modes are
+    its drift's.  The Gaussian shift of member 1's low-mode increments that
     does this is charged to the log weight.
     """
     N, dt = stepper.spec.N, stepper.integ.dt
-    u1n, wn = stepper.add_noise(lin1.copy(), z), linw.copy()
-    wn[..., :N] = u1n[..., :N] + offset
-    delta = lin1[..., :N] - linw[..., :N] + offset
-    dlw = _shift_logweight(delta, increments_from_normals(z, dt), stepper.spec.lambdas, dt)
-    return u1n, wn, logw + dlw
+    pair = stepper.add_noise(drift.copy(), z)
+    _pin(pair, N, offset)
+    delta = drift[0, ..., :N] - drift[1, ..., :N] + offset
+    return pair, _shift_logweight(delta, increments_from_normals(z, dt), stepper.spec.lambdas, dt)
 
 
-def _admit_member(stepper: Stepper, a, h2, h1sq, consts: FunctionalConstants, more=True):
-    """(Phi, drift) of an admitted pair member from one synthesis of it.
-
-    (h2, h1sq) are fn.norms_h_h1_sq(a); the drift is the next step's
-    Stepper.drift(a), None when no step follows (more=False).
-    """
-    field = fn.physical_field(a)
-    return (fn.field_energy(field, h2, h1sq, consts)[-1],
-            stepper.drift(a, field) if more else None)
-
-
-def _weighted_run(stepper: Stepper, guard: BlowUpGuard, pair: tuple, drifts: tuple, e4: tuple,
-                  offset, source: EnsembleNoise, n_steps: int, consts: FunctionalConstants,
-                  record_steps=()):
+def _weighted_run(stepper: Stepper, guard: BlowUpGuard, pair: np.ndarray, logw: np.ndarray,
+                  drift: np.ndarray, e4: fn.EnAccumulator, offset, source: EnsembleNoise,
+                  n_steps: int, consts: FunctionalConstants, record_steps=()):
     """The weighted pair-step loop of the bridge and the coupled segments.
 
-    pair is (u1, w, log weight) and drifts the members' drifts.  Step
-    `done` is _weighted_step with w's low modes offset(done) off u1's; the
-    guard admits the new pair on u1; each admitted member is synthesised once
-    for its Phi and its next drift (_admit_member), and the E_4 accumulators
-    e4 take the two Phis, over dt or, for an excluded pair, over 0.  After
-    each step yields (done, recorded, pair, ph1, ph2, dt_live).
+    pair (2, B, M) has log weight logw (B,) and drift stepper.drift(pair).
+    Step `done` is _weighted_step with member 1's low modes offset(done) off
+    member 0's; the guard admits the new pair unless either member crosses.
+    Each admitted pair is synthesised once for both Phis and its next drift,
+    and the E_4 accumulator e4 (2, B) takes the Phis.  An excluded pair's
+    log weight and E_4 integral hold by assignment, not by a zero step, which
+    an overflowed Phi^4 would turn into NaN.  After each step yields (done,
+    recorded, pair, logw, phis (2, B), live (B,)).
     """
     dt = stepper.integ.dt
     for done, (z, recorded) in enumerate(steps(source, n_steps, record_steps), start=1):
-        pair = guard.admit(pair, _weighted_step(stepper, *drifts, pair[2], z, offset(done)))
-        del drifts  # spent; freed before the next drifts are built
-        more = done < n_steps
-        phis, drifts = zip(
-            _admit_member(stepper, pair[0], guard.h2, guard.h1sq, consts, more),
-            _admit_member(stepper, pair[1], *fn.norms_h_h1_sq(pair[1]), consts, more))
-        dt_live = guard.hold(0.0, dt)  # an excluded pair's budgets stop integrating
-        for acc, ph in zip(e4, phis):
-            acc.push(ph, dt_live)
-        yield done, recorded, pair, *phis, dt_live
+        new, dlw = _weighted_step(stepper, drift, z, offset(done))
+        del drift  # spent; freed before the next drift is built
+        (pair,) = guard.admit((pair,), (new,))
+        live = ~guard.excluded[0]
+        logw = np.where(live, logw + dlw, logw)
+        field = fn.physical_field(pair)
+        phis = fn.field_energy(field, guard.h2, guard.h1sq, consts)[-1]
+        drift = stepper.drift(pair, field) if done < n_steps else None
+        del field
+        integral = e4.integral
+        e4.push(phis, dt)  # a frozen pair's Phi, so its Phi^4 term, is unchanged
+        e4.integral = np.where(live, e4.integral, integral)
+        yield done, recorded, pair, logw, phis, live
 
 
 @dataclass
@@ -323,50 +317,46 @@ def girsanov_attempt(
     if abs(n_steps * dt - cfg.t1) > 1e-12 * max(1.0, cfg.t1):
         raise ValueError("dt must divide t1 for the bridge to close exactly")
 
-    u1 = np.broadcast_to(np.asarray(u1, complex), (n_attempts, params.M)).copy()
     # the candidate second path starts at u2 exactly
-    w = np.broadcast_to(np.asarray(u2, complex), (n_attempts, params.M)).copy()
-    delta0 = (w - u1)[..., : cfg.N]
+    pair = np.stack([np.broadcast_to(np.asarray(u, complex), (n_attempts, params.M))
+                     for u in (u1, u2)])
+    delta0 = (pair[1] - pair[0])[..., : cfg.N]
     ids = traj_ids if traj_ids is not None else np.arange(n_attempts)
     source = EnsembleNoise(seed, ids, spec.N)
 
-    guard = BlowUpGuard(integ, u1)
-    phi1_0, lin1 = _admit_member(stepper, u1, guard.h2, guard.h1sq, consts)
-    phi2_0, linw = _admit_member(stepper, w, *fn.norms_h_h1_sq(w), consts)
-    e4_1 = fn.EnAccumulator(4, params.alpha)
-    e4_2 = fn.EnAccumulator(4, params.alpha)
-    e4_1.reset(phi1_0)
-    e4_2.reset(phi2_0)
+    guard = BlowUpGuard(integ, pair, link=either_member)
+    field = fn.physical_field(pair)
+    phi0 = fn.field_energy(field, guard.h2, guard.h1sq, consts)[-1]
+    e4 = fn.EnAccumulator(4, params.alpha)
+    e4.reset(phi0)
 
-    pair = (u1, w, np.zeros(n_attempts))
     # exact bridge: X_hat(done) = P_N u1(done) + zeta(done) * delta0
-    loop = _weighted_run(stepper, guard, pair, (lin1, linw), (e4_1, e4_2),
+    loop = _weighted_run(stepper, guard, pair, np.zeros(n_attempts),
+                         stepper.drift(pair, field), e4,
                          lambda done: (cfg.t1 - done * dt) / cfg.t1 * delta0,
                          source, n_steps, consts)
-    del u1, w, lin1, linw  # the loop frees each once it is spent
-    for _, _, pair, *_ in loop:
+    del field  # the loop carries drifts, not fields
+    for _, _, pair, logw, *_ in loop:
         pass
-    u1, w, logw = pair
 
-    allow_1 = phi1_0**4 + cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
-    allow_2 = phi2_0**4 + cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
-    success = (e4_1.value() <= allow_1) & (e4_2.value() <= allow_2) & ~guard.excluded
+    allow = phi0**4 + cfg.rho1 * np.sqrt(cfg.t1) + cfg.c4_hat * cfg.t1
+    success = (e4.value() <= allow).all(axis=0) & ~guard.excluded[0]
 
-    state = make_coupled_state(u1, w, cfg, consts)
-    state.e4_1.alpha = state.e4_2.alpha = params.alpha
+    state = make_coupled_state(pair[0], pair[1], cfg, consts)
+    state.e4.alpha = params.alpha
     state.log_weight = logw
-    state.excluded = guard.excluded
+    state.excluded = guard.excluded[0]
     return GirsanovReport(state=state, success=success, log_weight=logw)
 
 
 @dataclass
 class SegmentRecord:
     """Strided series recorded over one coupled segment (per pair): what
-    ``recompute_decoupling`` replays."""
+    ``recompute_decoupling`` replays.  ``e4`` has shape (n_rec, 2, B), both
+    members' E_4."""
 
     times: np.ndarray
-    e4_1: np.ndarray
-    e4_2: np.ndarray
+    e4: np.ndarray
     budget_integral: np.ndarray
 
 
@@ -378,7 +368,6 @@ def coupled_segment(
     spec: NoiseSpec,
     seed: int,
     traj_ids: np.ndarray | None = None,
-    record_every: int | None = None,
 ) -> tuple[CoupledState, SegmentRecord]:
     """Advance a coupled batch one segment of length T with the F2 correction.
 
@@ -388,57 +377,56 @@ def coupled_segment(
     theta + beta^4 + C4(t - lT), or whose Girsanov budget integral passed
     rho2 e^{-alpha k T/4}, decouple (ell -> UNCOUPLED); the rest keep ell.
     Pairs excluded by the blow-up guard, in this segment or an earlier one,
-    stay frozen and are marked in the returned state's ``excluded``.
+    stay frozen and are marked in the returned state's ``excluded``.  The
+    record is taken every ``integ.record_every`` steps.
     """
     consts = cfg.consts
     stepper = _weighted_stepper(params, integ, spec, cfg.N)
     dt = integ.dt
     n_steps = int(round(cfg.T / dt))
-    B = state.u1.shape[0]
+    B = state.pair.shape[1]
     ids = traj_ids if traj_ids is not None else np.arange(B)
     source = EnsembleNoise(seed, ids, spec.N)
-    rec_idx = record_schedule(n_steps, record_every or max(1, n_steps // 64))
+    rec_idx = record_schedule(n_steps, integ.record_every)
 
-    out = copy.deepcopy(state)  # the input state, accumulators included, stays as it is
-    out.e4_1.alpha = out.e4_2.alpha = params.alpha
+    out = copy.deepcopy(state)  # the input state, accumulator included, stays as it is
+    out.e4.alpha = params.alpha
     elapsed0 = state.k * cfg.T
     budget_cap = cfg.rho2 * np.exp(-0.25 * params.alpha * state.k * cfg.T)
-    pair = (out.u1, out.u2, out.log_weight)
-    guard = BlowUpGuard(integ, out.u1, excluded=out.excluded)
+    guard = BlowUpGuard(integ, out.pair, link=either_member, excluded=out.excluded)
 
     n_rec = len(rec_idx)
     rec = SegmentRecord(
         times=state.k * cfg.T + np.array(rec_idx, dtype=float) * dt,
-        e4_1=np.empty((n_rec, B)),
-        e4_2=np.empty((n_rec, B)),
+        e4=np.empty((n_rec, 2, B)),
         budget_integral=np.empty((n_rec, B)),
     )
 
     def snap(i):
-        rec.e4_1[i] = out.e4_1.value()
-        rec.e4_2[i] = out.e4_2.value()
+        rec.e4[i] = out.e4.value()
         rec.budget_integral[i] = out.budget_integral
 
     snap(0)
     nxt = 1
-    for done, recorded, pair, ph1, ph2, dt_live in _weighted_run(
-            stepper, guard, pair, (stepper.drift(pair[0]), stepper.drift(pair[1])),
-            (out.e4_1, out.e4_2), lambda done: 0.0, source, n_steps, consts, rec_idx):
-        out.budget_integral += ((1.0 + ph1**4 + ph2**4) * fn.norm_hr_sq(pair[0] - pair[1], 1.0)
-                                * dt_live)
-        cap = cfg.e4_budget(elapsed0 + done * dt)
-        out.e4_crossed |= (out.e4_1.value() > cap) | (out.e4_2.value() > cap)
+    loop = _weighted_run(stepper, guard, out.pair, out.log_weight, stepper.drift(out.pair),
+                         out.e4, lambda done: 0.0, source, n_steps, consts, rec_idx)
+    for done, recorded, out.pair, out.log_weight, phis, live in loop:
+        integrand = ((1.0 + phis[0]**4 + phis[1]**4)
+                     * fn.norm_hr_sq(out.pair[0] - out.pair[1], 1.0))
+        out.budget_integral = np.where(live, out.budget_integral + integrand * dt,
+                                       out.budget_integral)
+        out.e4_crossed |= (out.e4.value() > cfg.e4_budget(elapsed0 + done * dt)).any(axis=0)
         out.budget_crossed |= out.budget_integral > budget_cap
         if recorded:
             snap(nxt)
             nxt += 1
-    out.u1, out.u2, out.log_weight = pair
     out.ell[out.e4_crossed | out.budget_crossed] = UNCOUPLED
     out.k += 1
-    out.excluded = guard.excluded
-    if np.any(out.log_weight < -30.0):
+    out.excluded = guard.excluded[0]
+    collapsed = (out.log_weight < -30.0) & ~out.excluded  # frozen pairs weigh nothing
+    if collapsed.any():
         warnings.warn(
-            f"{int(np.sum(out.log_weight < -30.0))} pair(s) below log-weight -30; "
+            f"{int(collapsed.sum())} live pair(s) below log-weight -30; "
             "importance weights are collapsing",
             RuntimeWarning,
         )
@@ -457,8 +445,8 @@ def recompute_decoupling(
     flags exactly; the bookkeeping is a deterministic function of the
     trajectory.
     """
-    cap = cfg.e4_budget(rec.times[1:])[:, None]  # live checks run post-step only
-    e4_bad = np.any((rec.e4_1[1:] > cap) | (rec.e4_2[1:] > cap), axis=0)
+    cap = cfg.e4_budget(rec.times[1:])[:, None, None]  # live checks run post-step only
+    e4_bad = np.any(rec.e4[1:] > cap, axis=(0, 1))
     budget_cap = cfg.rho2 * np.exp(-0.25 * alpha * segment_k * cfg.T)
     bud_bad = np.any(rec.budget_integral[1:] > budget_cap, axis=0)
     return e4_bad | bud_bad

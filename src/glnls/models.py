@@ -78,8 +78,9 @@ the multiples of the stride and the last step, always.  The blow-up guard:
 step is above the guard or not finite is excluded for the rest of the run:
 it stays at its last admitted state, is left out of means and is reported
 in an ``excluded`` output, never dropped.  The guard's row-link rule
-``link`` excludes linked rows together: the two members of a mixing pair,
-a viscous row and its gamma = 0 reference row.
+``link`` excludes linked rows together: the two members of a mixing or
+coupling pair (``either_member``), a viscous row and its gamma = 0
+reference row.
 
 The gamma block axis.  For a tuple of G viscosities in ``ModelParams.gamma``
 the ``Stepper``'s ``decay`` and, under exact noise, ``noise_scale`` have
@@ -431,6 +432,11 @@ class BlowUpGuard:
         self._exclude(h1sq)
         self.h2, self.h1sq = self.hold(self.h2, h2), self.hold(self.h1sq, h1sq)
         return tuple(self.hold(o, n) for o, n in zip(old, new))
+
+
+def either_member(excluded: np.ndarray) -> np.ndarray:
+    """Row-link rule of a stacked pair (2, ...): a pair falls with either member."""
+    return excluded | excluded.any(axis=0)
 
 
 def run(stepper: Stepper, guard: BlowUpGuard, a: np.ndarray, source: EnsembleNoise,

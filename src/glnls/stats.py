@@ -34,8 +34,8 @@ import numpy as np
 
 from . import functionals as fn
 from .functionals import FunctionalConstants
-from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, record_schedule,
-                     run, simulate_ensemble)
+from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, either_member,
+                     record_schedule, run, simulate_ensemble)
 from .noise import EnsembleNoise, NoiseSpec
 from .spectral import eigenvalues
 
@@ -351,8 +351,7 @@ def mixing_curve(
     source = EnsembleNoise(seed, np.arange(ensemble_size), spec.N)
     shape = (len(gammas), ensemble_size, params.M)  # per member: gamma blocks of E rows
     pair = np.stack([np.broadcast_to(np.asarray(u, complex), shape) for u in (u1, u2)])
-    # a pair falls with either member
-    guard = BlowUpGuard(integ, pair, link=lambda ex: ex | ex.any(axis=0))
+    guard = BlowUpGuard(integ, pair, link=either_member)
     dual_steps = set(rec_steps[np.linspace(
         1, len(rec_steps) - 1, min(dual_checkpoints, max(len(rec_steps) - 1, 0))).astype(int)])
     times = []

@@ -186,10 +186,13 @@ def test_couple_rejects_perturb_when_every_mode_is_forced(tmp_path, capsys):
 
 
 def test_cross_key_rules_stop_the_run_before_stepping(tmp_path, capsys, monkeypatch):
-    # a repeated gamma (0.05 and 5e-2 parse alike); couple with no forced mode
+    # two gammas alike to 6 digits (0.05 and 5e-2 parse alike; 0.1 and
+    # 0.1000001 would share mixing's CSV names); couple with no forced mode
     # to pin, or with t1 = r1 = beta^10 underflowing to 0
     cases = [("mixing", "experiment", "gammas", "0.05, 5e-2"),
+             ("mixing", "experiment", "gammas", "0.1, 0.1000001"),
              ("measures", "experiment", "gammas", "0.1, 0.2, 1e-1"),
+             ("measures", "experiment", "gammas", "0.1, 0.1000001"),
              ("couple", "noise", "forced_modes", "0"),
              ("couple", "experiment", "beta", "1e-40")]
 

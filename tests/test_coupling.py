@@ -85,6 +85,20 @@ class TestPilot:
 
 
 class TestPinned:
+    @staticmethod
+    def _recorded_pairs(monkeypatch, *args, **kwargs):
+        """The (u1, u2) of every pinned_contraction_run record, as its J reads them."""
+        seen = []
+        j_functional = fn.j_functional
+
+        def capture(u1, u2, consts):
+            seen.append((u1.copy(), u2.copy()))
+            return j_functional(u1, u2, consts)
+
+        monkeypatch.setattr(fn, "j_functional", capture)
+        cp.pinned_contraction_run(*args, **kwargs)
+        return seen
+
     def test_identical_pair_stays_identical(self):
         M, N = 16, 4
         params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
@@ -95,38 +109,41 @@ class TestPinned:
                                                 T=0.5, seed=0, n_pairs=4)
         assert np.max(np.abs(J)) < 1e-20
 
-    def test_low_modes_exactly_equal(self):
+    def test_low_modes_exactly_equal(self, monkeypatch):
         M, N = 16, 4
         params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
         integ = md.IntegratorConfig(dt=1e-3)
         spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
-        st = md.Stepper(params, integ, spec)
-        rng = nz.trajectory_rng(1, 0)
         u1 = 0.3 * basis_mode(M, 1) + 0.1 * basis_mode(M, 6)
         u2 = 0.3 * basis_mode(M, 1) + 0.2 * basis_mode(M, 6)
-        for _ in range(20):
-            z = rng.standard_normal((2, N))
-            u1, u2 = cp._pinned_step(st, u1, u2, z, N)
+        seen = self._recorded_pairs(monkeypatch, u1, u2, params, integ, spec, N=N, T=0.02,
+                                    seed=1, n_pairs=2)
+        assert len(seen) == 21
+        for u1, u2 in seen:
             # equality by assignment, not to tolerance
             assert u2[..., :N].tobytes() == u1[..., :N].tobytes()
+            assert not np.array_equal(u1, u2)
 
     @pytest.mark.parametrize("M, R", [(16, None), (64, None), (64, 0.5)])
-    def test_stacked_step_matches_two_calls(self, M, R):
+    def test_stacked_step_matches_two_calls(self, monkeypatch, M, R):
         # u1 and u2 share one stacked Stepper.step; each member's bits are
         # those of a step of its own, u2's first N modes then set from u1's
         N, B = 4, 8
-        st = md.Stepper(md.ModelParams(gamma=0.05, alpha=1.0, M=M, truncation=R),
-                        md.IntegratorConfig(dt=1e-3), nz.NoiseSpec.power_profile(N, 0.2, 2.0))
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=M, truncation=R)
+        integ = md.IntegratorConfig(dt=1e-3)
+        spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
+        st = md.Stepper(params, integ, spec)
         zs = nz.EnsembleNoise(3, np.arange(B), N).next_block(30)
         u1 = np.tile(0.6 * basis_mode(M, 1) + 0.2j * basis_mode(M, 3), (B, 1))
         u2 = u1 + 0.3 * basis_mode(M, 6)
+        seen = self._recorded_pairs(monkeypatch, u1[0], u2[0], params, integ, spec, N=N,
+                                    T=30 * integ.dt, seed=3, n_pairs=B)
         for s in range(30):
-            u1_ref, u2_ref = st.step(u1, zs[:, s]), st.step(u2, zs[:, s])
-            u2_ref[:, :N] = u1_ref[:, :N]
-            u1, u2 = cp._pinned_step(st, u1, u2, zs[:, s], N)
-            assert np.array_equal(u1, u1_ref) and np.array_equal(u2, u2_ref)
+            u1, u2 = st.step(u1, zs[:, s]), st.step(u2, zs[:, s])
+            u2[:, :N] = u1[:, :N]
+            assert np.array_equal(seen[s + 1][0], u1) and np.array_equal(seen[s + 1][1], u2)
 
-    def test_linear_pinned_step_exact_decay(self):
+    def test_linear_pinned_step_exact_decay(self, monkeypatch):
         # nonlinearity off: the high-mode difference decays by the exact
         # per-mode exponential factor in one step
         M, N = 12, 4
@@ -134,13 +151,12 @@ class TestPinned:
         dt = 0.05
         integ = md.IntegratorConfig(dt=dt)
         spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
-        st = md.Stepper(params, integ, spec)
-        rng = nz.trajectory_rng(2, 0)
         u1 = 0.5 * basis_mode(M, 2)
         # u2 = u1 + diff0 with diff0 supported on high modes
         diff0 = 0.2 * basis_mode(M, 7) + 0.05j * basis_mode(M, 11)
-        z = rng.standard_normal((2, N))
-        u1n, u2n = cp._pinned_step(st, u1, u1 + diff0, z, N)
+        seen = self._recorded_pairs(monkeypatch, u1, u1 + diff0, params, integ, spec, N=N,
+                                    T=dt, seed=2, n_pairs=1)
+        u1n, u2n = seen[-1]
         # with the nonlinearity off both members decay by the same exponential,
         # so (u2 - u1)(dt) = e^{-((gamma+i)alpha_k+alpha) dt} diff0 exactly
         v = u2n - u1n
@@ -198,7 +214,7 @@ class TestGirsanov:
         u2 = -0.1 * basis_mode(8, 2) + 0.05 * basis_mode(8, 5)
         rep = cp.girsanov_attempt(u1, u2, cfg, params, integ, spec, seed=6,
                                   n_attempts=16)
-        assert np.all(rep.state.u2[:, :2] == rep.state.u1[:, :2])
+        assert np.all(rep.state.pair[1][:, :2] == rep.state.pair[0][:, :2])
 
     def test_returned_state_e4_starts_at_phi4(self):
         # the bridge's state carries the run's alpha, so its E_4 reads Phi^4
@@ -210,15 +226,15 @@ class TestGirsanov:
         u1, u2 = 0.2 * basis_mode(16, 1), -0.1 * basis_mode(16, 2)
         state = cp.girsanov_attempt(u1, u2, cfg, params, integ, spec, seed=7,
                                     n_attempts=3).state
-        for acc, u in ((state.e4_1, state.u1), (state.e4_2, state.u2)):
-            assert np.all(np.isfinite(acc.value()))
-            assert np.array_equal(acc.value(), fn.phi(u, CONSTS) ** 4)
+        for e4, u in zip(state.e4.value(), state.pair):
+            assert np.all(np.isfinite(e4))
+            assert np.array_equal(e4, fn.phi(u, CONSTS) ** 4)
         unset = copy.deepcopy(state)
-        unset.e4_1.alpha = unset.e4_2.alpha = np.nan
+        unset.e4.alpha = np.nan
         a, rec_a = cp.coupled_segment(state, cfg, params, integ, spec, seed=8)
         b, rec_b = cp.coupled_segment(unset, cfg, params, integ, spec, seed=8)
-        for x, y in ((a.u1, b.u1), (a.u2, b.u2), (a.log_weight, b.log_weight),
-                     (a.e4_1.value(), b.e4_1.value()), (rec_a.e4_2, rec_b.e4_2)):
+        for x, y in ((a.pair, b.pair), (a.log_weight, b.log_weight),
+                     (a.e4.value(), b.e4.value()), (rec_a.e4, rec_b.e4)):
             assert np.array_equal(x, y)
 
     def test_unbiased_importance_weights(self):
@@ -234,7 +250,7 @@ class TestGirsanov:
         rep = cp.girsanov_attempt(u1, u2, cfg, params, integ, spec, seed=7,
                                   n_attempts=B)
         w = np.exp(rep.log_weight)
-        cand = rep.state.u2
+        cand = rep.state.pair[1]
         ref = md.simulate_ensemble(u2, params, integ, spec, cfg.t1, seed=99,
                                    traj_ids=np.arange(B)).final
         for f in (
@@ -281,21 +297,20 @@ class TestGirsanov:
 
 
 class TestCoupledSegments:
-    def _run(self, theta, n_segments=3, n_pairs=8, record_every=None,
-             beta=0.5, c4=50.0):
+    def _run(self, theta, n_segments=3, n_pairs=8, beta=0.5, c4=50.0):
         M, N = 12, 3
         params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
         spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
         cfg = cp.CouplingConfig(N=N, theta=theta, beta=beta, T=0.5, c4_hat=c4,
                                 k41_hat=1.0, consts=CONSTS)
-        integ = md.IntegratorConfig(dt=2e-3, scheme="expeuler", noise_mode="em")
+        integ = md.IntegratorConfig(dt=2e-3, scheme="expeuler", noise_mode="em",
+                                    record_every=1)
         u1 = np.broadcast_to(0.1 * basis_mode(M, 1), (n_pairs, M)).copy()
         state = cp.make_coupled_state(u1, u1.copy(), cfg, CONSTS)
         recs = []
         for k in range(n_segments):
             state, rec = cp.coupled_segment(state, cfg, params, integ, spec,
-                                            seed=nz.derive_seed(11, f"s{k}"),
-                                            record_every=record_every)
+                                            seed=nz.derive_seed(11, f"s{k}"))
             recs.append(rec)
         return state, recs, cfg, params
 
@@ -313,8 +328,7 @@ class TestCoupledSegments:
         assert np.all(state.ell == cp.UNCOUPLED)
 
     def test_recompute_matches_live(self):
-        state, recs, cfg, params = self._run(theta=0.35, n_segments=1,
-                                             record_every=1)
+        state, recs, cfg, params = self._run(theta=0.35, n_segments=1)
         replay = cp.recompute_decoupling(recs[0], cfg, params.alpha, segment_k=0)
         live = state.e4_crossed | state.budget_crossed
         assert np.array_equal(replay, live)
@@ -354,9 +368,10 @@ class TestCoupledSegments:
         before = u1.copy(), u2.copy()
         state = cp.make_coupled_state(u1, u2, cfg, CONSTS)
         assert np.array_equal(u1, before[0]) and np.array_equal(u2, before[1])
-        assert state.u2[:, :N].tobytes() == u1[:, :N].tobytes()
-        assert np.array_equal(state.u1, u1) and np.array_equal(state.u2[:, N:], u2[:, N:])
-        assert not np.shares_memory(state.u1, u1) and not np.shares_memory(state.u2, u2)
+        assert state.pair[1][:, :N].tobytes() == u1[:, :N].tobytes()
+        assert np.array_equal(state.pair[0], u1)
+        assert np.array_equal(state.pair[1][:, N:], u2[:, N:])
+        assert not np.shares_memory(state.pair, u1) and not np.shares_memory(state.pair, u2)
 
     def test_low_modes_pinned_after_segments(self):
         # after one segment and after two chained ones u2's first N modes are
@@ -370,8 +385,8 @@ class TestCoupledSegments:
         state = cp.make_coupled_state(u1, u1 + 0.1 * basis_mode(M, 5), cfg, CONSTS)
         for k in range(2):
             state, _ = cp.coupled_segment(state, cfg, params, integ, spec, seed=14 + k)
-            assert state.u2[:, :N].tobytes() == state.u1[:, :N].tobytes()
-            assert not np.any(state.u2[:, N:] == state.u1[:, N:])
+            assert state.pair[1][:, :N].tobytes() == state.pair[0][:, :N].tobytes()
+            assert not np.any(state.pair[1][:, N:] == state.pair[0][:, N:])
 
     def test_weight_collapse_warning(self):
         M, N = 8, 2
@@ -388,8 +403,16 @@ class TestCoupledSegments:
 
 
 class TestBlowUpGuard:
-    """8 pairs whose u1 straddles an H^1 guard of 1: rows 4..7 cross on the
-    first step and are frozen, rows 0..3 run exactly as under the default."""
+    """8 pairs straddling an H^1 guard of 1: rows 4..7 cross on the first
+    step and are frozen, rows 0..3 run exactly as under the default.
+
+    A pair falls when either member crosses.  u1 = a e_1 has H^1 norm a pi;
+    u2 = u1 + 0.05 e_5 adds 0.05 * 5 pi in quadrature, so row 3's u2 starts
+    at 1.006.  The guard first reads the state after one step, by which the
+    mode-5 offset has decayed by e^{-(0.05 (5 pi)^2 + 1) dt} = 0.974 and row
+    3's u2 lies near 0.99; from then on that offset decays further, while
+    mode 1 decays too slowly to matter.  So the crossing rows are those
+    whose u1 starts above the guard."""
 
     M, N = 12, 3
     amps = np.array([0.05, 0.1, 0.15, 0.2, 0.5, 0.6, 0.7, 0.8])
@@ -427,9 +450,10 @@ class TestBlowUpGuard:
         state, ref = out
         assert np.array_equal(state.excluded, self.crossing) and not ref.excluded.any()
         live = ~state.excluded
-        for name in ("u1", "u2", "log_weight", "budget_integral"):
+        assert np.array_equal(state.pair[:, live], ref.pair[:, live])
+        for name in ("log_weight", "budget_integral"):
             assert np.array_equal(getattr(state, name)[live], getattr(ref, name)[live]), name
-        assert np.array_equal(state.u1[~live], u1[~live])
+        assert np.array_equal(state.pair[:, ~live], np.stack([u1, u2])[:, ~live])
         assert np.all(state.log_weight[~live] == 0.0)
         assert np.all(state.budget_integral[~live] == 0.0)
 
@@ -442,10 +466,87 @@ class TestBlowUpGuard:
         assert not ref.state.excluded.any()
         live = ~rep.state.excluded
         assert np.array_equal(rep.log_weight[live], ref.log_weight[live])
-        assert np.array_equal(rep.state.u1[live], ref.state.u1[live])
+        assert np.array_equal(rep.state.pair[:, live], ref.state.pair[:, live])
         assert np.array_equal(rep.success[live], ref.success[live])
         assert not rep.success[~live].any()
         assert np.all(rep.log_weight[~live] == 0.0)
+
+
+class TestSecondMemberBlowUp:
+    """Rows 2 and 3 pair u1 = 0.3 e_1 with u2 = u1 + 20 e_16 and u1 + 33 e_16
+    (M = 16, N = 4, dt = 1e-3): u2's H^1 norm passes the default guard of 1e6
+    within about ten exponential-Euler steps while u1 stays near 0.9.  The
+    guard watches both members, so those pairs are excluded and frozen, at
+    finite values on row 2; rows 0 and 1 run as in a batch of their own.  On
+    row 3 the budget integral's increment at the last admitted state
+    overflows to inf, which the pair then holds: a hold by a zero step would
+    turn it into NaN."""
+
+    M, N = 16, 4
+    amps = np.array([0.0, 0.0, 20.0, 33.0])
+    blown = amps > 0
+
+    def _setup(self):
+        params = md.ModelParams(gamma=0.05, alpha=1.0, M=self.M)
+        spec = nz.NoiseSpec.power_profile(self.N, 0.2, 2.0)
+        integ = md.IntegratorConfig(dt=1e-3, scheme="expeuler", noise_mode="em")
+        u1 = np.tile(0.3 * basis_mode(self.M, 1), (4, 1))
+        u2 = u1 + self.amps[:, None] * basis_mode(self.M, 16)
+        return params, spec, integ, u1, u2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_coupled_segment(self):
+        params, spec, integ, u1, u2 = self._setup()
+        cfg = small_cfg(N=self.N, theta=1e6, c4=1e6, T=0.05)
+
+        def segments(rows):
+            state = cp.make_coupled_state(u1[rows], u2[rows], cfg, CONSTS)
+            ids = np.arange(4)[rows]
+            first, _ = cp.coupled_segment(state, cfg, params, integ, spec, 1, traj_ids=ids)
+            return first, cp.coupled_segment(first, cfg, params, integ, spec, 2,
+                                             traj_ids=ids)[0]
+
+        first, second = segments(slice(None))
+        b = self.blown
+        for s in (first, second):
+            assert np.array_equal(s.excluded, b)
+            assert not any(np.isnan(x).any() for x in (s.pair, s.log_weight, s.e4.value(),
+                                                       s.budget_integral))
+            for x in (s.pair[:, :3], s.log_weight[:3], s.e4.value()[:, :3],
+                      s.budget_integral[:3]):
+                assert np.all(np.isfinite(x))
+            assert s.budget_integral[3] == np.inf
+        # the second segment moves no excluded pair
+        assert np.array_equal(second.pair[:, b], first.pair[:, b])
+        assert np.array_equal(second.e4.value()[:, b], first.e4.value()[:, b])
+        for name in ("log_weight", "budget_integral"):
+            assert np.array_equal(getattr(second, name)[b], getattr(first, name)[b]), name
+        # the live pairs keep the bits of a batch without the blown ones
+        alone = segments(~b)[1]
+        assert np.array_equal(second.pair[:, ~b], alone.pair)
+        assert np.array_equal(second.log_weight[~b], alone.log_weight)
+        assert np.array_equal(second.e4.value()[:, ~b], alone.e4.value())
+
+    def test_girsanov_attempt(self):
+        params, spec, integ, u1, u2 = self._setup()
+        cfg = small_cfg(N=self.N, t1=0.02, r1=0.5)
+        rep = cp.girsanov_attempt(u1, u2, cfg, params, integ, spec, seed=3, n_attempts=4)
+        assert np.array_equal(rep.state.excluded, self.blown)
+        for x in (rep.state.pair, rep.log_weight, rep.state.e4.value()):
+            assert np.all(np.isfinite(x))
+        assert not rep.success[self.blown].any()
+        live = ~rep.state.excluded
+        w = np.exp(rep.log_weight) * rep.success
+        assert np.isfinite(w[live].mean())
+
+    def test_pinned_run(self):
+        params, spec, _, u1, u2 = self._setup()
+        integ = md.IntegratorConfig(dt=1e-3, scheme="expeuler", record_every=10)
+        _, J, excluded = cp.pinned_contraction_run(u1[0], u2[2], params, integ, spec, N=self.N,
+                                                   T=0.1, seed=4, n_pairs=2)
+        assert excluded.all()
+        assert np.all(np.isfinite(J))
+        assert np.all(J[2:] == J[-1])  # frozen from the crossing, near step 10, on
 
 
 class TestStopping:
@@ -454,8 +555,9 @@ class TestStopping:
     @staticmethod
     def _record(times, e4_1=None, budget=None):
         zero = np.zeros((len(times), 2))
-        return cp.SegmentRecord(times=times, e4_1=zero if e4_1 is None else e4_1,
-                                e4_2=zero, budget_integral=zero if budget is None else budget)
+        e4 = np.stack([zero if e4_1 is None else e4_1, zero], axis=1)
+        return cp.SegmentRecord(times=times, e4=e4,
+                                budget_integral=zero if budget is None else budget)
 
     def test_no_thresholds_no_stop(self):
         cfg = small_cfg()
@@ -554,9 +656,9 @@ class TestSharedFieldReference:
 
         assert not rep.state.excluded.any()
         assert 0 < success.sum() < n  # the budgets bind on some pairs, not all
-        assert np.array_equal(rep.state.u1, a)
+        assert np.array_equal(rep.state.pair[0], a)
         w[:, :self.N] = a[:, :self.N]  # the coupled state starts pinned
-        assert np.array_equal(rep.state.u2, w)
+        assert np.array_equal(rep.state.pair[1], w)
         assert np.array_equal(rep.log_weight, logw)
         assert np.array_equal(rep.success, success)
 
@@ -567,7 +669,7 @@ class TestSharedFieldReference:
         integ = md.IntegratorConfig(dt=1e-3, scheme="expeuler", noise_mode="em")
         st = md.Stepper(params, integ, spec)
         state = cp.make_coupled_state(u1, u2, cfg, CONSTS)
-        a, w = state.u1.copy(), state.u2.copy()
+        a, w = state.pair[0].copy(), state.pair[1].copy()
         logw, budget = np.zeros(len(a)), np.zeros(len(a))
         e1, e2 = fn.EnAccumulator(4, params.alpha), fn.EnAccumulator(4, params.alpha)
         e1.reset(fn.phi(a, CONSTS))
@@ -590,14 +692,14 @@ class TestSharedFieldReference:
                 e4_bad |= (e1.value() > cap) | (e2.value() > cap)
                 bud_bad |= budget > cap_k
             assert not state.excluded.any()
-            assert np.array_equal(state.u1, a)
-            assert np.array_equal(state.u2, w)
+            assert np.array_equal(state.pair[0], a)
+            assert np.array_equal(state.pair[1], w)
             assert np.array_equal(state.log_weight, logw)
             assert np.array_equal(state.e4_crossed, e4_bad)
             assert np.array_equal(state.budget_crossed, bud_bad)
             assert np.array_equal(state.ell == cp.UNCOUPLED, e4_bad | bud_bad)
-            self._close(state.e4_1.value(), e1.value())
-            self._close(state.e4_2.value(), e2.value())
+            self._close(state.e4.value()[0], e1.value())
+            self._close(state.e4.value()[1], e2.value())
             self._close(state.budget_integral, budget)
         # both decoupling rules fire on some pairs and spare others
         assert 0 < e4_bad.sum() < len(a) and 0 < bud_bad.sum() < len(a)
@@ -661,8 +763,9 @@ class TestSharedFieldReference:
             rep_i, state_i = run([i])
             for name in ("log_weight", "success"):
                 assert np.array_equal(getattr(rep_i, name)[0], getattr(rep, name)[i])
-            for name in ("u1", "u2", "log_weight", "budget_integral",
+            assert np.array_equal(state_i.pair[:, 0], state.pair[:, i])
+            for name in ("log_weight", "budget_integral",
                          "e4_crossed", "budget_crossed", "ell"):
                 assert np.array_equal(getattr(state_i, name)[0], getattr(state, name)[i]), name
-            assert state_i.e4_1.value()[0] == state.e4_1.value()[i]
-            assert state_i.e4_2.value()[0] == state.e4_2.value()[i]
+            assert state_i.e4.value()[0, 0] == state.e4.value()[0, i]
+            assert state_i.e4.value()[1, 0] == state.e4.value()[1, i]

@@ -432,7 +432,9 @@ class TestCLI:
         ("mixing", "gammas = 0.05\nt_max = 0.2\nt_points = 3\nensemble = 4\n", 8),
         ("measures", "gammas = 0.1\nburn_in = 0.5\nsamples = 4\nthinning = 0.05\n", 2),
         ("tails", "n = 4\np = 1.0\ntime = 1.0\nensemble = 8\nrho_grid = 0.1,1\n", 8),
-    ], ids=["mixing", "measures", "tails"])
+        ("couple", "pairs = 2\nsegments = 1\nsegment_time = 0.01\npilot_traj = 4\n"
+                   "pilot_time = 1.0\n", 4),
+    ], ids=["mixing", "measures", "tails", "couple"])
     def test_excluded_count(self, tmp_path, name, experiment, excluded):
         # a blow-up guard every trajectory crosses: the manifest counts each
         text = BASE + "\n[integrator]\nblowup_guard = 0.01\n"

@@ -70,6 +70,62 @@ class TestNonlinearity:
         assert np.max(np.abs(md.nl_coeffs(a, p) - ref)) < 1e-11
 
 
+def standing_wave(M, m):
+    """(a0, omega) of the Dirichlet standing wave u = e^{i omega t} psi, psi =
+    A sn(bx | m) with m < 0, an exact solution of u_t = i u_xx + i|u|^2 u on
+    (0, 1) with Dirichlet ends (gamma = alpha = 0, no noise): a0 is psi's M
+    sine coefficients, b = 2K(m), A = b sqrt(-2m), omega = -(1 + m) b^2.
+
+    For m < 0, sn(z | m) = sd(z sqrt(1-m) | mu) / sqrt(1-m), mu = -m/(1-m)
+    (Carr, Clark and Reinhardt, Phys. Rev. A 62 (2000) 063610).  The
+    coefficients come from 4M nodes; psi's above mode 56 are round-off.
+    """
+    from scipy.special import ellipj, ellipk
+    b = 2.0 * ellipk(m)
+    s = np.sqrt(1.0 - m)
+    sn, _, dn, _ = ellipj(b * s * PhysicalGrid(4 * M).nodes, -m / (1.0 - m))
+    psi = b * np.sqrt(-2.0 * m) * sn / (dn * s)
+    return to_spectral(psi.astype(complex), M), -(1.0 + m) * b**2
+
+
+class TestStandingWave:
+    """The deterministic steppers against the closed-form standing wave at
+    M = 64 up to T = 0.5: relative coefficient error against e^{i omega T}
+    a0 at dt = 1e-3, 5e-4 and 2.5e-4, and its observed order.  At m = -0.5
+    sup|u|^2 = 8, at m = -2 it is 22."""
+
+    M, T, DTS = 64, 0.5, (1e-3, 5e-4, 2.5e-4)
+
+    def errors(self, m, scheme, nonlinear=True):
+        a0, omega = standing_wave(self.M, m)
+        assert np.max(np.abs(a0[56:])) < 1e-15 * np.max(np.abs(a0))
+        params = md.ModelParams(gamma=0.0, alpha=0.0, M=self.M, nonlinear=nonlinear)
+        err = []
+        for dt in self.DTS:
+            integ = md.IntegratorConfig(dt=dt, scheme=scheme, record_every=int(round(self.T / dt)))
+            final = md.simulate_ensemble(a0, params, integ, NO_NOISE, self.T, seed=0).final[0]
+            err.append(fn.norm_h(final - np.exp(1j * omega * self.T) * a0) / fn.norm_h(a0))
+        return np.array(err), np.log2(err[:-1] / np.array(err[1:]))
+
+    @pytest.mark.parametrize("m, bound", [(-0.5, 6e-5), (-2.0, 6e-4)])
+    def test_strang_second_order(self, m, bound):
+        # measured 4.73e-5 (m = -0.5) and 4.73e-4 (m = -2) at dt = 1e-3, order 2.00
+        err, order = self.errors(m, "strang")
+        assert err[0] <= bound
+        assert np.all(np.abs(order - 2.0) <= 0.05), order
+
+    def test_expeuler_first_order(self):
+        # measured 3.18e-2, 1.58e-2, 7.84e-3: order 1.01
+        err, order = self.errors(-0.5, "expeuler")
+        assert err[0] <= 4e-2
+        assert np.all(np.abs(order - 1.0) <= 0.1), order
+
+    def test_cubic_off_misses(self):
+        # the wave's frequency is the cubic's: without it Strang is off by order one
+        err, _ = self.errors(-2.0, "strang", nonlinear=False)
+        assert np.all(err > 0.1)
+
+
 class TestTruncatedNonlinearity:
     def test_inactive_region_matches_full(self):
         M = 16

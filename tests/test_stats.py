@@ -325,7 +325,7 @@ def run_stepping_driver(name, gamma=0.05):
     spec = nz.NoiseSpec.power_profile(N, 0.2, 2.0)
     u = 0.3 * basis_mode(M, 1)
     integ = md.IntegratorConfig(dt=DT, record_every=STRIDE)
-    em = md.IntegratorConfig(dt=DT, scheme="expeuler", noise_mode="em")
+    em = md.IntegratorConfig(dt=DT, scheme="expeuler", noise_mode="em", record_every=STRIDE)
     cfg = cp.CouplingConfig(N=N, theta=1e6, beta=0.5, T=T, c4_hat=1e6, t1=T, r1=0.5)
     if name == "simulate_ensemble":
         return md.simulate_ensemble(u, params, integ, spec, T, seed=1,
@@ -338,8 +338,7 @@ def run_stepping_driver(name, gamma=0.05):
         return None
     if name == "coupled_segment":
         state = cp.make_coupled_state(np.tile(u, (2, 1)), np.tile(u, (2, 1)), cfg, CONSTS)
-        return cp.coupled_segment(state, cfg, params, em, spec, seed=1,
-                                  record_every=STRIDE)[1].times
+        return cp.coupled_segment(state, cfg, params, em, spec, seed=1)[1].times
     if name == "mixing_curve":
         t_grid = DT * np.r_[0:N_STEPS:STRIDE, N_STEPS]
         return st.mixing_curve(u, 0.5 * u, params, spec, t_grid, 2, seed=1,
