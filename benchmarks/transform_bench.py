@@ -27,7 +27,11 @@ at K = 1024 as scipy makes it from a complex array (two strided real
 transforms) against the one interleaved call of `spectral._dst_complex`;
 `Stepper.advance` with and without the Strang state at (M, B) = (512, 1)
 and (64, 1000); and `stats.dual_lower_bound` between two 32-sample
-measures at M = 512.  The gamma-stack row times a check-7-shaped mixing
+measures at M = 512.  The transport rows solve one uniform n x n problem
+under the d0 cost between two measures-shaped samples at M = 512 (n = 32
+and 128), by the HiGHS LP and by the assignment solver with its dual
+certificate, and print each route's time, its gap and the difference of
+their values.  The gamma-stack row times a check-7-shaped mixing
 curve (M = 64, 64 pairs, gammas 0, 0.01 and 0.1, five time units) as three
 single-gamma `stats.mixing_curve` runs against one run over the gamma
 tuple, in process CPU time.
@@ -252,6 +256,21 @@ def bench_dual(M: int = 512, n: int = 32):
     print(f"dual_lower_bound {n} x {n} samples M={M}: {_us(t)}   cpu/wall {t[0] / t[1]:4.2f}")
 
 
+def bench_transport(n: int = 32, M: int = 512):
+    rng = np.random.default_rng(1)
+    k = np.arange(1, M + 1)
+    a, b = (st.EmpiricalMeasure(0.05 * (rng.standard_normal((n, M))
+                                        + 1j * rng.standard_normal((n, M))) / k**2)
+            for _ in range(2))
+    C = st.cost_matrix(a, b, "d0")
+    lp, assign = st._solve_lp(C, a.weights, b.weights), st._solve_assignment(C)
+    t_lp = cpu_wall(lambda: st._solve_lp(C, a.weights, b.weights))
+    t_as = cpu_wall(lambda: st._solve_assignment(C))
+    print(f"transport {n} x {n} samples M={M}: LP {_us(t_lp)} gap {lp.gap:.1e}   "
+          f"assignment {_us(t_as)} gap {assign.gap:.1e}   "
+          f"|value diff| {abs(lp.value - assign.value):.1e}   ratio {t_lp[0] / t_as[0]:5.1f}")
+
+
 def bench_gamma_stack(M: int = 64, pairs: int = 64, T: float = 5.0):
     """Check 7's mixing curve over three gammas: three single-gamma runs
     against one run of the stacked (2, 3, pairs, M) batch."""
@@ -288,4 +307,6 @@ if __name__ == "__main__":
     for M, batch in ((512, 1), (64, 1000)):
         bench_strang_state(M, batch)
     bench_dual()
+    for n in (32, 128):
+        bench_transport(n)
     bench_gamma_stack()

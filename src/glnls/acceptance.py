@@ -227,14 +227,15 @@ def check_wasserstein_exact() -> CheckResult:
         else:
             B = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
             emp_a, emp_b = st.EmpiricalMeasure(A), st.EmpiricalMeasure(B)
-        lp = st.wasserstein(emp_a, emp_b, "d0")
+        ot = st.wasserstein(emp_a, emp_b, "d0")
         bf = st.wasserstein_bruteforce(emp_a, emp_b, "d0")
-        worst_gap = max(worst_gap, abs(lp.value - bf))
-        if st.dual_lower_bound(emp_a, emp_b, "d0") > lp.value + 1e-9:
+        worst_gap = max(worst_gap, abs(ot.value - bf))
+        if st.dual_lower_bound(emp_a, emp_b, "d0") > ot.value + 1e-9:
             dual_ok = False
     ok = worst_gap <= 1e-10 and dual_ok
     return _result(8, "Wasserstein estimator correctness", ok,
-                   f"max |LP - enumeration| = {worst_gap:.2e} (tol 1e-10), dual<=primal {dual_ok}", t0)
+                   f"max |exact OT - enumeration| = {worst_gap:.2e} (tol 1e-10), "
+                   f"dual<=primal {dual_ok}", t0)
 
 
 # 9 ------------------------------------------------------------------------

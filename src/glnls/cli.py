@@ -260,8 +260,7 @@ def drive_measures(cfg, seed, args):
         w0 = st.wasserstein(emp, ref, "d0")
         wxi = st.wasserstein(emp, ref, "d0xi", xi=consts.xi)
         dual = st.dual_lower_bound(emp, ref, "d0")
-        rows.append((g, w0.value, w0.gap if w0.gap is not None else -1.0,
-                     wxi.value, dual))
+        rows.append((g, w0.value, w0.gap, wxi.value, dual))
     header = ("gamma", "w_d0", "w_d0_gap", "w_d0xi", "dual_lower_d0")
     return {"measures.csv": (header, rows)}, {
         "trajectory_count": len(gammas) + 1,

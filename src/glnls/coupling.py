@@ -39,12 +39,15 @@ stack.  Phi's squared H and H^1 norms are the blow-up guard's, from one
 call, and the loop carries the drift, not the larger field.
 
 Exclusion.  One ``BlowUpGuard`` watches the stacked pair, and a pair falls
-when either member crosses it (``models.either_member``).  It is excluded
-from the step that crossed on: its members, log weight, E_4 budgets and
-budget integral all keep their values from before that step.  Its frozen
-weight is therefore the likelihood ratio of a path that stopped, not of
-the continued dynamics, so weighted means are taken over the live pairs;
-an excluded bridge attempt is never a success.
+when either member crosses it (``models.either_member``), or when either
+member's Phi^4 or the pair's budget increment is not finite (Phi holds
+kappa ||u||_H^18, so Phi^4 overflows while ||u||_{H^1} is still inside the
+guard).  It is excluded from the step that crossed on: its members, log
+weight, E_4 budgets and budget integral all keep their values from before
+that step, so they stay finite.  Its frozen weight is therefore the
+likelihood ratio of a path that stopped, not of the continued dynamics, so
+weighted means are taken over the live pairs; an excluded bridge attempt is
+never a success.
 """
 
 from __future__ import annotations
@@ -255,33 +258,54 @@ def _weighted_step(stepper: Stepper, drift: np.ndarray, z, offset):
 
 def _weighted_run(stepper: Stepper, guard: BlowUpGuard, pair: np.ndarray, logw: np.ndarray,
                   drift: np.ndarray, e4: fn.EnAccumulator, offset, source: EnsembleNoise,
-                  n_steps: int, consts: FunctionalConstants, record_steps=()):
+                  n_steps: int, consts: FunctionalConstants, record_steps=(), budget=None):
     """The weighted pair-step loop of the bridge and the coupled segments.
 
     pair (2, B, M) has log weight logw (B,) and drift stepper.drift(pair).
     Step `done` is _weighted_step with member 1's low modes offset(done) off
     member 0's; the guard admits the new pair unless either member crosses.
     Each admitted pair is synthesised once for both Phis and its next drift,
-    and the E_4 accumulator e4 (2, B) takes the Phis.  An excluded pair's
-    log weight and E_4 integral hold by assignment, not by a zero step, which
-    an overflowed Phi^4 would turn into NaN.  After each step yields (done,
-    recorded, pair, logw, phis (2, B), live (B,)).
+    and the E_4 accumulator e4 (2, B) takes the Phis.  ``budget`` (B,), when
+    given, accumulates the Girsanov budget integrand
+    (1 + Phi_1^4 + Phi_2^4) ||u1 - u2||_{H^1}^2 dt.  A pair whose Phi^4, of
+    either member, or budget increment is not finite is excluded from that
+    step as if it had crossed the guard, so the budgets stay finite.  An
+    excluded pair's log weight, E_4 integral and budget hold by assignment,
+    not by a zero step.  After each step yields (done, recorded, pair, logw,
+    budget).
     """
     dt = stepper.integ.dt
+
+    def measure(pair):  # the field, both Phis and the budget increment
+        field = fn.physical_field(pair)
+        phis = fn.field_energy(field, guard.h2, guard.h1sq, consts)[-1]
+        increment = 1.0 + phis[0]**4 + phis[1]**4  # finite iff both Phi^4 are
+        if budget is not None:
+            increment = increment * fn.norm_hr_sq(pair[0] - pair[1], 1.0) * dt
+        return field, phis, increment
+
     for done, (z, recorded) in enumerate(steps(source, n_steps, record_steps), start=1):
         new, dlw = _weighted_step(stepper, drift, z, offset(done))
         del drift  # spent; freed before the next drift is built
+        held, norms = pair, (guard.h2, guard.h1sq)
         (pair,) = guard.admit((pair,), (new,))
+        field, phis, increment = measure(pair)
+        overflow = ~np.isfinite(increment) & ~guard.excluded[0]
+        if overflow.any():  # excluded from this step, as on a guard crossing
+            guard.excluded |= overflow
+            pair, guard.h2, guard.h1sq = (guard.hold(o, n) for o, n in
+                                          zip((held, *norms), (pair, guard.h2, guard.h1sq)))
+            field, phis, increment = measure(pair)
         live = ~guard.excluded[0]
         logw = np.where(live, logw + dlw, logw)
-        field = fn.physical_field(pair)
-        phis = fn.field_energy(field, guard.h2, guard.h1sq, consts)[-1]
+        if budget is not None:
+            budget = np.where(live, budget + increment, budget)
         drift = stepper.drift(pair, field) if done < n_steps else None
         del field
         integral = e4.integral
         e4.push(phis, dt)  # a frozen pair's Phi, so its Phi^4 term, is unchanged
         e4.integral = np.where(live, e4.integral, integral)
-        yield done, recorded, pair, logw, phis, live
+        yield done, recorded, pair, logw, budget
 
 
 @dataclass
@@ -409,12 +433,9 @@ def coupled_segment(
     snap(0)
     nxt = 1
     loop = _weighted_run(stepper, guard, out.pair, out.log_weight, stepper.drift(out.pair),
-                         out.e4, lambda done: 0.0, source, n_steps, consts, rec_idx)
-    for done, recorded, out.pair, out.log_weight, phis, live in loop:
-        integrand = ((1.0 + phis[0]**4 + phis[1]**4)
-                     * fn.norm_hr_sq(out.pair[0] - out.pair[1], 1.0))
-        out.budget_integral = np.where(live, out.budget_integral + integrand * dt,
-                                       out.budget_integral)
+                         out.e4, lambda done: 0.0, source, n_steps, consts, rec_idx,
+                         out.budget_integral)
+    for done, recorded, out.pair, out.log_weight, out.budget_integral in loop:
         out.e4_crossed |= (out.e4.value() > cfg.e4_budget(elapsed0 + done * dt)).any(axis=0)
         out.budget_crossed |= out.budget_integral > budget_cap
         if recorded:

@@ -5,11 +5,13 @@ invariant-measure sampling) with least-squares rate fits.  The Ito energy
 balance and the exponential moments have no driver here: acceptance
 checks 4 and 9 form them from ``models.simulate_ensemble``'s records.
 
-Optimal transport is solved exactly at every sample size.  A uniform
-equal-size pair of more than 64 samples goes to the assignment solver; every
-other pair is handed to HiGHS as the transport LP, whose equality-constraint
-marginals give the dual potentials, so its value carries a primal-dual
-certificate gap.  scipy.optimize (HiGHS and the assignment solver) and
+Optimal transport is solved exactly at every sample size, and every value
+carries a primal-dual certificate gap.  A uniform pair of equal size is an
+assignment problem (Birkhoff), solved at any size by the assignment solver;
+its dual potentials come from shortest paths on the reduced costs of the
+optimal permutation (``_assignment_duals``).  A weighted or unequal pair is
+handed to HiGHS as the transport LP, whose equality-constraint marginals give
+the dual potentials.  scipy.optimize (HiGHS and the assignment solver) and
 scipy.sparse are imported by the call that solves, so the drivers that solve
 no transport problem never load them.
 
@@ -35,9 +37,9 @@ import numpy as np
 from . import functionals as fn
 from .functionals import FunctionalConstants
 from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, either_member,
-                     record_schedule, run, simulate_ensemble)
+                     record_schedule, require_one_gamma, run, simulate_ensemble)
 from .noise import EnsembleNoise, NoiseSpec
-from .spectral import eigenvalues
+from .spectral import eigenvalues, validate_field
 
 GROUND_COSTS = ("d0", "d1", "d0xi")
 
@@ -131,8 +133,8 @@ def cost_matrix(
 @dataclass
 class OTResult:
     value: float
-    gap: float | None = None  # the LP's certificate gap; None from the assignment solver
-    plan: np.ndarray | None = None
+    gap: float  # |primal - dual| of the certificate's dual-feasible potentials
+    plan: np.ndarray | None = None  # the LP's plan; None from the assignment solver
 
     def __float__(self):
         return self.value
@@ -159,24 +161,59 @@ def _solve_lp(C: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> OTResult:
                     plan=res.x.reshape(n, m))
 
 
+def _assignment_duals(C: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dual-feasible potentials (u, v), u_i + v_j <= C_ij, for the assignment
+    i -> cols[i] of the square cost C; tight on it when it is optimal.
+
+    v is the shortest-path distance to each column on the reduced costs
+    W[j, l] = C[i, l] - C[i, j] of the row i assigned to column j (a path
+    j -> l reassigns that row), by vectorised Bellman-Ford sweeps from
+    v = 0, at most n of them; an optimal assignment has no negative cycle,
+    so they settle.  u_i = C[i, cols[i]] - v[cols[i]], and v is then lowered
+    to min_i (C_ij - u_i), which makes (u, v) feasible even when the sweeps
+    did not settle: for a non-optimal assignment the dual value falls short
+    of its cost by at least its excess over the optimum.
+    """
+    n = len(cols)
+    own = C[np.arange(n), cols]
+    rows = np.argsort(cols)  # the row assigned to each column
+    W = C[rows] - own[rows, None]
+    v = np.zeros(n)
+    for _ in range(n):
+        nxt = np.minimum(v, (v[:, None] + W).min(axis=0))
+        if np.array_equal(nxt, v):
+            break
+        v = nxt
+    u = own - v[cols]
+    return u, (C - u[:, None]).min(axis=0)
+
+
+def _solve_assignment(C: np.ndarray) -> OTResult:
+    """Exact OT between uniform measures of equal size: the optimal
+    permutation, with the certificate of ``_assignment_duals``."""
+    from scipy.optimize import linear_sum_assignment
+
+    ri, cj = linear_sum_assignment(C)
+    value = float(C[ri, cj].mean())
+    u, v = _assignment_duals(C, cj)
+    return OTResult(value=value, gap=abs(value - float(u.mean() + v.mean())))
+
+
 def wasserstein(
     emp_a: EmpiricalMeasure,
     emp_b: EmpiricalMeasure,
     ground: str = "d0",
     xi: float | None = None,
 ) -> OTResult:
-    """Exact transport cost between two weighted empirical measures.
+    """Exact transport cost between two weighted empirical measures, with its
+    primal-dual certificate gap.
 
-    A uniform equal-size pair of more than 64 samples goes to the assignment
-    solver; every other pair to the LP, which also returns its dual
-    certificate gap.
+    A uniform pair of equal size goes to the assignment solver, every other
+    pair to the LP.
     """
     C = cost_matrix(emp_a, emp_b, ground, xi)
-    if emp_a.n == emp_b.n > 64 and emp_a.is_uniform() and emp_b.is_uniform():
-        from scipy.optimize import linear_sum_assignment
-
-        ri, cj = linear_sum_assignment(C)
-        return OTResult(value=float(C[ri, cj].mean()))
+    if emp_a.n == emp_b.n and emp_a.is_uniform() and emp_b.is_uniform():
+        return _solve_assignment(C)
     return _solve_lp(C, emp_a.weights, emp_b.weights)
 
 
@@ -554,28 +591,35 @@ def invariant_measure_sample(
 
     Returns the empirical measure and a diagnostics dict with the Phi mean
     of the samples and whether the blow-up guard excluded the chain.  The
-    chain forms its Strang state only at the samples (see the ``models``
-    docstring), so it has no per-step Phi to average.
+    chain is stepped by ``models.run`` with the sample steps as its record
+    steps, so it forms its Strang state, and Phi, only at the samples (see
+    the ``models`` docstring); it has no per-step Phi to average.
     """
     if burn_in <= 0 or n_samples < 1 or thinning <= 0:
         raise ValueError("need burn_in > 0, n_samples >= 1, thinning > 0")
+    require_one_gamma(params, "invariant_measure_sample")
     consts = consts or FunctionalConstants()
     u0 = np.zeros(params.M, complex) if u0 is None else np.asarray(u0, complex)
+    a = validate_field(u0, params.M)[None].copy()  # a batch of one chain
     stride = max(1, int(round(thinning / dt)))
-    # the samples: the first n_samples records past the burn-in; the run ends on the last
+    # the samples: the first n_samples multiples of the stride past the
+    # burn-in; the run ends on the last
     first = int(round(burn_in / dt)) // stride + 1
-    n_steps = (first + n_samples - 1) * stride
-    integ = IntegratorConfig(dt=dt, record_every=stride, blowup_guard=blowup_guard)
-    rec = simulate_ensemble(
-        u0, params, integ, spec, n_steps * dt, seed, traj_ids=np.array([0]),
-        consts=consts, record_states=True,
-    )
-    states = rec.states[first:, 0]
-    phis = rec.energy.phi[first:, 0]
+    sample_steps = [(first + i) * stride for i in range(n_samples)]
+    integ = IntegratorConfig(dt=dt, blowup_guard=blowup_guard)
+    guard = BlowUpGuard(integ, a)
+    states, phis = [], []
+    for recorded, a, _ in run(Stepper(params, integ, spec), guard, a,
+                              EnsembleNoise(seed, np.array([0]), spec.N),
+                              sample_steps[-1], sample_steps):
+        if recorded:
+            states.append(a[0])
+            phis.append(fn.field_energy(fn.physical_field(a), guard.h2, guard.h1sq,
+                                        consts)[-1][0])
     diag = {
         "phi_sample_mean": float(np.mean(phis)),
-        "n_samples": int(states.shape[0]),
+        "n_samples": n_samples,
         "thinning": stride * dt,
-        "excluded": bool(rec.excluded[0]),
+        "excluded": bool(guard.excluded[0]),
     }
-    return EmpiricalMeasure(states), diag
+    return EmpiricalMeasure(np.array(states)), diag

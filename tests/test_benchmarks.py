@@ -17,6 +17,7 @@ TINY = {
     "bench_strang_state": (8, 2),
     "bench_startup": (1,),
     "bench_dual": (8, 4),
+    "bench_transport": (4, 8),
     "bench_gamma_stack": (8, 2, 0.05),
 }
 

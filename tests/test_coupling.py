@@ -477,10 +477,9 @@ class TestSecondMemberBlowUp:
     (M = 16, N = 4, dt = 1e-3): u2's H^1 norm passes the default guard of 1e6
     within about ten exponential-Euler steps while u1 stays near 0.9.  The
     guard watches both members, so those pairs are excluded and frozen, at
-    finite values on row 2; rows 0 and 1 run as in a batch of their own.  On
-    row 3 the budget integral's increment at the last admitted state
-    overflows to inf, which the pair then holds: a hold by a zero step would
-    turn it into NaN."""
+    finite values; rows 0 and 1 run as in a batch of their own.  On row 3 the
+    budget integral's increment overflows to inf while u2 is still inside the
+    guard, which excludes the pair from that step, as a crossing would."""
 
     M, N = 16, 4
     amps = np.array([0.0, 0.0, 20.0, 33.0])
@@ -510,12 +509,8 @@ class TestSecondMemberBlowUp:
         b = self.blown
         for s in (first, second):
             assert np.array_equal(s.excluded, b)
-            assert not any(np.isnan(x).any() for x in (s.pair, s.log_weight, s.e4.value(),
-                                                       s.budget_integral))
-            for x in (s.pair[:, :3], s.log_weight[:3], s.e4.value()[:, :3],
-                      s.budget_integral[:3]):
+            for x in (s.pair, s.log_weight, s.e4.value(), s.budget_integral):
                 assert np.all(np.isfinite(x))
-            assert s.budget_integral[3] == np.inf
         # the second segment moves no excluded pair
         assert np.array_equal(second.pair[:, b], first.pair[:, b])
         assert np.array_equal(second.e4.value()[:, b], first.e4.value()[:, b])

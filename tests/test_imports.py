@@ -65,12 +65,12 @@ def scipy_runs() -> dict:
     a = st.EmpiricalMeasure(fields(5), rng.dirichlet(np.ones(5)))
     b = st.EmpiricalMeasure(fields(7))
     lp = st.wasserstein(a, b, "d1")
-    # a uniform equal-size pair above 64 samples goes to the assignment solver
+    # a uniform equal-size pair goes to the assignment solver
     assign = st.wasserstein(st.EmpiricalMeasure(fields(65)), st.EmpiricalMeasure(fields(65)),
                             "d0")
     v = sp.to_physical(fields(3, 64), sp.PhysicalGrid(1024))
     return {"lp": np.array([lp.value, lp.gap]), "lp_plan": lp.plan,
-            "assignment": np.array(assign.value), "synthesis": v,
+            "assignment": np.array([assign.value, assign.gap]), "synthesis": v,
             "analysis": sp.to_spectral(v, 64)}
 
 

@@ -428,6 +428,18 @@ class TestCLI:
         assert lines[0].startswith("gamma,w_d0")
         assert assert_manifest(tmp_path / "o" / "measures")["trajectory_count"] == 2
 
+    def test_measures_certificate_above_64_samples(self, tmp_path):
+        # 70 samples against 70 are an assignment problem: every row carries
+        # its certificate gap, not a placeholder
+        text = BASE + ("\n[experiment]\ngammas = 0.1,0.05\nburn_in = 0.1\n"
+                       "samples = 70\nthinning = 0.01\n")
+        out = str(tmp_path / "o")
+        assert cli.main(["measures", "--config", write(tmp_path, text), "--out", out]) == 0
+        lines = (tmp_path / "o" / "measures" / "measures.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        gaps = [float(line.split(",")[header.index("w_d0_gap")]) for line in lines[1:]]
+        assert len(gaps) == 2 and all(0.0 <= g <= 1e-9 for g in gaps)
+
     @pytest.mark.parametrize("name, experiment, excluded", [
         ("mixing", "gammas = 0.05\nt_max = 0.2\nt_points = 3\nensemble = 4\n", 8),
         ("measures", "gammas = 0.1\nburn_in = 0.5\nsamples = 4\nthinning = 0.05\n", 2),

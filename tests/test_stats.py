@@ -12,8 +12,9 @@ from glnls.spectral import basis_mode
 CONSTS = fn.FunctionalConstants()
 
 
-def rand_measure(rng, n, M=6, weighted=False):
-    A = rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M))
+def rand_measure(rng, n, M=6, weighted=False, scale=1.0):
+    # at scale 1 every d0 cost is capped at 1; scale 0.1 keeps them below the cap
+    A = scale * (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M)))
     if weighted:
         w = rng.integers(1, 4, size=n).astype(float)
         return st.EmpiricalMeasure(A, w / w.sum())
@@ -35,15 +36,16 @@ class TestWasserstein:
         assert st.wasserstein(emp, emp, "d0").value == pytest.approx(0.0, abs=1e-12)
 
     def test_self_distance_exactly_zero(self):
-        # costs from differences vanish on coincident samples, so the LP
-        # (32 atoms) and the assignment route (80 atoms) give exactly 0
+        # costs from differences vanish on coincident samples, so the
+        # assignment route gives exactly 0, value and certificate gap
         rng = np.random.default_rng(10)
         k = np.arange(1, 65)
         for n in (32, 80):
             emp = st.EmpiricalMeasure(0.5 * (rng.standard_normal((n, 64))
                                              + 1j * rng.standard_normal((n, 64))) / k**2)
             for ground in ("d0", "d1", "d0xi"):
-                assert st.wasserstein(emp, emp, ground, xi=0.05).value == 0.0
+                res = st.wasserstein(emp, emp, ground, xi=0.05)
+                assert res.value == 0.0 and res.gap == 0.0
 
     def test_pairwise_costs_from_differences(self):
         # every entry is the H^k norm of the explicit difference, the same
@@ -81,8 +83,8 @@ class TestWasserstein:
         rng = np.random.default_rng(2)
         for trial in range(25):
             n = int(rng.integers(1, 7))
-            ea = rand_measure(rng, n, weighted=trial % 2 == 0)
-            eb = rand_measure(rng, int(rng.integers(1, 7)) if trial % 2 else n)
+            ea = rand_measure(rng, n, weighted=trial % 2 == 0, scale=0.1)
+            eb = rand_measure(rng, int(rng.integers(1, 7)) if trial % 2 else n, scale=0.1)
             try:
                 bf = st.wasserstein_bruteforce(ea, eb, "d0")
             except ValueError:
@@ -123,10 +125,10 @@ class TestWasserstein:
                 ac = st.wasserstein(a, c, ground).value
                 assert ac <= ab + bc + 1e-9
 
-    @pytest.mark.parametrize("na, nb, weighted", [(64, 64, False), (7, 9, False),
+    @pytest.mark.parametrize("na, nb, weighted", [(64, 64, True), (7, 9, False),
                                                   (65, 65, True), (65, 66, False)])
     def test_lp_route(self, na, nb, weighted):
-        # at most 64 samples, a weighted pair or unequal sizes: the LP, with its gap
+        # a weighted pair or unequal sizes: the LP, with its gap
         rng = np.random.default_rng(7)
         ea, eb = rand_measure(rng, na, weighted=weighted), rand_measure(rng, nb)
         got = st.wasserstein(ea, eb, "d0")
@@ -134,15 +136,39 @@ class TestWasserstein:
         assert got.value == ref.value and got.gap == ref.gap < 1e-8
         assert np.array_equal(got.plan, ref.plan)
 
-    @pytest.mark.parametrize("n", [65, 100])
+    @pytest.mark.parametrize("n", [1, 2, 32, 64, 65, 100, 128])
     def test_assignment_route(self, n):
-        # a uniform equal-size pair above 64 samples: the assignment solver
+        # a uniform equal-size pair, at any size: the assignment solver, whose
+        # potentials are dual-feasible and close the gap to the LP's value
+        from scipy.optimize import linear_sum_assignment
+
         rng = np.random.default_rng(8)
-        ea, eb = rand_measure(rng, n), rand_measure(rng, n)
-        got = st.wasserstein(ea, eb, "d0")
-        ref = st._solve_lp(st.cost_matrix(ea, eb, "d0"), ea.weights, eb.weights)
-        assert got.gap is None and got.plan is None
-        assert got.value == pytest.approx(ref.value, abs=1e-12)
+        ea, eb = rand_measure(rng, n, scale=0.1), rand_measure(rng, n, scale=0.1)
+        for ground in ("d0", "d0xi"):
+            C = st.cost_matrix(ea, eb, ground, xi=0.05)
+            got = st.wasserstein(ea, eb, ground, xi=0.05)
+            ref = st._solve_lp(C, ea.weights, eb.weights)
+            assert got.plan is None
+            assert abs(got.value - ref.value) <= 1e-12 and got.gap <= 1e-12
+            u, v = st._assignment_duals(C, linear_sum_assignment(C)[1])
+            assert np.all(u[:, None] + v[None, :] <= C + 1e-15)
+
+    def test_certificate_rejects_a_suboptimal_assignment(self):
+        # potentials built from a non-optimal permutation stay dual-feasible,
+        # so the gap is at least that permutation's excess over the optimum
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(12)
+        ea, eb = rand_measure(rng, 32, scale=0.1), rand_measure(rng, 32, scale=0.1)
+        C = st.cost_matrix(ea, eb, "d0")
+        best = linear_sum_assignment(C)[1]
+        rows = np.arange(32)
+        for cols in (np.roll(best, 1), best[[1, 0, *range(2, 32)]]):
+            u, v = st._assignment_duals(C, cols)
+            cost = C[rows, cols].mean()
+            gap = abs(cost - (u.mean() + v.mean()))
+            assert np.all(u[:, None] + v[None, :] <= C + 1e-15)
+            assert gap > 1e-6 and gap >= cost - C[rows, best].mean() - 1e-15
 
     def test_exact_above_512_samples(self):
         # 520 against 520 is solved whole, not estimated from subsamples
