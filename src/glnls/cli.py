@@ -156,10 +156,11 @@ def drive_couple(cfg, seed, args):
             state, ccfg, params, integ, spec, derive_seed(seed, f"segment-{k}"),
         )
         flags = state.e4_crossed.astype(int) + 2 * state.budget_crossed.astype(int)
+        ell = state.ell
         j = fn.j_functional(*state.pair, consts)
         for pair in range(n_pairs):
             rows.append((
-                pair, state.k, state.ell[pair], j[pair],
+                pair, state.k, ell[pair], j[pair],
                 state.log_weight[pair], *seg.e4[-1, :, pair], flags[pair],
             ))
     header = ("pair", "k", "ell", "J", "log_weight", "E4_u1", "E4_u2", "stopped_flags")

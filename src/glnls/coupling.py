@@ -117,15 +117,14 @@ class CoupledState:
     """Batch of coupled pairs, stacked: ``pair`` has shape (2, B, M), and
     member 1's first N modes equal member 0's bit for bit.
 
-    ``ell`` is the coupling epoch index of the decoupling bookkeeping
-    (UNCOUPLED when the pair has decoupled), ``k`` the number of segments
-    run, ``log_weight`` the running Girsanov log density, ``e4`` both
-    members' E_4 budgets over (2, B), ``excluded`` the pairs frozen by the
-    blow-up guard.
+    ``ell`` is the coupling epoch index of the decoupling bookkeeping:
+    UNCOUPLED once the pair's E_4 or budget flag is set, else 0.  ``k`` is
+    the number of segments run, ``log_weight`` the running Girsanov log
+    density, ``e4`` both members' E_4 budgets over (2, B), ``excluded`` the
+    pairs frozen by the blow-up guard.
     """
 
     pair: np.ndarray
-    ell: np.ndarray
     k: int
     log_weight: np.ndarray
     e4: fn.EnAccumulator
@@ -133,6 +132,10 @@ class CoupledState:
     budget_crossed: np.ndarray
     budget_integral: np.ndarray
     excluded: np.ndarray
+
+    @property
+    def ell(self) -> np.ndarray:
+        return np.where(self.e4_crossed | self.budget_crossed, UNCOUPLED, 0)
 
 
 def _pin(pair: np.ndarray, N: int, offset=0.0) -> None:
@@ -151,7 +154,7 @@ def make_coupled_state(
     B = pair.shape[1]
     e4 = fn.EnAccumulator(4, alpha=np.nan)  # alpha set by the evolver
     e4.reset(fn.phi(pair, consts))
-    return CoupledState(pair=pair, ell=np.zeros(B, dtype=int), k=0, log_weight=np.zeros(B),
+    return CoupledState(pair=pair, k=0, log_weight=np.zeros(B),
                         e4=e4, e4_crossed=np.zeros(B, dtype=bool),
                         budget_crossed=np.zeros(B, dtype=bool), budget_integral=np.zeros(B),
                         excluded=np.zeros(B, dtype=bool))
@@ -441,7 +444,6 @@ def coupled_segment(
         if recorded:
             snap(nxt)
             nxt += 1
-    out.ell[out.e4_crossed | out.budget_crossed] = UNCOUPLED
     out.k += 1
     out.excluded = guard.excluded[0]
     collapsed = (out.log_weight < -30.0) & ~out.excluded  # frozen pairs weigh nothing

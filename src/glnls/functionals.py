@@ -1,7 +1,7 @@
-"""Scalar functionals of spectral states: Sobolev/Lebesgue norms, the energy
-functionals Psi and Phi, the two-solution functional J, the running budget
-E_n, and the truncated distances d_0, d_1 (d_0^xi is the "d0xi" ground cost
-of ``stats.cost_matrix``).
+"""Scalar functionals of spectral states, one function per quantity: the
+norms ||u||_{H^r} (r = 0 is H), ||u||_{L^4}^4, Psi and Phi of a synthesised
+field, the two-solution functional J, the running budget E_n and the weight
+of the d_0^xi cost.  The distances d_k are ``stats.cost_matrix``'s costs.
 
 Conventions.  H is the complexified L^2(0,1) with the sine basis orthonormal,
 so ||u||_H^2 = sum_k |a_k|^2 and ||u||_{H^r}^2 = sum_k alpha_k^r |a_k|^2 with
@@ -9,8 +9,8 @@ alpha_k = (k pi)^2.  ||u||_{L^4}^4 and J's cross term are physical-space
 quadratures on the K = 2M interior points of ``physical_field``, the one grid
 the package samples fields on.  The trapezoid sum there is exact for M-mode
 fields: the integrand is a cosine polynomial of degree <= 4M, resolved since
-2(K+1) = 4M + 2 > 4M.  So ``l4_norm4``, ``psi`` and ``phi`` equal the values
-the steppers take from the fields they synthesise, bit for bit.
+2(K+1) = 4M + 2 > 4M.  So ``field_energy`` and ``phi`` give the values the
+steppers take from the fields they synthesise, bit for bit.
 
 kappa and kappa2 are fixed inputs ([functionals] kappa, kappa2 of a run
 configuration), not quantities to estimate: they are constants of Phi and J
@@ -71,17 +71,6 @@ class FunctionalConstants:
 # norms
 # ---------------------------------------------------------------------------
 
-def norm_h(a: np.ndarray) -> np.ndarray:
-    """||u||_H, batched over leading axes."""
-    a = np.asarray(a)
-    return np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
-
-
-def norm_h_sq(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    return np.sum(np.abs(a) ** 2, axis=-1)
-
-
 @lru_cache(maxsize=16)
 def _hr_weights(M: int, r: float) -> np.ndarray:
     """Read-only alpha_k^r for k = 1..M."""
@@ -90,18 +79,14 @@ def _hr_weights(M: int, r: float) -> np.ndarray:
     return w
 
 
-def norm_hr(a: np.ndarray, r: float) -> np.ndarray:
-    """||u||_{H^r} = (sum_k alpha_k^r |a_k|^2)^(1/2)."""
-    return np.sqrt(norm_hr_sq(a, r))
-
-
 def norm_hr_sq(a: np.ndarray, r: float) -> np.ndarray:
+    """||u||_{H^r}^2 = sum_k alpha_k^r |a_k|^2, batched; r = 0 gives ||u||_H^2."""
     a = np.asarray(a)
     return np.sum(_hr_weights(a.shape[-1], r) * np.abs(a) ** 2, axis=-1)
 
 
 def norms_h_h1_sq(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(||u||_H^2, ||u||_{H^1}^2) from one |a|^2: the bits of norm_h_sq(a)
+    """(||u||_H^2, ||u||_{H^1}^2) from one |a|^2: the bits of norm_hr_sq(a, 0.0)
     and norm_hr_sq(a, 1.0), for callers that need both norms of one state."""
     a = np.asarray(a)
     a2 = np.abs(a) ** 2
@@ -136,19 +121,9 @@ def field_energy(field: tuple, h2, h1sq, consts: FunctionalConstants) -> tuple:
     return l4, ps, ps + consts.kappa * h2**9
 
 
-def l4_norm4(a: np.ndarray) -> np.ndarray:
-    """||u||_{L^4}^4, exact for M-mode fields."""
-    dens = physical_field(a)[1]
-    return _quad_mean(dens * dens)
-
-
-def psi(a: np.ndarray, consts: FunctionalConstants) -> np.ndarray:
-    """Psi(u) = ||u||_{H^1}^2 - 1/2 ||u||_{L^4}^4 + kappa ||u||_H^6."""
-    return field_energy(physical_field(a), *norms_h_h1_sq(a), consts)[1]
-
-
 def phi(a: np.ndarray, consts: FunctionalConstants) -> np.ndarray:
-    """Phi(u) = Psi(u) + kappa ||u||_H^18."""
+    """Phi(u) = Psi(u) + kappa ||u||_H^18, with
+    Psi(u) = ||u||_{H^1}^2 - 1/2 ||u||_{L^4}^4 + kappa ||u||_H^6."""
     return field_energy(physical_field(a), *norms_h_h1_sq(a), consts)[2]
 
 
@@ -189,9 +164,10 @@ def j_functional(u1: np.ndarray, u2: np.ndarray, consts: FunctionalConstants) ->
 class EnAccumulator:
     """Left-endpoint accumulator for E_n(t) = Phi(u(t))^n + n alpha/2 int Phi^n.
 
-    push() is called once per time step with the current Phi value(s); the
-    previous value enters the integral (left endpoint), the new one the
-    pointwise term.  Values may be batched.
+    push(phi, dt) is called once per time step, or once per record with the
+    record's gap as dt, with the current Phi value(s); the previous value
+    enters the integral (left endpoint), the new one the pointwise term.
+    Values may be batched.
     """
 
     n: int
@@ -214,49 +190,13 @@ class EnAccumulator:
         return self._prev_phin + 0.5 * self.n * self.alpha * self.integral
 
 
-def accumulate_en(
-    phi_values: np.ndarray, steps: np.ndarray | list[int], dt: float, n: int, alpha: float
-) -> np.ndarray:
-    """E_n along a recorded Phi trajectory (axis 0 = time), vectorized.
-
-    steps are the record steps of step length dt, as ``record_schedule``
-    gives them.  The left-endpoint integral weighs each record by its gap
-    in strides (the longest gap): 1 on a full gap, a fraction on a short
-    last one.  The sum is scaled by the stride's length once, so on an even
-    grid no gap carries a rounding of its own.
-    """
-    phin = np.asarray(phi_values, dtype=float) ** n
-    gaps = np.diff(steps)
-    stride = gaps.max(initial=1)
-    w = (gaps / stride).reshape((-1,) + (1,) * (phin.ndim - 1))
-    integral = np.concatenate(
-        [np.zeros_like(phin[:1]), np.cumsum(phin[:-1] * w, axis=0) * (dt * stride)], axis=0
-    )
-    return phin + 0.5 * n * alpha * integral
-
-
 # ---------------------------------------------------------------------------
-# distances
+# the d_0^xi weight
 # ---------------------------------------------------------------------------
-
-def dist_dk(u1: np.ndarray, u2: np.ndarray, k: int) -> np.ndarray:
-    """d_k(u,v) = min(||u-v||_{H^k}, 1)."""
-    v = np.asarray(u1) - np.asarray(u2)
-    nrm = norm_h(v) if k == 0 else norm_hr(v, float(k))
-    return np.minimum(nrm, 1.0)
-
-
-def dist_d0(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    return dist_dk(u1, u2, 0)
-
-
-def dist_d1(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    return dist_dk(u1, u2, 1)
-
 
 def exp_xi_weight(a: np.ndarray, xi: float, cap: float = EXP_CAP):
     """(exp(xi ||u||_H^2) with capped exponent, number of capped samples)."""
-    expo = xi * norm_h_sq(a)
+    expo = xi * norm_hr_sq(a, 0.0)
     flagged = int(np.sum(expo > cap))
     return np.exp(np.minimum(expo, cap)), flagged
 

@@ -11,9 +11,11 @@ assignment problem (Birkhoff), solved at any size by the assignment solver;
 its dual potentials come from shortest paths on the reduced costs of the
 optimal permutation (``_assignment_duals``).  A weighted or unequal pair is
 handed to HiGHS as the transport LP, whose equality-constraint marginals give
-the dual potentials.  scipy.optimize (HiGHS and the assignment solver) and
-scipy.sparse are imported by the call that solves, so the drivers that solve
-no transport problem never load them.
+the row potentials.  Both take the column potentials v_j = min_i (C_ij - u_i),
+so the potentials are dual-feasible and the gap is at least the value's
+excess over the optimum.  scipy.optimize (HiGHS and the assignment solver)
+and scipy.sparse are imported by the call that solves, so the drivers that
+solve no transport problem never load them.
 
 The costs come from the differences a_i - b_j themselves (``pairwise_hk``),
 with no BLAS call: a measure is at distance exactly 0 from itself in every
@@ -140,6 +142,11 @@ class OTResult:
         return self.value
 
 
+def _column_potentials(C: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """v_j = min_i (C_ij - u_i): the largest v with (u, v) dual-feasible."""
+    return (C - u[:, None]).min(axis=0)
+
+
 def _solve_lp(C: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> OTResult:
     import scipy.sparse as sp
     from scipy.optimize import linprog
@@ -155,8 +162,8 @@ def _solve_lp(C: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> OTResult:
     res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    duals = np.asarray(res.eqlin.marginals)
-    dual_value = float(duals[:n] @ wa + duals[n:] @ wb[:-1])
+    u = np.asarray(res.eqlin.marginals)[:n]  # HiGHS's column duals may be infeasible
+    dual_value = float(wa @ u + wb @ _column_potentials(C, u))
     return OTResult(value=float(res.fun), gap=abs(float(res.fun) - dual_value),
                     plan=res.x.reshape(n, m))
 
@@ -185,7 +192,7 @@ def _assignment_duals(C: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.n
             break
         v = nxt
     u = own - v[cols]
-    return u, (C - u[:, None]).min(axis=0)
+    return u, _column_potentials(C, u)
 
 
 def _solve_assignment(C: np.ndarray) -> OTResult:
@@ -296,7 +303,7 @@ def dual_lower_bound(
 class RateFit:
     """OLS fit on log-transformed data; the residual is always reported."""
 
-    model: str  # 'power-t' | 'power-gamma' | 'exponential'
+    model: str  # 'power-gamma' | 'exponential'
     exponent: float
     intercept: float
     residual: float      # rms residual in the transformed coordinates
@@ -327,10 +334,10 @@ def _ols(x: np.ndarray, y: np.ndarray, model: str) -> RateFit:
     return RateFit(model, float(coef[0]), float(coef[1]), rms, r2, 1.96 * float(se))
 
 
-def fit_power_law(x: np.ndarray, y: np.ndarray, model: str = "power-gamma") -> RateFit:
-    """Slope of log y against log x."""
+def fit_power_law(x: np.ndarray, y: np.ndarray) -> RateFit:
+    """Slope of log y against log x (of the error against gamma)."""
     m = (np.asarray(x) > 0) & (np.asarray(y) > 0)
-    return _ols(np.log(np.asarray(x)[m]), np.log(np.asarray(y)[m]), model)
+    return _ols(np.log(np.asarray(x)[m]), np.log(np.asarray(y)[m]), "power-gamma")
 
 
 def fit_exponential(t: np.ndarray, y: np.ndarray) -> RateFit:
@@ -396,8 +403,10 @@ def mixing_curve(
 
     def observe(done):
         times.append(done * integ.dt)
+        h2, h1sq = fn.norms_h_h1_sq(pair[0] - pair[1])  # d_0 and d_1 of one difference
         for ok, d1, d0, m1, m2, (up1, up0, dual_t, dual_v) in zip(
-                ~guard.excluded[0], fn.dist_d1(*pair), fn.dist_d0(*pair), *pair, obs):
+                ~guard.excluded[0], np.minimum(np.sqrt(h1sq), 1.0),
+                np.minimum(np.sqrt(h2), 1.0), *pair, obs):
             up1.append(float(np.mean(d1[ok])) if ok.any() else np.nan)
             up0.append(float(np.mean(d0[ok])) if ok.any() else np.nan)
             if done in dual_steps and ok.any():
@@ -479,7 +488,7 @@ def inviscid_curve(
     # a pair falls with its reference row
     guard = BlowUpGuard(integ, a, link=lambda ex: ex | ex[0])
     for _, a, _ in run(stepper, guard, a, source, int(round(T / dt)), every_step=True):
-        sup = np.maximum(sup, fn.norm_h_sq(a - a[0]))
+        sup = np.maximum(sup, fn.norm_hr_sq(a - a[0], 0.0))
     bad = guard.excluded
 
     def summary(v):  # of one gamma's live pairs; a gamma with none has no estimate
@@ -492,7 +501,7 @@ def inviscid_curve(
     fit = None
     pos = (gamma_list > 0) & (excluded < E)
     if pos.sum() >= 3:
-        fit = fit_power_law(gamma_list[pos], mean_sq[pos], "power-gamma")
+        fit = fit_power_law(gamma_list[pos], mean_sq[pos])
     return InviscidCurve(
         gammas=gamma_list, mean_sup_err=mean_err, mean_sup_err_sq=mean_sq,
         se_sup_err_sq=se_sq, excluded=excluded, fit=fit,
@@ -567,9 +576,11 @@ def tail_experiment(
         u0, params, integ, spec, T, seed,
         traj_ids=np.arange(ensemble_size), consts=consts,
     )
-    en = fn.accumulate_en(np.maximum(rec.energy.phi[:, ~rec.excluded], 0.0),
-                          record_schedule(int(round(T / dt)), record_every), dt, n,
-                          params.alpha)
+    phis = np.maximum(rec.energy.phi[:, ~rec.excluded], 0.0)
+    acc = fn.EnAccumulator(n, params.alpha)
+    acc.reset(phis[0])  # pushed as simulate_ensemble does: n = 4 gives its E4 bits
+    gaps = np.diff(record_schedule(int(round(T / dt)), record_every))
+    en = np.array([acc.value()] + [acc.push(ph, integ.dt * g) for ph, g in zip(phis[1:], gaps)])
     phi0 = float(fn.phi(np.asarray(u0, complex), consts))
     return replace(tail_fit(en, rec.times, phi0**n, T, rho_grid, p),
                    excluded=int(rec.excluded.sum()))

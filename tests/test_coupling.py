@@ -254,8 +254,8 @@ class TestGirsanov:
         ref = md.simulate_ensemble(u2, params, integ, spec, cfg.t1, seed=99,
                                    traj_ids=np.arange(B)).final
         for f in (
-            lambda u: np.minimum(fn.norm_h(u), 1.0),
-            lambda u: np.exp(-fn.norm_h_sq(u)),
+            lambda u: np.minimum(np.sqrt(fn.norm_hr_sq(u, 0.0)), 1.0),
+            lambda u: np.exp(-fn.norm_hr_sq(u, 0.0)),
             lambda u: np.clip(u[:, 1].real, -0.5, 0.5),
         ):
             a, b = w * f(cand), f(ref)

@@ -24,15 +24,32 @@ def random_field(rng, M, decay=1.0):
     return z / np.arange(1, M + 1) ** decay
 
 
+def energy(a, consts=CONSTS):
+    """(||u||_{L^4}^4, Psi, Phi) of the states a."""
+    return fn.field_energy(fn.physical_field(a), *fn.norms_h_h1_sq(a), consts)
+
+
+def l4(a):
+    return energy(a)[0]
+
+
+def psi(a, consts=CONSTS):
+    return energy(a, consts)[1]
+
+
 def gn_holds(a, kappa):
     """||u||_{L^4}^4 <= 1/4 ||u||_{H^1}^2 + kappa/2 ||u||_H^6, to rounding."""
-    rhs = 0.25 * fn.norm_hr_sq(a, 1.0) + 0.5 * kappa * fn.norm_h_sq(a) ** 3
-    return fn.l4_norm4(a) <= rhs * (1 + 1e-12) + 1e-15
+    rhs = 0.25 * fn.norm_hr_sq(a, 1.0) + 0.5 * kappa * fn.norm_hr_sq(a, 0.0) ** 3
+    return l4(a) <= rhs * (1 + 1e-12) + 1e-15
+
+
+def cost(u, v, ground, xi=None):
+    """The ground cost between the single fields u and v."""
+    return st.cost_matrix(st.EmpiricalMeasure(u), st.EmpiricalMeasure(v), ground, xi=xi)[0, 0]
 
 
 def d0xi(u, v, xi):
-    """The d0xi ground cost between the single fields u and v."""
-    return st.cost_matrix(st.EmpiricalMeasure(u), st.EmpiricalMeasure(v), "d0xi", xi=xi)[0, 0]
+    return cost(u, v, "d0xi", xi)
 
 
 class TestNorms:
@@ -42,19 +59,19 @@ class TestNorms:
     def test_zero_for_all_r(self):
         z = np.zeros(8, complex)
         for r in (0.0, 0.75, 1.0, 1.5, 2.0, 3.0):
-            assert fn.norm_hr(z, r) == 0.0
+            assert fn.norm_hr_sq(z, r) == 0.0
 
     def test_l4_of_e1_closed_form(self):
         # int_0^1 4 sin^4(pi x) dx = 3/2, cross-checked by the dense oracle
         e1 = basis_mode(16, 1)
-        assert fn.l4_norm4(e1) == pytest.approx(1.5, rel=1e-12)
+        assert l4(e1) == pytest.approx(1.5, rel=1e-12)
         assert dense_lp_oracle(e1, 4) ** 4 == pytest.approx(1.5, rel=1e-8)
 
     def test_lp_against_dense_oracle(self):
         rng = np.random.default_rng(0)
         a = random_field(rng, 12)
-        assert fn.norm_h(a) == pytest.approx(dense_lp_oracle(a, 2.0), rel=1e-6)
-        assert fn.l4_norm4(a) ** 0.25 == pytest.approx(dense_lp_oracle(a, 4.0), rel=1e-6)
+        assert np.sqrt(fn.norm_hr_sq(a, 0.0)) == pytest.approx(dense_lp_oracle(a, 2.0), rel=1e-6)
+        assert l4(a) ** 0.25 == pytest.approx(dense_lp_oracle(a, 4.0), rel=1e-6)
 
     def test_hr_weights_cached_read_only(self):
         w = fn._hr_weights(8, 1.5)
@@ -64,37 +81,39 @@ class TestNorms:
 
     @pytest.mark.parametrize("shape", [(8,), (5, 16), (2, 3, 64)])
     def test_both_norms_from_one_pass(self, shape):
-        # one |a|^2 for both norms, with the bits of the two single-norm calls
+        # one |a|^2 for both norms, with the bits of the two single-norm calls;
+        # the plain sum is the r = 0 norm with its unit weights, bit for bit
         rng = np.random.default_rng(list(shape))
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         h2, h1sq = fn.norms_h_h1_sq(a)
-        assert np.array_equal(h2, fn.norm_h_sq(a))
+        assert np.array_equal(h2, fn.norm_hr_sq(a, 0.0))
         assert np.array_equal(h1sq, fn.norm_hr_sq(a, 1.0))
 
     def test_scaling(self):
         rng = np.random.default_rng(1)
         a = random_field(rng, 10)
         c = 0.7 - 1.3j
-        assert fn.norm_h(c * a) == pytest.approx(abs(c) * fn.norm_h(a), rel=1e-12)
-        assert fn.norm_hr(c * a, 1.5) == pytest.approx(abs(c) * fn.norm_hr(a, 1.5), rel=1e-12)
+        for r in (0.0, 1.5):
+            assert fn.norm_hr_sq(c * a, r) == pytest.approx(abs(c) ** 2 * fn.norm_hr_sq(a, r),
+                                                             rel=1e-12)
 
 
 class TestPsiPhi:
     def test_zero(self):
         z = np.zeros(8, complex)
-        assert fn.psi(z, CONSTS) == 0.0
+        assert psi(z) == 0.0
         assert fn.phi(z, CONSTS) == 0.0
 
     def test_e1_values(self):
         e1 = basis_mode(8, 1)
-        assert fn.psi(e1, CONSTS) == pytest.approx(np.pi**2 - 0.75 + 1.0, rel=1e-12)
+        assert psi(e1) == pytest.approx(np.pi**2 - 0.75 + 1.0, rel=1e-12)
         assert fn.phi(e1, CONSTS) == pytest.approx(np.pi**2 - 0.75 + 2.0, rel=1e-12)
 
     def test_phi_dominates_psi_on_unit_ball(self):
         rng = np.random.default_rng(2)
         fields = np.stack([random_field(rng, 16) for _ in range(200)])
-        fields /= np.maximum(fn.norm_h(fields), 1.0)[:, None]
-        assert np.all(fn.phi(fields, CONSTS) >= fn.psi(fields, CONSTS))
+        fields /= np.maximum(np.sqrt(fn.norm_hr_sq(fields, 0.0)), 1.0)[:, None]
+        assert np.all(fn.phi(fields, CONSTS) >= psi(fields))
 
     def test_cube_chain_on_provable_range(self):
         # Psi >= (kappa/2)||u||_H^6 gives Psi^3 >= Phi once
@@ -103,7 +122,7 @@ class TestPsiPhi:
         cut = np.sqrt(2.0)
         rng = np.random.default_rng(3)
         fields = 3.0 * np.stack([random_field(rng, 16) for _ in range(200)])
-        ps = fn.psi(fields, consts)
+        ps = psi(fields, consts)
         ph = fn.phi(fields, consts)
         big = ps >= cut
         assert big.any()
@@ -114,7 +133,7 @@ class TestPsiPhi:
         # the cube chain has no valid range for kappa <= 2 sqrt(2): with
         # kappa = 1, u = 10 e_1 has Psi ~ 1e6 but Phi > Psi^3
         u = 10.0 * basis_mode(16, 1)
-        ps, ph = float(fn.psi(u, CONSTS)), float(fn.phi(u, CONSTS))
+        ps, ph = float(psi(u)), float(fn.phi(u, CONSTS))
         assert ps > 1.0 and ps**3 < ph
         assert ph >= ps
 
@@ -136,9 +155,11 @@ class TestSharedFieldPhi:
     def test_matches_phi(self, M):
         rng = np.random.default_rng(M)
         a = np.stack([random_field(rng, M, d) for d in (0.5, 1.0, 2.0) for _ in range(4)])
-        l4, ps, ph = fn.field_energy(fn.physical_field(a), *fn.norms_h_h1_sq(a), CONSTS)
-        for got, ref in ((l4, fn.l4_norm4(a)), (ps, fn.psi(a, CONSTS)), (ph, fn.phi(a, CONSTS))):
-            assert np.array_equal(got, ref)
+        h2, h1sq = fn.norms_h_h1_sq(a)
+        l4, ps, ph = fn.field_energy(fn.physical_field(a), h2, h1sq, CONSTS)
+        assert np.array_equal(ph, fn.phi(a, CONSTS))
+        assert np.array_equal(ps, h1sq - 0.5 * l4 + CONSTS.kappa * h2**3)
+        assert np.array_equal(ph, ps + CONSTS.kappa * h2**9)
 
     @pytest.mark.parametrize("every_step", [True, False])
     def test_ensemble_records(self, every_step):
@@ -154,11 +175,11 @@ class TestSharedFieldPhi:
                                        record_states=True,
                                        track_phi_every_step=every_step)
             e, u = rec.energy, rec.states
-            assert np.array_equal(e.H, fn.norm_h_sq(u))
+            assert np.array_equal(e.H, fn.norm_hr_sq(u, 0.0))
             assert np.array_equal(e.H1, fn.norm_hr_sq(u, 1.0))
-            for got, ref in ((e.L4, fn.l4_norm4(u)), (e.psi, fn.psi(u, CONSTS)),
-                             (e.phi, fn.phi(u, CONSTS))):
+            for got, ref in zip((e.L4, e.psi, e.phi), energy(u)):
                 assert np.array_equal(got, ref)
+            assert np.array_equal(e.phi, fn.phi(u, CONSTS))
 
 
 class TestKappaCalibration:
@@ -168,15 +189,15 @@ class TestKappaCalibration:
         # along c e_1 the inequality binds at c^2 = G/(2L), where it needs
         # kappa = 2 L^2/(G B) = 4.5/pi^2; large amplitudes need vanishing kappa
         e1 = basis_mode(16, 1)
-        L, G, B = fn.l4_norm4(e1), fn.norm_hr_sq(e1, 1.0), fn.norm_h_sq(e1) ** 3
+        L, G, B = l4(e1), fn.norm_hr_sq(e1, 1.0), fn.norm_hr_sq(e1, 0.0) ** 3
         worst = 4.5 / np.pi**2
         assert 2.0 * L**2 / (G * B) == pytest.approx(worst, rel=1e-10)
         binding = np.sqrt(G / (2.0 * L)) * e1
         assert gn_holds(binding, worst) and not gn_holds(binding, 0.99 * worst)
         for c in (10.0, 100.0):
-            L = fn.l4_norm4(c * e1)
+            L = l4(c * e1)
             G = fn.norm_hr_sq(c * e1, 1.0)
-            needed = 2.0 * max(L - G / 4.0, 0.0) / fn.norm_h_sq(c * e1) ** 3
+            needed = 2.0 * max(L - G / 4.0, 0.0) / fn.norm_hr_sq(c * e1, 0.0) ** 3
             assert needed < worst  # -> 0 like 3/c^2 along the ray
             assert gn_holds(c * e1, worst)
 
@@ -205,7 +226,7 @@ class TestKappaCalibration:
             np.stack([random_field(rng, M, d) for _ in range(300)]) for d in (0.0, 1.0, 2.0)
         ])
         dirs = np.concatenate([modes, mixes, rand])
-        binding = np.sqrt(fn.norm_hr_sq(dirs, 1.0) / (2.0 * fn.l4_norm4(dirs)))[:, None]
+        binding = np.sqrt(fn.norm_hr_sq(dirs, 1.0) / (2.0 * l4(dirs)))[:, None]
         assert np.all(gn_holds(binding * dirs, 1.0))
 
 
@@ -231,7 +252,8 @@ class TestJFunctional:
         v = u1 - u2
         ref = (fn.norm_hr_sq(v, 1.0)
                - fn._re_cross_term(fn.physical_field(u1)[0], fn.physical_field(u2)[0], v)
-               + CONSTS.kappa2 * (fn.phi(u1, CONSTS) + fn.phi(u2, CONSTS)) * fn.norm_h_sq(v))
+               + CONSTS.kappa2 * (fn.phi(u1, CONSTS) + fn.phi(u2, CONSTS))
+               * fn.norm_hr_sq(v, 0.0))
         calls = []
         synth = fn.to_physical
         monkeypatch.setattr(fn, "to_physical", lambda *a: calls.append(1) or synth(*a))
@@ -266,11 +288,11 @@ class TestJFunctional:
             u1 = random_field(rng, 16)
             u2 = random_field(rng, 16)
             scale = rng.uniform(0.1, 1.0)
-            u1, u2 = scale * u1 / fn.norm_hr(u1, 1.0) * 3.0, scale * u2 / fn.norm_hr(u2, 1.0) * 3.0
+            u1, u2 = (scale * u / np.sqrt(fn.norm_hr_sq(u, 1.0)) * 3.0 for u in (u1, u2))
             v = u1 - u2
             half = 0.5 * consts.kappa2 * (fn.phi(u1, consts) + fn.phi(u2, consts))
             cross = fn._re_cross_term(fn.physical_field(u1)[0], fn.physical_field(u2)[0], v)
-            assert half * fn.norm_h_sq(v) >= abs(cross)
+            assert half * fn.norm_hr_sq(v, 0.0) >= abs(cross)
             assert fn.j_functional(u1, u2, consts) >= fn.norm_hr_sq(v, 1.0) - 1e-9
 
 
@@ -305,32 +327,39 @@ class TestEnAccumulation:
         assert np.all(rec.energy.E1 >= rec.energy.phi - 1e-12)
 
     def test_vectorized_accumulate_matches(self):
-        # records every 5 steps of 0.01 and a last one 3 steps after the 49th
+        # three trajectories recorded every 5 steps of 0.01, and a last time 3
+        # steps after the 49th: the batched pushes give each trajectory's own
+        # E_4 bit for bit, and that is the left-endpoint sum over the gaps
         rng = np.random.default_rng(12)
-        phis = rng.uniform(0.0, 2.0, size=50)
-        rec_steps = md.record_schedule(49 * 5 - 2, 5)
-        acc = fn.EnAccumulator(4, alpha=0.7)
-        acc.reset(phis[0])
-        series = [acc.value()]
-        for p, gap in zip(phis[1:], np.diff(rec_steps)):
-            series.append(acc.push(p, 0.01 * gap))
-        vec = fn.accumulate_en(phis, rec_steps, 0.01, 4, 0.7)
-        assert np.allclose(series, vec, rtol=1e-13, atol=0.0)
+        phis = rng.uniform(0.0, 2.0, size=(50, 3))
+        gaps = 0.01 * np.diff(md.record_schedule(49 * 5 - 2, 5))
+
+        def series(phi):
+            acc = fn.EnAccumulator(4, alpha=0.7)
+            acc.reset(phi[0])
+            return np.array([acc.value()] + [acc.push(p, g) for p, g in zip(phi[1:], gaps)])
+
+        batch = series(phis)
+        for j in range(3):
+            assert np.array_equal(batch[:, j], series(phis[:, j]))
+        integral = np.concatenate([np.zeros((1, 3)),
+                                   np.cumsum(phis[:-1] ** 4 * gaps[:, None], axis=0)])
+        assert np.allclose(batch, phis**4 + 0.5 * 4 * 0.7 * integral, rtol=1e-13, atol=0.0)
 
 
 class TestDistances:
     def test_coincident(self):
         rng = np.random.default_rng(13)
         u = random_field(rng, 8)
-        assert fn.dist_d0(u, u) == 0.0
         # the cost matrix forms its costs from the differences, which vanish
-        emp = st.EmpiricalMeasure(u)
-        assert st.cost_matrix(emp, emp, "d0")[0, 0] == 0.0
+        for ground in ("d0", "d1"):
+            assert cost(u, u, ground) == 0.0
         assert d0xi(u, u, xi=0.1) == 0.0
 
     def test_clamp(self):
         u = 5.0 * basis_mode(8, 1)
-        assert fn.dist_d0(u, np.zeros(8, complex)) == 1.0
+        for ground in ("d0", "d1"):
+            assert cost(u, np.zeros(8, complex), ground) == 1.0
 
     def test_d0xi_formula(self):
         e1 = basis_mode(8, 1)
@@ -340,8 +369,8 @@ class TestDistances:
     def test_symmetry(self):
         rng = np.random.default_rng(14)
         u, v = random_field(rng, 8), random_field(rng, 8)
-        for k in (0, 1):
-            assert fn.dist_dk(u, v, k) == pytest.approx(float(fn.dist_dk(v, u, k)))
+        for ground in ("d0", "d1"):
+            assert cost(u, v, ground) == pytest.approx(cost(v, u, ground))
         assert d0xi(u, v, 0.2) == pytest.approx(d0xi(v, u, 0.2))
 
     def test_overflow_reported(self):

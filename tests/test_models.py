@@ -104,7 +104,8 @@ class TestStandingWave:
         for dt in self.DTS:
             integ = md.IntegratorConfig(dt=dt, scheme=scheme, record_every=int(round(self.T / dt)))
             final = md.simulate_ensemble(a0, params, integ, NO_NOISE, self.T, seed=0).final[0]
-            err.append(fn.norm_h(final - np.exp(1j * omega * self.T) * a0) / fn.norm_h(a0))
+            err.append(np.sqrt(fn.norm_hr_sq(final - np.exp(1j * omega * self.T) * a0, 0.0)
+                               / fn.norm_hr_sq(a0, 0.0)))
         return np.array(err), np.log2(err[:-1] / np.array(err[1:]))
 
     @pytest.mark.parametrize("m, bound", [(-0.5, 6e-5), (-2.0, 6e-4)])
@@ -178,7 +179,7 @@ class TestStep:
         ic = md.IntegratorConfig(dt=1e-4, scheme="strang", record_every=2000)
         u0 = basis_mode(64, 1)
         rec = md.simulate_ensemble(u0, p, ic, NO_NOISE, 2.0, seed=5)
-        got = float(fn.norm_h(rec.final[0]))
+        got = float(np.sqrt(fn.norm_hr_sq(rec.final[0], 0.0)))
         assert got == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
@@ -481,8 +482,9 @@ class TestSimulate:
         u0 = 0.5 * basis_mode(64, 1) + 0.3 * basis_mode(64, 2)
         rec = md.simulate_ensemble(u0, p, ic, NO_NOISE, 1.0, seed=10)
         h = np.sqrt(rec.energy.H[:, 0])
-        target = float(fn.norm_h(u0)) * np.exp(-0.5 * rec.times)
-        assert np.max(np.abs(h - target)) / float(fn.norm_h(u0)) < 1e-6
+        h0 = float(np.sqrt(fn.norm_hr_sq(u0, 0.0)))
+        target = h0 * np.exp(-0.5 * rec.times)
+        assert np.max(np.abs(h - target)) / h0 < 1e-6
 
     def test_hamiltonian_second_order(self):
         p = md.ModelParams(gamma=0.0, alpha=0.0, M=32)
@@ -564,6 +566,6 @@ class TestEta:
         # P(sup_{[0,2]} ||eta||_{H^2} <= 1.5) observed > 0 at the default profile
         spec = nz.NoiseSpec.power_profile(8, 0.05, 2.0)
         rec = eta_run(spec, 1.0, T=2.0, dt=0.05, seed=17, n_traj=400)
-        h2 = fn.norm_hr(rec.states, 2.0)  # (n_rec, n_traj)
+        h2 = np.sqrt(fn.norm_hr_sq(rec.states, 2.0))  # (n_rec, n_traj)
         sup = h2.max(axis=0)
         assert np.mean(sup <= 1.5) > 0.0
