@@ -310,7 +310,7 @@ ALL_CHECKS: list[Callable[[], CheckResult]] = [
 ]
 
 
-def run_all(only=None, report=print) -> list[CheckResult]:
+def run_all(only=None) -> list[CheckResult]:
     """Run the acceptance suite, printing one pass/fail line per criterion."""
     results = []
     for i, check in enumerate(ALL_CHECKS, start=1):
@@ -318,6 +318,5 @@ def run_all(only=None, report=print) -> list[CheckResult]:
             continue
         res = check()
         results.append(res)
-        if report:
-            report(res.line())
+        print(res.line())
     return results

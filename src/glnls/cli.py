@@ -12,7 +12,7 @@ output is identical for any worker count.
 
 validate runs the pinned acceptance checks (--only picks some of them by
 index) and writes nothing.  Every other subcommand has a driver
-``drive_<name>(cfg, seed, args)`` that returns only what it computed: its
+``drive_<name>(cfg, args)`` that returns only what it computed: its
 CSV tables as ``{file name: (header, rows)}`` and its manifest fields
 (``trajectory_count`` and ``excluded_count``, and where it has them
 ``derived_constants`` and ``results``).  ``main`` is the one runner: it
@@ -51,18 +51,15 @@ def _ensemble_chunk(payload):
     rec = md.simulate_ensemble(
         u0, params, integ, spec, T, seed, traj_ids=np.asarray(ids), consts=consts
     )
-    return (
-        rec.times, rec.energy.H, rec.energy.H1, rec.energy.phi,
-        rec.final, rec.excluded,
-    )
+    return rec.times, rec.energy.H, rec.energy.H1, rec.energy.phi, rec.excluded
 
 
-def run_ensemble(cfg: RunConfig, n_traj: int, workers: int, seed: int):
-    """Trajectory ensemble, chunked across workers; order-independent merge."""
+def run_ensemble(cfg: RunConfig, workers: int):
+    """The [experiment] size trajectories, chunked across workers; order-independent merge."""
     params, spec = cfg.model_params(), cfg.noise_spec()
     integ, consts = cfg.integrator_config(), cfg.constants()
-    payloads = [(cfg.u0(), params, integ, spec, cfg.T, seed, c, consts)
-                for c in np.array_split(np.arange(n_traj), workers) if len(c)]
+    payloads = [(cfg.u0(), params, integ, spec, cfg.T, cfg.seed, c, consts)
+                for c in np.array_split(np.arange(cfg.experiment["size"]), workers) if len(c)]
     if workers <= 1:
         parts = [_ensemble_chunk(p) for p in payloads]
     else:
@@ -70,14 +67,13 @@ def run_ensemble(cfg: RunConfig, n_traj: int, workers: int, seed: int):
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_ensemble_chunk, payloads))
-    # the chunks' records (n_rec, chunk) join on axis 1, their final states and flags on 0
+    # the chunks' records (n_rec, chunk) join on axis 1, their flags on 0
     H, H1, phi = (np.concatenate([p[i] for p in parts], axis=1) for i in (1, 2, 3))
-    final, excluded = (np.concatenate([p[i] for p in parts]) for i in (4, 5))
-    return parts[0][0], H, H1, phi, final, excluded
+    return parts[0][0], H, H1, phi, np.concatenate([p[4] for p in parts])
 
 
 # ---------------------------------------------------------------------------
-# drivers: (cfg, seed, args) -> (tables, manifest fields)
+# drivers: (cfg, args) -> (tables, manifest fields)
 # ---------------------------------------------------------------------------
 
 def _fit_fields(fit: st.RateFit, exponent: str) -> dict:
@@ -85,11 +81,11 @@ def _fit_fields(fit: st.RateFit, exponent: str) -> dict:
             "residual": fit.residual, "half_width": fit.half_width}
 
 
-def drive_simulate(cfg, seed, args):
+def drive_simulate(cfg, args):
     params = cfg.model_params()
     save_states = cfg.run["save_states"]
     rec = md.simulate_ensemble(
-        cfg.u0(), params, cfg.integrator_config(), cfg.noise_spec(), cfg.T, seed,
+        cfg.u0(), params, cfg.integrator_config(), cfg.noise_spec(), cfg.T, cfg.seed,
         traj_ids=np.array([0]), consts=cfg.constants(), record_states=save_states,
     )
     e = rec.energy
@@ -106,9 +102,8 @@ def drive_simulate(cfg, seed, args):
     return tables, {"trajectory_count": 1, "excluded_count": int(rec.excluded[0])}
 
 
-def drive_ensemble(cfg, seed, args):
-    n_traj = cfg.experiment["size"]
-    times, H, H1, phi, final, excluded = run_ensemble(cfg, n_traj, args.workers, seed)
+def drive_ensemble(cfg, args):
+    times, H, H1, phi, excluded = run_ensemble(cfg, args.workers)
     live = ~excluded
     n = int(live.sum())
 
@@ -121,16 +116,16 @@ def drive_ensemble(cfg, seed, args):
     )
     header = ("t", "mean_H", "se_H", "mean_H1", "se_H1", "mean_phi", "se_phi")
     return {"ensemble_mean.csv": (header, rows)}, {
-        "trajectory_count": n_traj, "excluded_count": int(excluded.sum()),
+        "trajectory_count": cfg.experiment["size"], "excluded_count": int(excluded.sum()),
     }
 
 
-def drive_couple(cfg, seed, args):
+def drive_couple(cfg, args):
     params, spec = cfg.model_params(), cfg.noise_spec()
     consts, x, i = cfg.constants(), cfg.experiment, cfg.integrator
     n_pairs, n_segments = x["pairs"], x["segments"]
     pilot = cp.estimate_pilot_constants(
-        params, spec, consts, derive_seed(seed, "pilot"),
+        params, spec, consts, derive_seed(cfg.seed, "pilot"),
         n_traj=x["pilot_traj"], T=x["pilot_time"],
     )
     theta = 10.0 * pilot.c4_hat if x["theta"] is None else x["theta"]
@@ -153,7 +148,7 @@ def drive_couple(cfg, seed, args):
     rows = []
     for k in range(n_segments):
         state, seg = cp.coupled_segment(
-            state, ccfg, params, integ, spec, derive_seed(seed, f"segment-{k}"),
+            state, ccfg, params, integ, spec, derive_seed(cfg.seed, f"segment-{k}"),
         )
         flags = state.e4_crossed.astype(int) + 2 * state.budget_crossed.astype(int)
         ell = state.ell
@@ -180,14 +175,14 @@ def drive_couple(cfg, seed, args):
     }
 
 
-def drive_mixing(cfg, seed, args):
+def drive_mixing(cfg, args):
     x = cfg.experiment
     gammas, ensemble = x["gammas"], x["ensemble"]
     # every gamma in one batch, driven by one stream
     curves = st.mixing_curve(
         cfg.u0(), _second_state(cfg), replace(cfg.model_params(), gamma=gammas),
         cfg.noise_spec(), np.linspace(0.0, x["t_max"], x["t_points"]), ensemble,
-        derive_seed(seed, "mixing"), integ=cfg.integrator_config(),
+        derive_seed(cfg.seed, "mixing"), integ=cfg.integrator_config(),
     )
     tables, fits = {}, {}
     for g, curve in zip(gammas, curves):
@@ -218,11 +213,11 @@ def _second_state(cfg: RunConfig) -> np.ndarray:
     return out
 
 
-def drive_inviscid(cfg, seed, args):
+def drive_inviscid(cfg, args):
     x, i = cfg.experiment, cfg.integrator
     gammas, pairs = x["gammas"], x["pairs"]
     curve = st.inviscid_curve(
-        cfg.u0(), gammas, x["time"], pairs, seed,
+        cfg.u0(), gammas, x["time"], pairs, cfg.seed,
         alpha=cfg.model["alpha"], M=cfg.model["modes"], spec=cfg.noise_spec(),
         truncated=x["truncated"], R=x["radius"], dt=i["dt"],
         blowup_guard=i["blowup_guard"],
@@ -240,7 +235,7 @@ def drive_inviscid(cfg, seed, args):
     return {"inviscid.csv": (header, rows)}, fields
 
 
-def drive_measures(cfg, seed, args):
+def drive_measures(cfg, args):
     params0 = cfg.model_params()
     spec, consts, x = cfg.noise_spec(), cfg.constants(), cfg.experiment
     gammas = x["gammas"]
@@ -249,7 +244,7 @@ def drive_measures(cfg, seed, args):
     def sample(g, tag):
         return st.invariant_measure_sample(
             replace(params0, gamma=g), spec, burn_in, x["samples"], x["thinning"],
-            derive_seed(seed, tag), dt=cfg.integrator["dt"], consts=consts,
+            derive_seed(cfg.seed, tag), dt=cfg.integrator["dt"], consts=consts,
             u0=cfg.u0(), blowup_guard=cfg.integrator["blowup_guard"],
         )
 
@@ -270,11 +265,11 @@ def drive_measures(cfg, seed, args):
     }
 
 
-def drive_tails(cfg, seed, args):
+def drive_tails(cfg, args):
     x, i = cfg.experiment, cfg.integrator
     rep = st.tail_experiment(
         cfg.model_params(), cfg.noise_spec(), cfg.u0(), x["n"], x["p"], x["time"],
-        rho_grid=x["rho_grid"] or None, ensemble_size=x["ensemble"], seed=seed,
+        rho_grid=x["rho_grid"] or None, ensemble_size=x["ensemble"], seed=cfg.seed,
         consts=cfg.constants(), blowup_guard=i["blowup_guard"],
         record_every=i["record_every"],
     )
@@ -345,9 +340,8 @@ def main(argv=None) -> int:
         overrides = {"seed": args.seed, "out_dir": args.out}
         cfg = load_config(args.config, args.subcommand,
                           run={k: str(v) for k, v in overrides.items() if v is not None})
-        seed = cfg.seed
         start = time.perf_counter()
-        tables, fields = DRIVERS[args.subcommand](cfg, seed, args)
+        tables, fields = DRIVERS[args.subcommand](cfg, args)
         wall_time_s = time.perf_counter() - start
         # allocated only now, so that a failed run leaves no directory behind
         run_dir = allocate_run_dir(cfg.run["out_dir"], args.subcommand)
@@ -356,7 +350,7 @@ def main(argv=None) -> int:
         fields = {"derived_constants": {}, "results": {}, **fields}
         write_manifest(
             run_dir, files, subcommand=args.subcommand, config=cfg.as_dict(),
-            config_hash=cfg.content_hash(), seed=seed, wall_time_s=wall_time_s,
+            config_hash=cfg.content_hash(), seed=cfg.seed, wall_time_s=wall_time_s,
             **fields,
         )
         print(f"wrote {run_dir}")

@@ -10,8 +10,9 @@ reaches the run or stops it: validation collects every violation and
 reports them together, naming the violated bound.  A violation is a file
 that does not parse, a value its parser rejects or finds outside the key's
 own bound (a count below 1, a step, duration, amplitude or constant that is
-not positive, a viscosity outside [0, 1), a scheme not in ``SCHEMES``; a
-list is bounded element by element), a broken rule that ties keys together
+not positive, a viscosity outside [0, 1), a scheme not in ``SCHEMES``, a
+tails exponent p or a couple perturbation that is not finite; a list is
+bounded element by element), a broken rule that ties keys together
 (``validate``: forced modes at most modes, the C_Q and xi bounds, u0_modes
 indices in 1..modes, measures' thinning a whole number of dt steps, no two
 of mixing's or measures' gammas alike to 6 significant digits (the "{g:g}"
@@ -93,6 +94,16 @@ def _bounded(parse, low, strict=False, high=None):
     return bounded
 
 
+def _finite(parse):
+    """``parse``, then require a finite value (a complex one finite in both parts)."""
+    def finite(text: str):
+        value = parse(text)
+        if not np.isfinite(value):
+            raise _OutOfRange(f"{text} is out of range, need a finite value")
+        return value
+    return finite
+
+
 def _choice(options):
     """The text itself, which must be one of ``options``."""
     def choice(text: str) -> str:
@@ -159,7 +170,7 @@ EXPERIMENT = {
     "ensemble": {"size": ("100", _count)},
     "couple": {"pairs": ("64", _count), "segments": ("4", _count),
                "beta": ("0.5", _bounded(float, 0.0, strict=True, high=1.0)),
-               "segment_time": ("2.0", _positive), "perturb": ("0", complex),
+               "segment_time": ("2.0", _positive), "perturb": ("0", _finite(complex)),
                "pilot_traj": ("100", _count), "pilot_time": ("10.0", _fit_time),
                "theta": ("", _opt_positive)},
     "mixing": {"gammas": ("0.05", _viscosities), "t_max": ("50", _positive),
@@ -169,8 +180,9 @@ EXPERIMENT = {
                  "radius": ("2.0", _positive)},
     "measures": {"gammas": ("0.2,0.1,0.05", _viscosities), "burn_in": ("", _opt_positive),
                  "samples": ("128", _count), "thinning": ("1.0", _positive)},
-    "tails": {"n": ("4", _count), "p": ("1.0", float), "time": ("10.0", _fit_time),
-              "ensemble": ("200", _count), "rho_grid": ("", _floats)},
+    "tails": {"n": ("4", _count), "p": ("1.0", _bounded(_finite(float), 0.0, strict=True)),
+              "time": ("10.0", _fit_time), "ensemble": ("200", _count),
+              "rho_grid": ("", _floats)},
 }
 
 # the shared keys each subcommand does not read: a file that sets one is rejected
@@ -355,7 +367,3 @@ def load_config(path: str | None = None, subcommand: str | None = None,
     if bad:
         raise ConfigError(bad)
     return cfg
-
-
-def default_config(subcommand: str | None = None) -> RunConfig:
-    return load_config(None, subcommand)

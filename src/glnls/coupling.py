@@ -174,10 +174,10 @@ def pinned_contraction_run(
     T: float,
     seed: int,
     n_pairs: int,
-    consts: FunctionalConstants | None = None,
 ):
     """Ensemble of pinned pairs; returns (times, J values (n_rec, n_pairs),
-    excluded (n_pairs,)), J recorded every ``integ.record_every`` steps.
+    excluded (n_pairs,)), J recorded every ``integ.record_every`` steps with
+    the default ``FunctionalConstants``.
 
     u2_0's low modes are snapped to u1_0's on entry (exact pinning).  Both
     members take the same Stepper.step as one stacked batch, then u2's low
@@ -185,7 +185,7 @@ def pinned_contraction_run(
     guard is frozen, so its J stays at the value of its last admitted state.
     """
     require_one_gamma(params, "pinned_contraction_run")
-    consts = consts or FunctionalConstants()
+    consts = FunctionalConstants()
     stepper = Stepper(params, integ, spec)
     rec_idx = record_schedule(int(round(T / integ.dt)), integ.record_every)
     pair = np.stack([np.broadcast_to(np.asarray(u, complex), (n_pairs, params.M))
@@ -490,32 +490,28 @@ def estimate_pilot_constants(
     spec: NoiseSpec,
     consts: FunctionalConstants,
     seed: int,
-    u0: np.ndarray | None = None,
     n_traj: int = 200,
     T: float = 20.0,
     dt: float = 2e-3,
-    record_every: int = 25,
 ) -> PilotConstants:
     """Pilot ensemble estimates of the tail-bound constants, by
-    ``stats.tail_fit`` of the per-step-Phi E_4 of the live trajectories.
+    ``stats.tail_fit`` of the per-step-Phi E_4 of the live trajectories,
+    recorded every 25 steps.
 
+    The pilot starts at u0 = 0, so the fit's base Phi(u0)^4 is exactly 0.
     C4_hat is the fit's c_n_hat, the 99th percentile over trajectories and
-    t in [1, T] of (E_4(t) - Phi(u0)^4)/t; K41_hat is its envelope over
-    Phi(u0)^4 + 1, the smallest K making
-    P(sup (E_4 - (C4-1)t) >= Phi(u0)^4 + rho sqrt(T)) <= K (Phi(u0)^4+1)/rho
-    hold on the rho grid (1 when no frequency is positive).  Trajectories
-    frozen by the blow-up guard are left out; with none live it raises.
+    t in [1, T] of E_4(t)/t; K41_hat is the fit's envelope itself, the
+    smallest K making P(sup (E_4 - (C4-1)t) >= rho sqrt(T)) <= K/rho hold on
+    the rho grid (1 when no frequency is positive).  Trajectories frozen by
+    the blow-up guard are left out; with none live it raises.
     """
-    u0 = np.zeros(params.M, complex) if u0 is None else np.asarray(u0, complex)
-    integ = IntegratorConfig(dt=dt, scheme="expeuler", noise_mode="em",
-                             record_every=record_every)
+    integ = IntegratorConfig(dt=dt, scheme="expeuler", noise_mode="em", record_every=25)
     rec = simulate_ensemble(
-        u0, params, integ, spec, T, seed,
+        np.zeros(params.M, complex), params, integ, spec, T, seed,
         traj_ids=np.arange(n_traj), consts=consts, track_phi_every_step=True,
     )
     if rec.excluded.all():
         raise ValueError(f"the blow-up guard froze all {n_traj} pilot trajectories")
-    base = float(fn.phi(u0, consts)) ** 4
-    fit = tail_fit(rec.energy.E4[:, ~rec.excluded], rec.times, base, T)
-    k41 = fit.envelope_k / (base + 1.0) if fit.envelope_k > 0 else 1.0
+    fit = tail_fit(rec.energy.E4[:, ~rec.excluded], rec.times, 0.0, T)
+    k41 = fit.envelope_k if fit.envelope_k > 0 else 1.0
     return PilotConstants(c4_hat=fit.c_n_hat, k41_hat=max(k41, 1e-6))

@@ -194,11 +194,11 @@ class EnAccumulator:
 # the d_0^xi weight
 # ---------------------------------------------------------------------------
 
-def exp_xi_weight(a: np.ndarray, xi: float, cap: float = EXP_CAP):
-    """(exp(xi ||u||_H^2) with capped exponent, number of capped samples)."""
+def exp_xi_weight(a: np.ndarray, xi: float):
+    """(exp(xi ||u||_H^2) with its exponent capped at EXP_CAP, number of capped samples)."""
     expo = xi * norm_hr_sq(a, 0.0)
-    flagged = int(np.sum(expo > cap))
-    return np.exp(np.minimum(expo, cap)), flagged
+    flagged = int(np.sum(expo > EXP_CAP))
+    return np.exp(np.minimum(expo, EXP_CAP)), flagged
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,13 @@ at its last admitted value and its a at the last Strang state formed for
 it, which is what it is recorded and returned as, with that a's H^1 norm.
 Rows that never cross are bit-identical to a run that forms a on every
 step, since the c chain is the same.
+
+The records.  ``simulate_ensemble`` makes one pass over ``run``.  Phi is
+formed at every step under per-step Phi, otherwise on record steps, and
+wherever it is formed E_1 and E_4 each take one left-endpoint push,
+push(Phi, dt * (steps since the last push)): one step apart under per-step
+Phi, the record's gap otherwise.  Each record appends one row, and the
+energy columns, states and mass integrals are stacked once at the end.
 """
 
 from __future__ import annotations
@@ -508,6 +515,11 @@ def simulate_ensemble(
     u0 broadcasts: a single field is shared by every trajectory.  Identical
     (seed, traj_id) pairs reproduce bit-identical trajectories regardless of
     batch composition.
+
+    Phi is formed at every step with track_phi_every_step, otherwise at the
+    record steps.  Wherever it is formed, E_1 and E_4 each take one
+    left-endpoint push, push(Phi, dt * (steps since the last push)).  The
+    mass integrals are trapezoid sums over every step.
     """
     require_one_gamma(params, "simulate_ensemble")
     consts = consts or FunctionalConstants()
@@ -519,82 +531,46 @@ def simulate_ensemble(
     elif traj_ids is None:
         traj_ids = np.arange(u0.shape[0])
     validate_field(u0, params.M)
-    B = u0.shape[0]
 
     n_steps = int(round(T / integ.dt)) if T > 0 else 0
     rec_idx = record_schedule(n_steps, integ.record_every)
-    n_rec = len(rec_idx)
-
-    stepper = Stepper(params, integ, spec)
-    source = EnsembleNoise(seed, traj_ids, spec.N)
-
-    cols = {
-        name: np.empty((n_rec, B))
-        for name in ("H", "H1", "L4", "psi", "phi", "E1", "E4")
-    }
-    times = np.array(rec_idx, dtype=float) * integ.dt
-    states = np.empty((n_rec, B, params.M), dtype=np.complex128) if record_states else None
-    mass_h = np.zeros((n_rec, B)) if track_mass_integrals else None
-    mass_h1 = np.zeros((n_rec, B)) if track_mass_integrals else None
-    int_h = np.zeros(B)
-    int_h1 = np.zeros(B)
-
     a = u0.copy()
     guard = BlowUpGuard(integ, a)
     field = fn.physical_field(a)
     l4, ps, ph = fn.field_energy(field, guard.h2, guard.h1sq, consts)
-    e1 = fn.EnAccumulator(1, params.alpha)
-    e4 = fn.EnAccumulator(4, params.alpha)
-    e1.reset(ph)
-    e4.reset(ph)
+    accs = (fn.EnAccumulator(1, params.alpha), fn.EnAccumulator(4, params.alpha))
+    for acc in accs:
+        acc.reset(ph)
+    int_h = int_h1 = np.zeros(len(a))  # rebound at each step, never written in place
+    rows, states, masses = [], [], []
 
-    def record(i_rec: int):
-        cols["H"][i_rec] = guard.h2
-        cols["H1"][i_rec] = guard.h1sq
-        cols["L4"][i_rec] = l4
-        cols["psi"][i_rec] = ps
-        cols["phi"][i_rec] = ph
-        cols["E1"][i_rec] = e1.value()
-        cols["E4"][i_rec] = e4.value()
-        if states is not None:
-            states[i_rec] = a
-        if mass_h is not None:
-            mass_h[i_rec] = int_h
-            mass_h1[i_rec] = int_h1
+    def record():
+        rows.append((guard.h2, guard.h1sq, l4, ps, ph, *(acc.value() for acc in accs)))
+        if record_states:
+            states.append(a)
+        if track_mass_integrals:
+            masses.append((int_h, int_h1))
 
-    record(0)
-    i_rec = 0
-    prev_h, prev_h1 = guard.h2, guard.h1sq
-    for recorded, a, field in run(stepper, guard, a, source, n_steps, rec_idx,
-                                  track_phi_every_step or track_mass_integrals, field):
+    record()
+    pushed, prev_h, prev_h1 = 0, guard.h2, guard.h1sq
+    stepped = run(Stepper(params, integ, spec), guard, a, EnsembleNoise(seed, traj_ids, spec.N),
+                  n_steps, rec_idx, track_phi_every_step or track_mass_integrals, field)
+    for n, (recorded, a, field) in enumerate(stepped, start=1):
+        if track_mass_integrals:
+            int_h = int_h + 0.5 * (prev_h + guard.h2) * integ.dt
+            int_h1 = int_h1 + 0.5 * (prev_h1 + guard.h1sq) * integ.dt
+            prev_h, prev_h1 = guard.h2, guard.h1sq
         if track_phi_every_step or recorded:
             # under Strang the engine hands over no field: Phi synthesises a
             l4, ps, ph = fn.field_energy(fn.physical_field(a) if field is None else field,
                                          guard.h2, guard.h1sq, consts)
-        # left-endpoint E_n pushes and trapezoid mass integrals
-        if track_phi_every_step:
-            e1.push(ph, integ.dt)
-            e4.push(ph, integ.dt)
-        if track_mass_integrals:
-            int_h += 0.5 * (prev_h + guard.h2) * integ.dt
-            int_h1 += 0.5 * (prev_h1 + guard.h1sq) * integ.dt
-            prev_h, prev_h1 = guard.h2, guard.h1sq
+            for acc in accs:
+                acc.push(ph, integ.dt * (n - pushed))
+            pushed = n
         if recorded:
-            i_rec += 1
-            if not track_phi_every_step:
-                # stride-resolution E_n when per-step Phi is off
-                gap = integ.dt * (rec_idx[i_rec] - rec_idx[i_rec - 1])
-                e1.push(ph, gap)
-                e4.push(ph, gap)
-            record(i_rec)
+            record()
 
-    energy = EnergySeries(t=times, **cols)
-    return EnsembleRecord(
-        times=times,
-        energy=energy,
-        final=a,
-        excluded=guard.excluded,
-        states=states,
-        mass_int_h=mass_h,
-        mass_int_h1=mass_h1,
-    )
+    times = np.array(rec_idx, dtype=float) * integ.dt
+    mass = [np.array(m) for m in zip(*masses)] if track_mass_integrals else (None, None)
+    return EnsembleRecord(times, EnergySeries(times, *(np.array(c) for c in zip(*rows))), a,
+                          guard.excluded, np.array(states) if record_states else None, *mass)

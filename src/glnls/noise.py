@@ -34,9 +34,7 @@ from .spectral import eigenvalues
 
 class Traces(NamedTuple):
     tr_qq: float        # Tr(QQ*)        = sum lambda_k^2
-    tr_aqq: float       # Tr(A QQ*)      = sum alpha_k lambda_k^2
     tr_a32qq: float     # Tr(A^{3/2}QQ*) = sum alpha_k^{3/2} lambda_k^2
-    tr_a3qq: float      # Tr(A^3 QQ*)    = sum alpha_k^3 lambda_k^2
 
 
 @dataclass(frozen=True)
@@ -73,16 +71,8 @@ class NoiseSpec:
 
 
 def traces(spec: NoiseSpec) -> Traces:
-    lam2 = spec.lambdas**2
-    if spec.N == 0:
-        return Traces(0.0, 0.0, 0.0, 0.0)
-    al = eigenvalues(spec.N)
-    return Traces(
-        float(np.sum(lam2)),
-        float(np.sum(al * lam2)),
-        float(np.sum(al**1.5 * lam2)),
-        float(np.sum(al**3 * lam2)),
-    )
+    lam2 = spec.lambdas**2  # empty with no forced mode, so both sums are 0.0
+    return Traces(float(np.sum(lam2)), float(np.sum(eigenvalues(spec.N) ** 1.5 * lam2)))
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,12 @@ def validate_field(a: np.ndarray, M: int | None = None) -> np.ndarray:
     return a
 
 
-def basis_mode(M: int, k: int, amplitude: complex = 1.0) -> np.ndarray:
-    """Coefficient vector of amplitude * e_k in an M-mode truncation."""
+def basis_mode(M: int, k: int) -> np.ndarray:
+    """Coefficient vector of e_k in an M-mode truncation."""
     if not 1 <= k <= M:
         raise DimensionMismatchError(f"mode {k} outside 1..{M}")
     a = np.zeros(M, dtype=np.complex128)
-    a[k - 1] = amplitude
+    a[k - 1] = 1.0
     return a
 
 

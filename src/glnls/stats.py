@@ -269,7 +269,6 @@ def dual_lower_bound(
     emp_a: EmpiricalMeasure,
     emp_b: EmpiricalMeasure,
     ground: str = "d0",
-    xi: float | None = None,
 ) -> float:
     """max_f |mean_A f - mean_B f| / Lip(f) over a certified family.
 
@@ -278,7 +277,7 @@ def dual_lower_bound(
     for d1, else 0), evaluated as one ``pairwise_hk`` block per measure,
     and the real and imaginary parts of the first six modes clipped to
     [-0.5, 0.5].  Each is 1-Lipschitz for d_k and 3^{-1/2}-Lipschitz for
-    d_0^xi.  Never exceeds the primal transport cost (one-sided Kantorovich
+    d_0^xi, whatever xi.  Never exceeds the primal transport cost (one-sided Kantorovich
     bound; for the distance-like d_0^xi only this direction holds).
     """
     pooled = np.concatenate([emp_a.samples, emp_b.samples])
@@ -305,7 +304,6 @@ class RateFit:
 
     model: str  # 'power-gamma' | 'exponential'
     exponent: float
-    intercept: float
     residual: float      # rms residual in the transformed coordinates
     r_squared: float
     half_width: float    # ~95% half-width of the exponent
@@ -331,7 +329,7 @@ def _ols(x: np.ndarray, y: np.ndarray, model: str) -> RateFit:
     dof = max(len(x) - 2, 1)
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = np.sqrt(np.sum(resid**2) / dof / sxx) if sxx > 0 else np.inf
-    return RateFit(model, float(coef[0]), float(coef[1]), rms, r2, 1.96 * float(se))
+    return RateFit(model, float(coef[0]), rms, r2, 1.96 * float(se))
 
 
 def fit_power_law(x: np.ndarray, y: np.ndarray) -> RateFit:
@@ -341,12 +339,10 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> RateFit:
 
 
 def fit_exponential(t: np.ndarray, y: np.ndarray) -> RateFit:
-    """log y = intercept - rate * t; exponent reported as the decay rate."""
+    """log y = c - rate * t; exponent reported as the decay rate."""
     m = np.asarray(y) > 0
     f = _ols(np.asarray(t)[m], np.log(np.asarray(y)[m]), "exponential")
-    return RateFit(
-        f.model, -f.exponent, f.intercept, f.residual, f.r_squared, f.half_width
-    )
+    return replace(f, exponent=-f.exponent)
 
 
 # ---------------------------------------------------------------------------

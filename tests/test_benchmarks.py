@@ -1,10 +1,14 @@
-"""The timing script stays runnable: every ``bench_*`` function of
-``benchmarks/transform_bench.py`` runs to the end at tiny sizes."""
+"""The timing scripts stay runnable: every ``bench_*`` function of
+``benchmarks/transform_bench.py`` runs to the end at tiny sizes, and every
+workload of ``mcbench`` runs one round and passes its own checks."""
 
+import importlib
 import importlib.util
 import pathlib
+import sys
 
-PATH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "transform_bench.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PATH = ROOT / "benchmarks" / "transform_bench.py"
 
 # tiny arguments for every bench_* function of the script
 TINY = {
@@ -30,3 +34,17 @@ def test_every_bench_runs_at_tiny_sizes(capsys):
     for name, args in TINY.items():
         getattr(bench, name)(*args)
         assert capsys.readouterr().out, f"{name} printed nothing"
+
+
+def test_every_mcbench_workload_runs_and_verifies(monkeypatch):
+    # the workloads call the package as mcbench/run.py does; a renamed name or
+    # a changed signature among them fails here; mcbench/ is left unwritten
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "mcbench"))
+    workloads = importlib.import_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        wl = workload(0)
+        wl.warm_up()
+        wl.run_round(0)
+        failed = [detail for ok, detail in wl.verify() if not ok]
+        assert not failed, f"{name}: {failed}"

@@ -72,20 +72,19 @@ OUT_OF_RANGE = {
     },
     "ensemble": {"size": "-3"},
     "couple": {"pairs": "0", "segments": "0", "beta": "1.5", "segment_time": "0",
-               "pilot_traj": "0", "pilot_time": "0.5", "theta": "-1"},
+               "perturb": "nan", "pilot_traj": "0", "pilot_time": "0.5", "theta": "-1"},
     "mixing": {"gammas": "0.05, 1.0", "t_max": "-1", "t_points": "1", "ensemble": "0"},
     "inviscid": {"gammas": "0.1, -0.1", "pairs": "0", "time": "0", "radius": "-1"},
     "measures": {"gammas": "0.2, 1.5", "burn_in": "0", "samples": "0", "thinning": "-0.1"},
-    "tails": {"n": "0", "time": "0.5", "ensemble": "0"},
+    "tails": {"n": "0", "p": "inf", "time": "0.5", "ensemble": "0"},
 }
 # keys with no bound of their own: cq_bound and u0_modes are checked against
 # other keys' values (config.validate), the rest take any value that parses
 UNBOUNDED = {
     "shared": {"model": {"nonlinear"}, "noise": {"decay", "cq_bound"},
                "run": {"seed", "out_dir", "save_states", "u0_modes"}},
-    "couple": {"perturb"},
     "inviscid": {"truncated"},
-    "tails": {"p", "rho_grid"},
+    "tails": {"rho_grid"},
 }
 
 

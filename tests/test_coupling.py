@@ -710,7 +710,7 @@ class TestSharedFieldReference:
 
         monkeypatch.setattr(cp, "simulate_ensemble", capture)
         pilot = cp.estimate_pilot_constants(params, spec, CONSTS, seed=34, n_traj=n,
-                                            T=T, dt=dt, record_every=every)
+                                            T=T, dt=dt)
         rec = seen["rec"]
 
         st = md.Stepper(params, md.IntegratorConfig(dt=dt, scheme="expeuler",

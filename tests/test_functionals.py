@@ -5,7 +5,7 @@ from glnls import functionals as fn
 from glnls import models as md
 from glnls import noise as nz
 from glnls import stats as st
-from glnls.config import default_config, validate
+from glnls.config import load_config, validate
 from glnls.spectral import basis_mode, eigenvalues
 
 CONSTS = fn.FunctionalConstants(kappa=1.0, kappa2=1.0, xi=0.1)
@@ -164,22 +164,41 @@ class TestSharedFieldPhi:
     @pytest.mark.parametrize("every_step", [True, False])
     def test_ensemble_records(self, every_step):
         # the record columns against the reference functionals of the recorded
-        # states, with Phi measured at recorded steps only or at every step
+        # states, with Phi measured at recorded steps only or at every step;
+        # E_1 and E_4 against accumulators pushed with the reference Phi, at
+        # every step of a twin run recording every step, or at the records
+        # with their gaps (50 steps at stride 7: the last gap is one step)
         M = 16
         p = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
         spec = nz.NoiseSpec.power_profile(4, 0.5, 2.0)
         for scheme in ("strang", "expeuler"):
-            integ = md.IntegratorConfig(dt=1e-3, record_every=7, scheme=scheme)
-            rec = md.simulate_ensemble(0.3 * basis_mode(M, 1), p, integ, spec, 0.05, seed=4,
-                                       traj_ids=np.arange(3), consts=CONSTS,
-                                       record_states=True,
-                                       track_phi_every_step=every_step)
+            def simulate(record_every):
+                integ = md.IntegratorConfig(dt=1e-3, record_every=record_every, scheme=scheme)
+                return md.simulate_ensemble(0.3 * basis_mode(M, 1), p, integ, spec, 0.05,
+                                            seed=4, traj_ids=np.arange(3), consts=CONSTS,
+                                            record_states=True,
+                                            track_phi_every_step=every_step)
+
+            rec = simulate(7)
             e, u = rec.energy, rec.states
             assert np.array_equal(e.H, fn.norm_hr_sq(u, 0.0))
             assert np.array_equal(e.H1, fn.norm_hr_sq(u, 1.0))
             for got, ref in zip((e.L4, e.psi, e.phi), energy(u)):
                 assert np.array_equal(got, ref)
             assert np.array_equal(e.phi, fn.phi(u, CONSTS))
+
+            rows = md.record_schedule(50, 7)
+            if every_step:
+                pushed = np.arange(51)
+                phis = fn.phi(simulate(1).states, CONSTS)
+            else:
+                pushed, phis = np.array(rows), e.phi
+            for n, got in ((1, e.E1), (4, e.E4)):
+                acc = fn.EnAccumulator(n, p.alpha)
+                acc.reset(phis[0])
+                en = [acc.value()] + [acc.push(ph, 1e-3 * gap)
+                                      for ph, gap in zip(phis[1:], np.diff(pushed))]
+                assert np.array_equal(got, np.array(en)[np.searchsorted(pushed, rows)])
 
 
 class TestKappaCalibration:
@@ -377,7 +396,7 @@ class TestDistances:
         big = 40.0 * basis_mode(4, 1)
         with pytest.raises(fn.ExponentialOverflowError):
             d0xi(big, np.zeros(4, complex), xi=1.0)
-        vals, flagged = fn.exp_xi_weight(big, xi=1.0, cap=700.0)
+        vals, flagged = fn.exp_xi_weight(big, xi=1.0)
         assert flagged == 1 and np.isfinite(vals).all()
 
 
@@ -391,7 +410,7 @@ class TestConstants:
     def test_xi_bound(self):
         # alpha = 1 and Tr(QQ*) = 1 bound xi below 0.5 in a run configuration
         def violations(xi):
-            cfg = default_config()
+            cfg = load_config()
             cfg.model["alpha"], cfg.noise["lambdas"], cfg.functionals["xi"] = 1.0, (1.0,), xi
             return [v for v in validate(cfg) if "xi" in v]
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from glnls import cli
-from glnls.config import ConfigError, default_config, load_config, validate
+from glnls.config import ConfigError, load_config, validate
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -91,7 +91,7 @@ class TestConfig:
         assert cfg.as_dict() == cfg2.as_dict()
         assert cfg.content_hash() == cfg2.content_hash()
         for sub in cli.DRIVERS:  # a manifest's echo loads again for its subcommand
-            cfg = default_config(sub)
+            cfg = load_config(None, sub)
             echoed = write(tmp_path, cfg.serialize(), name=f"{sub}.cfg")
             assert load_config(echoed, sub).as_dict() == cfg.as_dict()
 
@@ -103,7 +103,7 @@ class TestConfig:
             load_config(write(tmp_path, "[run]\nu0_modes = nope\n", name="bad.cfg"))
 
     def test_default_config_is_valid(self):
-        assert validate(default_config()) == []
+        assert validate(load_config()) == []
 
     @pytest.mark.parametrize("text, error", [
         ("[model]\nalpha = 1.0\n[model]\nmodes = 8\n", "DuplicateSectionError"),
@@ -229,7 +229,7 @@ class TestCLI:
             assert (tmp_path / "o" / d / "manifest.json").exists()
 
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
-        def fails(cfg, seed, args):
+        def fails(cfg, args):
             raise RuntimeError("driver failed")
 
         cfgp = write(tmp_path, SIMULATE.format(time="0.0"))

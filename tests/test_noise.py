@@ -13,11 +13,11 @@ class TestSpecAndTraces:
 
     def test_traces_empty(self):
         tr = nz.traces(nz.NoiseSpec(np.zeros(0)))
-        assert tr == (0.0, 0.0, 0.0, 0.0)
+        assert tr == (0.0, 0.0)
 
-    def test_trace_aqq_single_mode(self):
+    def test_trace_a32qq_single_mode(self):
         tr = nz.traces(nz.NoiseSpec(np.array([1.0])))
-        assert tr.tr_aqq == pytest.approx(np.pi**2, rel=1e-12)
+        assert tr.tr_a32qq == pytest.approx(np.pi**3, rel=1e-12)
 
     def test_positive_amplitudes_required(self):
         with pytest.raises(ValueError):
