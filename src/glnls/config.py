@@ -28,8 +28,7 @@ Sections and keys::
     [noise]       forced_modes, lambda0, decay, lambdas (explicit override), cq_bound
     [integrator]  dt, time, record_every, scheme, noise_mode, blowup_guard
     [functionals] kappa, kappa2, xi
-    [experiment]  the subcommand's own keys (``EXPERIMENT``); loaded without
-                  a subcommand, the section is kept as unchecked text
+    [experiment]  the subcommand's own keys (``EXPERIMENT``)
     [run]         seed, out_dir, save_states, u0_modes
 """
 
@@ -272,10 +271,11 @@ class RunConfig:
         return hashlib.sha256(self.serialize().encode()).hexdigest()[:16]
 
 
-def validate(cfg: RunConfig, unread=(), subcommand: str | None = None) -> list[str]:
-    """Collect every violation of the rules that tie keys together, leaving
-    out the rules on the ``unread`` keys ("section.key"); each key's own
-    bound is its parser's.  Empty list means valid."""
+def validate(cfg: RunConfig, subcommand: str, unread=()) -> list[str]:
+    """Collect every violation of the rules that tie keys together for
+    ``subcommand``, leaving out the rules on the ``unread`` keys
+    ("section.key"); each key's own bound is its parser's.  Empty list
+    means valid."""
     bad: list[str] = []
     modes = cfg.model["modes"]
     if any(not 1 <= k <= modes for k, _ in cfg.run["u0_modes"]):
@@ -322,15 +322,13 @@ def _read(path: str) -> dict:
         raise ConfigError([f"{path}: {type(exc).__name__}: {exc}"]) from None
 
 
-def load_config(path: str | None = None, subcommand: str | None = None,
-                run: dict | None = None) -> RunConfig:
+def load_config(path: str | None, subcommand: str, run: dict | None = None) -> RunConfig:
     """Parse and validate the file at ``path`` (None: no file, every default)
     for ``subcommand``; ``run`` holds [run] texts that replace the file's.
     Raises ConfigError listing all violations."""
     given = _read(path) if path is not None else {}
     given.setdefault("run", {}).update(run or {})
-    free = {key: (val, str) for key, val in given.get("experiment", {}).items()}
-    keys = dict(_KEYS, experiment=EXPERIMENT[subcommand] if subcommand else free)
+    keys = dict(_KEYS, experiment=EXPERIMENT[subcommand])
     bad, sections = [], {}
     for name, decl in keys.items():
         sections[name] = {}
@@ -341,8 +339,7 @@ def load_config(path: str | None = None, subcommand: str | None = None,
                 why = exc if isinstance(exc, _OutOfRange) else f"unparseable ({exc})"
                 bad.append(f"[{name}] {key}: {why}")
                 sections[name][key] = parse(default)
-    unread = dict.fromkeys(UNREAD[subcommand].split(), f"not read by {subcommand}") \
-        if subcommand else {}
+    unread = dict.fromkeys(UNREAD[subcommand].split(), f"not read by {subcommand}")
     if sections["noise"]["lambdas"]:
         unread.update(dict.fromkeys(("noise.forced_modes", "noise.lambda0", "noise.decay"),
                                     "not read, [noise] lambdas is read in its place"))
@@ -353,7 +350,7 @@ def load_config(path: str | None = None, subcommand: str | None = None,
         # perturb moves mode M, which the coupled pair pins to u1's when every mode is forced
         unread["experiment.perturb"] = "not read, every mode is forced and so pinned"
     bad += [f"[{name}]: unknown section" for name in given if name not in keys]
-    unknown = f"unknown key for {subcommand}" if subcommand else "unknown key"
+    unknown = f"unknown key for {subcommand}"
     for name, sec in given.items():
         for key in sec if name in keys else ():
             why = unread.get(f"{name}.{key}") if key in keys[name] else unknown
@@ -363,7 +360,7 @@ def load_config(path: str | None = None, subcommand: str | None = None,
     text = {name: {key: given.get(name, {}).get(key, default) for key, (default, _) in
                    decl.items() if f"{name}.{key}" not in unread} for name, decl in keys.items()}
     cfg = RunConfig(**sections, text=text)
-    bad += validate(cfg, unread, subcommand)
+    bad += validate(cfg, subcommand, unread)
     if bad:
         raise ConfigError(bad)
     return cfg

@@ -193,18 +193,14 @@ def pinned_contraction_run(
     _pin(pair, N)
     source = EnsembleNoise(seed, np.arange(n_pairs), spec.N)
     guard = BlowUpGuard(integ, pair, link=either_member)
-    times = np.array(rec_idx, dtype=float) * integ.dt
-    J = np.empty((len(rec_idx), n_pairs))
-    J[0] = fn.j_functional(*pair, consts)
-    nxt = 1
+    J = [fn.j_functional(*pair, consts)]
     for z, recorded in steps(source, rec_idx[-1], rec_idx):
         new = stepper.step(pair, z)
         _pin(new, N)
         (pair,) = guard.admit((pair,), (new,))
         if recorded:
-            J[nxt] = fn.j_functional(*pair, consts)
-            nxt += 1
-    return times, J, guard.excluded[0]
+            J.append(fn.j_functional(*pair, consts))
+    return np.array(rec_idx, dtype=float) * integ.dt, np.array(J), guard.excluded[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +407,7 @@ def coupled_segment(
     stepper = _weighted_stepper(params, integ, spec, cfg.N)
     dt = integ.dt
     n_steps = int(round(cfg.T / dt))
-    B = state.pair.shape[1]
-    ids = traj_ids if traj_ids is not None else np.arange(B)
+    ids = traj_ids if traj_ids is not None else np.arange(state.pair.shape[1])
     source = EnsembleNoise(seed, ids, spec.N)
     rec_idx = record_schedule(n_steps, integ.record_every)
 
@@ -422,19 +417,7 @@ def coupled_segment(
     budget_cap = cfg.rho2 * np.exp(-0.25 * params.alpha * state.k * cfg.T)
     guard = BlowUpGuard(integ, out.pair, link=either_member, excluded=out.excluded)
 
-    n_rec = len(rec_idx)
-    rec = SegmentRecord(
-        times=state.k * cfg.T + np.array(rec_idx, dtype=float) * dt,
-        e4=np.empty((n_rec, 2, B)),
-        budget_integral=np.empty((n_rec, B)),
-    )
-
-    def snap(i):
-        rec.e4[i] = out.e4.value()
-        rec.budget_integral[i] = out.budget_integral
-
-    snap(0)
-    nxt = 1
+    rows = [(out.e4.value(), out.budget_integral)]
     loop = _weighted_run(stepper, guard, out.pair, out.log_weight, stepper.drift(out.pair),
                          out.e4, lambda done: 0.0, source, n_steps, consts, rec_idx,
                          out.budget_integral)
@@ -442,8 +425,9 @@ def coupled_segment(
         out.e4_crossed |= (out.e4.value() > cfg.e4_budget(elapsed0 + done * dt)).any(axis=0)
         out.budget_crossed |= out.budget_integral > budget_cap
         if recorded:
-            snap(nxt)
-            nxt += 1
+            rows.append((out.e4.value(), out.budget_integral))
+    rec = SegmentRecord(elapsed0 + np.array(rec_idx, dtype=float) * dt,
+                        *(np.array(c) for c in zip(*rows)))
     out.k += 1
     out.excluded = guard.excluded[0]
     collapsed = (out.log_weight < -30.0) & ~out.excluded  # frozen pairs weigh nothing

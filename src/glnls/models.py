@@ -68,12 +68,11 @@ agreement with the direct-sum one-step oracle that the benchmark checks.
 
 The step decision lives in this module.  ``run`` alone opens the carried
 state, advances it, chooses when to form the Strang state and applies the
-blow-up guard; ``simulate_ensemble``, ``stats.mixing_curve``,
-``stats.inviscid_curve`` and ``stats.invariant_measure_sample`` read what it
-yields.  Noise blocks: ``steps`` alone calls ``EnsembleNoise.next_block``,
-for ``BLOCK_STEPS`` steps at a time (a Philox stream continues across
-blocks, so the block size never changes a result).  The record schedule:
-``record_schedule`` gives step 0,
+blow-up guard; ``simulate_ensemble``, ``stats.mixing_curve`` and
+``stats.inviscid_curve`` read what it yields.  Noise blocks: ``steps``
+alone calls ``EnsembleNoise.next_block``, for ``BLOCK_STEPS`` steps at a
+time (a Philox stream continues across blocks, so the block size never
+changes a result).  The record schedule: ``record_schedule`` gives step 0,
 the multiples of the stride and the last step, always.  The blow-up guard:
 ``BlowUpGuard`` alone reads ``blowup_guard``.  A row whose H^1 norm after a
 step is above the guard or not finite is excluded for the rest of the run:

@@ -39,9 +39,9 @@ import numpy as np
 from . import functionals as fn
 from .functionals import FunctionalConstants
 from .models import (BlowUpGuard, IntegratorConfig, ModelParams, Stepper, either_member,
-                     record_schedule, require_one_gamma, run, simulate_ensemble)
+                     record_schedule, run, simulate_ensemble)
 from .noise import EnsembleNoise, NoiseSpec
-from .spectral import eigenvalues, validate_field
+from .spectral import eigenvalues
 
 GROUND_COSTS = ("d0", "d1", "d0xi")
 
@@ -137,9 +137,6 @@ class OTResult:
     value: float
     gap: float  # |primal - dual| of the certificate's dual-feasible potentials
     plan: np.ndarray | None = None  # the LP's plan; None from the assignment solver
-
-    def __float__(self):
-        return self.value
 
 
 def _column_potentials(C: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -598,35 +595,24 @@ def invariant_measure_sample(
 
     Returns the empirical measure and a diagnostics dict with the Phi mean
     of the samples and whether the blow-up guard excluded the chain.  The
-    chain is stepped by ``models.run`` with the sample steps as its record
-    steps, so it forms its Strang state, and Phi, only at the samples (see
-    the ``models`` docstring); it has no per-step Phi to average.
+    chain is one ``models.simulate_ensemble`` run recording every stride
+    from step 0, so it forms its Strang state, and Phi, at each multiple of
+    the stride (see the ``models`` docstring); the samples are the records
+    after the burn-in, and the run ends on the last.  It has no per-step
+    Phi to average.
     """
     if burn_in <= 0 or n_samples < 1 or thinning <= 0:
         raise ValueError("need burn_in > 0, n_samples >= 1, thinning > 0")
-    require_one_gamma(params, "invariant_measure_sample")
-    consts = consts or FunctionalConstants()
-    u0 = np.zeros(params.M, complex) if u0 is None else np.asarray(u0, complex)
-    a = validate_field(u0, params.M)[None].copy()  # a batch of one chain
     stride = max(1, int(round(thinning / dt)))
-    # the samples: the first n_samples multiples of the stride past the
-    # burn-in; the run ends on the last
-    first = int(round(burn_in / dt)) // stride + 1
-    sample_steps = [(first + i) * stride for i in range(n_samples)]
-    integ = IntegratorConfig(dt=dt, blowup_guard=blowup_guard)
-    guard = BlowUpGuard(integ, a)
-    states, phis = [], []
-    for recorded, a, _ in run(Stepper(params, integ, spec), guard, a,
-                              EnsembleNoise(seed, np.array([0]), spec.N),
-                              sample_steps[-1], sample_steps):
-        if recorded:
-            states.append(a[0])
-            phis.append(fn.field_energy(fn.physical_field(a), guard.h2, guard.h1sq,
-                                        consts)[-1][0])
+    first = int(round(burn_in / dt)) // stride + 1  # the first record past the burn-in
+    integ = IntegratorConfig(dt=dt, record_every=stride, blowup_guard=blowup_guard)
+    rec = simulate_ensemble(np.zeros(params.M, complex) if u0 is None else u0, params, integ,
+                            spec, (first + n_samples - 1) * stride * dt, seed, consts=consts,
+                            record_states=True)
     diag = {
-        "phi_sample_mean": float(np.mean(phis)),
+        "phi_sample_mean": float(np.mean(rec.energy.phi[first:, 0])),
         "n_samples": n_samples,
         "thinning": stride * dt,
-        "excluded": bool(guard.excluded[0]),
+        "excluded": bool(rec.excluded[0]),
     }
-    return EmpiricalMeasure(np.array(states)), diag
+    return EmpiricalMeasure(rec.states[first:, 0]), diag

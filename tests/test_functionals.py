@@ -410,9 +410,9 @@ class TestConstants:
     def test_xi_bound(self):
         # alpha = 1 and Tr(QQ*) = 1 bound xi below 0.5 in a run configuration
         def violations(xi):
-            cfg = load_config()
+            cfg = load_config(None, "measures")  # measures reads xi
             cfg.model["alpha"], cfg.noise["lambdas"], cfg.functionals["xi"] = 1.0, (1.0,), xi
-            return [v for v in validate(cfg) if "xi" in v]
+            return [v for v in validate(cfg, "measures") if "xi" in v]
 
         assert violations(10.0) and violations(0.5)
         assert violations(0.4) == []

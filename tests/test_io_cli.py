@@ -18,7 +18,7 @@ def write(tmp_path, text, name="run.cfg"):
 
 class TestConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
-        cfg = load_config(write(tmp_path, "[run]\nseed = 3\n"))
+        cfg = load_config(write(tmp_path, "[run]\nseed = 3\n"), "simulate")
         assert cfg.seed == 3
         assert cfg.model_params().M == 64
         assert cfg.noise_spec().N == 8
@@ -26,7 +26,7 @@ class TestConfig:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_config(str(tmp_path / "nope.cfg"))
+            load_config(str(tmp_path / "nope.cfg"), "simulate")
 
     def test_xi_bound_rejection_names_value(self, tmp_path):
         # xi = 10 with Tr(QQ*) = 1, alpha = 1 -> bound is 0.5
@@ -36,7 +36,7 @@ class TestConfig:
             "[model]\nalpha = 1.0\n"
         )
         with pytest.raises(ConfigError) as err:
-            load_config(write(tmp_path, text))
+            load_config(write(tmp_path, text), "measures")  # measures reads xi
         msg = str(err.value)
         assert "xi" in msg and "0.5" in msg
 
@@ -47,11 +47,12 @@ class TestConfig:
             "[noise]\nforced_modes = 100\nlambda0 = 1.0\ndecay = 1.0\ncq_bound = 10\n"
         )
         with pytest.raises(ConfigError) as err:
-            load_config(write(tmp_path, text))
+            load_config(write(tmp_path, text), "simulate")
         assert "C_Q" in str(err.value)
         # a NaN trace is not below the bound either
         with pytest.raises(ConfigError) as err:
-            load_config(write(tmp_path, "[noise]\ndecay = nan\n", name="nan.cfg"))
+            load_config(write(tmp_path, "[noise]\ndecay = nan\n", name="nan.cfg"),
+                        "simulate")
         assert err.value.violations == ["[noise] Tr(A^(3/2)QQ*)=nan exceeds the C_Q bound 200"]
 
     def test_all_violations_reported(self, tmp_path):
@@ -60,12 +61,12 @@ class TestConfig:
             "[integrator]\ndt = -0.1\n"
         )
         with pytest.raises(ConfigError) as err:
-            load_config(write(tmp_path, text))
+            load_config(write(tmp_path, text), "simulate")
         assert len(err.value.violations) >= 3
 
     def test_alpha_zero_rejected_at_config_level(self, tmp_path):
         with pytest.raises(ConfigError) as err:
-            load_config(write(tmp_path, "[model]\nalpha = 0\n"))
+            load_config(write(tmp_path, "[model]\nalpha = 0\n"), "simulate")
         assert err.value.violations == ["[model] alpha: 0.0 is out of range, need > 0.0"]
 
     @pytest.mark.parametrize("thinning, ok", [
@@ -85,9 +86,9 @@ class TestConfig:
 
     def test_roundtrip_idempotent(self, tmp_path):
         path = write(tmp_path, "[model]\ngamma = 0.1\n[run]\nseed = 11\n")
-        cfg = load_config(path)
+        cfg = load_config(path, "simulate")
         echoed = write(tmp_path, cfg.serialize(), name="echo.cfg")
-        cfg2 = load_config(echoed)
+        cfg2 = load_config(echoed, "simulate")
         assert cfg.as_dict() == cfg2.as_dict()
         assert cfg.content_hash() == cfg2.content_hash()
         for sub in cli.DRIVERS:  # a manifest's echo loads again for its subcommand
@@ -96,14 +97,16 @@ class TestConfig:
             assert load_config(echoed, sub).as_dict() == cfg.as_dict()
 
     def test_u0_parsing(self, tmp_path):
-        cfg = load_config(write(tmp_path, "[run]\nu0_modes = 1:0.5, 3:0.1+0.2j\n"))
+        cfg = load_config(write(tmp_path, "[run]\nu0_modes = 1:0.5, 3:0.1+0.2j\n"),
+                          "simulate")
         u0 = cfg.u0()
         assert u0[0] == 0.5 and u0[2] == 0.1 + 0.2j
         with pytest.raises(ConfigError):
-            load_config(write(tmp_path, "[run]\nu0_modes = nope\n", name="bad.cfg"))
+            load_config(write(tmp_path, "[run]\nu0_modes = nope\n", name="bad.cfg"),
+                        "simulate")
 
     def test_default_config_is_valid(self):
-        assert validate(load_config()) == []
+        assert validate(load_config(None, "simulate"), "simulate") == []
 
     @pytest.mark.parametrize("text, error", [
         ("[model]\nalpha = 1.0\n[model]\nmodes = 8\n", "DuplicateSectionError"),
@@ -130,11 +133,12 @@ class TestConfig:
         assert simulate("tru") == 2
         assert any(v.startswith("[run] save_states: unparseable")
                    for v in json.loads(capsys.readouterr().err)["violations"])
-        cfg = load_config(write(tmp_path, "[model]\nnonlinear = off\n", name="m.cfg"))
+        cfg = load_config(write(tmp_path, "[model]\nnonlinear = off\n", name="m.cfg"),
+                          "simulate")
         assert cfg.model["nonlinear"] is False
 
     @pytest.mark.parametrize("sub, text, key", [
-        (None, "[noise]\nlambdas = 0.1\nlambda0 = 0.2\n", "[noise] lambda0"),
+        ("simulate", "[noise]\nlambdas = 0.1\nlambda0 = 0.2\n", "[noise] lambda0"),
         ("inviscid", "[experiment]\ntruncated = false\nradius = 1.0\n", "[experiment] radius"),
     ], ids=["lambdas", "radius"])
     def test_key_replaced_by_another_rejected(self, tmp_path, sub, text, key):
@@ -143,20 +147,21 @@ class TestConfig:
         assert [v.split(":")[0] for v in err.value.violations] == [key]
 
     def test_unknown_keys_and_sections_rejected(self, tmp_path):
-        # a misspelt key, a removed key and a misspelt section: one violation
-        # each, none silently dropped; loaded without a subcommand,
-        # [experiment] is unchecked
+        # a misspelt key, a removed key, a misspelt section and an
+        # [experiment] key the subcommand does not declare: one violation
+        # each, none silently dropped
         text = (
             "[model]\nmodse = 32\npad_factor = 3\n"
             "[integrater]\ndt = 1e-3\n"
             "[experiment]\nanything = 1\n"
         )
         with pytest.raises(ConfigError) as err:
-            load_config(write(tmp_path, text))
+            load_config(write(tmp_path, text), "simulate")
         bad = err.value.violations
-        assert len(bad) == 3
+        assert len(bad) == 4
         assert any("modse" in v for v in bad) and any("pad_factor" in v for v in bad)
         assert any("[integrater]" in v for v in bad)
+        assert "[experiment] anything: unknown key for simulate" in bad
 
     def test_readme_config_loads(self, tmp_path):
         # the README's example config, inline comments and all, is a valid

@@ -31,7 +31,7 @@ class TestSpecAndTraces:
             p = tmp_path / "run.cfg"
             p.write_text("[noise]\nforced_modes = 8\nlambda0 = 1.0\ndecay = 2.0\n"
                          f"cq_bound = {cq!r}\n")
-            return load_config(str(p))
+            return load_config(str(p), "simulate")
 
         load(200.0)
         load(float(np.nextafter(tr32, np.inf)))

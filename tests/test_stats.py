@@ -367,8 +367,8 @@ def inviscid_reference(u0, gammas, T, E, seed, M, spec, R, dt):
 
 
 N_STEPS, STRIDE, DT = 300, 7, 1e-3
-STEPPING_DRIVERS = ["simulate_ensemble", "pinned_contraction_run", "girsanov_attempt",
-                    "coupled_segment", "mixing_curve", "inviscid_curve"]
+STEPPING_DRIVERS = ["simulate_ensemble", "invariant_measure_sample", "pinned_contraction_run",
+                    "girsanov_attempt", "coupled_segment", "mixing_curve", "inviscid_curve"]
 
 
 def run_stepping_driver(name, gamma=0.05):
@@ -384,6 +384,12 @@ def run_stepping_driver(name, gamma=0.05):
     if name == "simulate_ensemble":
         return md.simulate_ensemble(u, params, integ, spec, T, seed=1,
                                     traj_ids=np.arange(2)).times
+    if name == "invariant_measure_sample":
+        # the first of 5 samples 0.01 apart past a burn-in of 0.25 is step
+        # 260, so the run ends on step 300
+        st.invariant_measure_sample(params, spec, burn_in=0.25, n_samples=5, thinning=0.01,
+                                    seed=1, dt=DT, u0=u)
+        return None
     if name == "pinned_contraction_run":
         return cp.pinned_contraction_run(u, u, params, integ, spec, N=N, T=T, seed=1,
                                          n_pairs=2)[0]
@@ -438,7 +444,7 @@ class TestInviscid:
             # the stride does not divide N_STEPS; the last step is recorded all the same
             assert np.allclose(times, DT * np.r_[0:N_STEPS:STRIDE, N_STEPS])
 
-    @pytest.mark.parametrize("driver", STEPPING_DRIVERS[:4])
+    @pytest.mark.parametrize("driver", STEPPING_DRIVERS[:5])
     def test_one_gamma_drivers_reject_a_gamma_tuple(self, driver):
         with pytest.raises(ValueError, match="steps one gamma, not the tuple"):
             run_stepping_driver(driver, gamma=(0.05, 0.1))
@@ -646,8 +652,9 @@ class TestInvariantMeasure:
                                                seed=nz.derive_seed(19, tag), dt=dt)
 
         ref, diag0 = measure(0.0, "g0")
-        # the sampler forms its Strang state only at the samples: the same
-        # chain forming it on every step gives the samples bit for bit
+        # the sampler forms its Strang state only at its records, every
+        # stride: the same chain forming it on every step gives the samples
+        # bit for bit
         stride = int(round(1.0 / dt))
         n_steps = int(round(burn_in / dt)) + n_samples * stride
         full = md.simulate_ensemble(
@@ -667,11 +674,12 @@ class TestInvariantMeasure:
         w_small = st.wasserstein(measure(0.02, "g02")[0], ref, "d0").value
         assert w_small < w_big
 
-    def test_samples_one_thinning_apart(self):
+    @pytest.mark.parametrize("M", [16, 512])  # 512: the DST route
+    def test_samples_one_thinning_apart(self, M):
         # a burn-in off the stride grid: the samples are the first five
         # records after it, 0.05 apart (steps 120, 130, ..., 160), and the run
         # ends on the last of them rather than one half-stride later
-        M, dt, stride = 16, 5e-3, 10
+        dt, stride = 5e-3, 10
         params = md.ModelParams(gamma=0.05, alpha=1.0, M=M)
         spec = nz.NoiseSpec.power_profile(4, 0.2, 2.0)
         emp, diag = st.invariant_measure_sample(params, spec, burn_in=0.575, n_samples=5,
